@@ -21,6 +21,7 @@ from .bracket import (
     structure_table,
 )
 from .clifford import (
+    MAX_GENERATORS,
     CliffElement,
     degree_census,
     dimension,
@@ -462,13 +463,17 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"clifford {args.action} needs a generator count", file=sys.stderr)
                 return 2
             args.n = n
+        if not 1 <= args.n <= MAX_GENERATORS:
+            print(f"error: generator count must be 1..{MAX_GENERATORS}, got {args.n}",
+                  file=sys.stderr)
+            return 2
 
     try:
         return args.func(args)
     except FixtureParseError as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,18 @@ the monomial count per total degree is the coefficient sequence of
 from __future__ import annotations
 
 from itertools import permutations, product
+from operator import mul
 from typing import Iterable, Mapping
 
-from .field import ONE, ZERO, FieldElem, j_pow
+from .field import (
+    ONE,
+    ZERO,
+    FieldElem,
+    common_numerators,
+    fold_phases,
+    j_pow,
+    mul_accumulate,
+)
 
 __all__ = [
     "LengthMismatchError",
@@ -37,24 +46,39 @@ class LengthMismatchError(Exception):
     """Operands belong to algebras with different generator counts."""
 
 
-def normal_order_product(
-    a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[FieldElem, tuple[int, ...]]:
-    """Product of two normal-form monomials: (phase, monomial).
+def _suffix_sums(a: tuple[int, ...]) -> list[int]:
+    """higher[k] = a[k+1] + ... + a[n-1]: the exponents of a above index k."""
+    higher = [0] * len(a)
+    total = 0
+    for k in range(len(a) - 1, 0, -1):
+        total += a[k]
+        higher[k - 1] = total
+    return higher
+
+
+def _normal_order(
+    higher: list[int], a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
+    """(monomial, j-exponent) of a*b, given the suffix sums of a.
 
     A factor j^2 accrues for every elementary swap that carries one of
     b's generators leftward past a higher-index generator of a;
     exponents then reduce mod 3 via q_k^3 = 1.
     """
+    return (
+        tuple([(x + y) % 3 for x, y in zip(a, b)]),
+        2 * sum(map(mul, b, higher)) % 3,
+    )
+
+
+def normal_order_product(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[FieldElem, tuple[int, ...]]:
+    """Product of two normal-form monomials: (phase, monomial)."""
     if len(a) != len(b):
         raise LengthMismatchError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    swaps = 0
-    higher = 0  # generators of `a` with index above the current one
-    for k in range(len(a) - 1, -1, -1):
-        swaps += b[k] * higher
-        higher += a[k]
-    phase = j_pow(2 * swaps)
-    return phase, tuple((x + y) % 3 for x, y in zip(a, b))
+    mono, e = _normal_order(_suffix_sums(a), a, b)
+    return j_pow(e), mono
 
 
 class CliffElement:
@@ -116,21 +140,30 @@ class CliffElement:
         return CliffElement(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "CliffElement") -> "CliffElement":
+        """Graded product: raw integer sums per (monomial, phase), one
+        normalised FieldElem per output monomial."""
         if not isinstance(other, CliffElement):
             return NotImplemented
         self._require_same_n(other)
-        out: dict[tuple[int, ...], FieldElem] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                phase, mono = normal_order_product(ma, mb)
-                c = ca * cb * phase
-                cur = out.get(mono)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return CliffElement(self.n, out)
+        left, da = common_numerators(self.terms.values())
+        right, db = common_numerators(other.terms.values())
+        acc: dict[tuple[tuple[int, ...], int], list[int]] = {}
+        for ma, xa in zip(self.terms, left):
+            higher = _suffix_sums(ma)
+            for mb, xb in zip(other.terms, right):
+                key = _normal_order(higher, ma, mb)
+                cell = acc.get(key)
+                if cell is None:
+                    cell = acc[key] = [0] * 8
+                mul_accumulate(cell, xa, xb)
+        out = {
+            mono: FieldElem(
+                fold_phases(acc.get((mono, 0)), acc.get((mono, 1)), acc.get((mono, 2))),
+                da * db,
+            )
+            for mono in {m for m, _ in acc}
+        }
+        return CliffElement(self.n, out)  # drops the terms that cancelled
 
     def __eq__(self, other) -> bool:
         return (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 __all__ = [
     "FieldElem",
@@ -240,12 +240,15 @@ class FieldElem:
     def invert(self) -> "FieldElem":
         """Multiplicative inverse via conjugation down the field tower.
 
-        Multiplying by the j-conjugate lands in Q(sqrt2, sqrt3); the
-        sqrt3- and sqrt2-conjugates then reduce the norm to a rational,
-        which is inverted directly.
+        A rational element is inverted directly.  Otherwise multiplying
+        by the j-conjugate lands in Q(sqrt2, sqrt3); the sqrt3- and
+        sqrt2-conjugates then reduce the norm to a rational, which is
+        inverted directly.
         """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
+        if self.is_rational():
+            return FieldElem.from_fraction(Fraction(self.den, self.nums[0]))
         b = self.conjugate_j()
         n1 = self * b
         c = n1._conj_sqrt3()
@@ -291,15 +294,15 @@ class FieldElem:
         for c, name in zip(self.coeffs, BASIS_NAMES):
             if not c:
                 continue
-            mag = c if not parts else abs(c)
+            mag = abs(c)
             if name == "1":
                 term = str(mag)
-            elif abs(mag) == 1:
+            elif mag == 1:
                 term = name
             else:
                 term = f"{mag}{name}"
             if not parts:
-                parts.append(term if c > 0 or name == "1" else f"-{term}")
+                parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
@@ -319,6 +322,61 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
+
+
+# ----------------------------------------------------------------------
+# raw numerator kernels for graded products
+#
+# A graded product (such as CliffElement.__mul__) sums many coefficient
+# products per output term.  These helpers keep the sum in raw integer
+# numerators over one known denominator, so only the final value of each
+# term is built (and gcd-normalised) as a FieldElem.  They are not part
+# of the public API.
+# ----------------------------------------------------------------------
+
+def common_numerators(elems: Collection[FieldElem]) -> tuple[list[tuple], int]:
+    """Put elements over one shared denominator as sparse numerators.
+
+    Returns ``(sparse, den)`` where ``sparse[t]`` is the tuple of
+    ``(coordinate index, integer numerator)`` pairs of the nonzero
+    coordinates of ``elems[t] * den``.
+    """
+    den = math.lcm(*[e.den for e in elems])
+    sparse = []
+    for e in elems:
+        s = den // e.den
+        sparse.append(tuple([(i, n * s) for i, n in enumerate(e.nums) if n]))
+    return sparse, den
+
+
+def mul_accumulate(acc: list[int], a: tuple, b: tuple) -> None:
+    """``acc += a * b`` on 8 raw numerators; a and b sparse, as above."""
+    for i, x in a:
+        row = _MUL[i]
+        for k, y in b:
+            xy = x * y
+            for idx, c in row[k]:
+                acc[idx] += xy * c
+
+
+def fold_phases(c0: list[int] | None, c1: list[int] | None, c2: list[int] | None) -> list[int]:
+    """``c0 + j c1 + j^2 c2`` on 8 raw numerators; a missing class is None.
+
+    Multiplying by j rotates each radical's pair of coordinates:
+    j (x + y j) = -y + (x - y) j, and so j^2 (x + y j) = (y - x) - x j.
+    """
+    out = [0] * 8 if c0 is None else list(c0)
+    if c1 is not None:
+        for r in range(0, 8, 2):
+            x, y = c1[r], c1[r + 1]
+            out[r] -= y
+            out[r + 1] += x - y
+    if c2 is not None:
+        for r in range(0, 8, 2):
+            x, y = c2[r], c2[r + 1]
+            out[r] += y - x
+            out[r + 1] -= x
+    return out
 
 
 ZERO = FieldElem.from_int(0)

@@ -177,12 +177,13 @@ def _section_nonion_table() -> Section:
             },
         )
     )
+    tilde = tilde_fixture_check()
     checks.append(
         Check(
             "composite conjugation vs claimed per-element phases",
             "info",
-            all(r["matches"] for r in tilde_fixture_check()),
-            tilde_fixture_check(),
+            all(r["matches"] for r in tilde),
+            tilde,
         )
     )
     return Section("nonion-table", checks)

@@ -181,3 +181,68 @@ def triple_product(x: Sequence[int]) -> tuple[ZJ, ...]:
     """Components A0..A8 of Q(x) * Q~(x) * Q~~(x) under the phase twist."""
     twists = [tuple(k * t % 3 for t in TWIST) for k in range(3)]
     return project(product(*(coordinate_matrix(x, t) for t in twists)))
+
+
+# ----------------------------------------------------------------------
+# the n-generator ternary Clifford algebra in clock-and-shift form
+# ----------------------------------------------------------------------
+#
+# q_k = Z (x) ... (x) Z (x) X (x) 1 (x) ... (x) 1 on (C^3)^(x n), with the
+# clock Z = q7 = diag(j, j^2, 1) on the factors before k and the shift
+# X = q1 on factor k.  Z X = j^2 X Z, so q_k^3 = 1 and q_l q_k = j^2 q_k q_l
+# for l > k.  Every such operator is monomial: it sends each tensor basis
+# state to a power of j times another basis state, and is stored as the
+# tuple of (target state, j-exponent) over the 3^n states, in the order
+# of itertools.product((0, 1, 2), repeat=n).
+
+Action = tuple[tuple[int, int], ...]
+
+
+def _column_action(m: Mat) -> tuple[tuple[int, int], ...]:
+    """(row, j-exponent) of the one nonzero entry of each column of m."""
+    out = []
+    for col in range(3):
+        rows = [r for r in range(3) if m[3 * r + col] != ZERO]
+        if len(rows) != 1 or m[3 * rows[0] + col] not in (ONE, J, J2):
+            raise ValueError("not a monomial matrix with j-power entries")
+        out.append((rows[0], (ONE, J, J2).index(m[3 * rows[0] + col])))
+    return tuple(out)
+
+
+def _tensor_action(factors: Sequence[Mat]) -> Action:
+    cols = [_column_action(f) for f in factors]
+    out = []
+    for s in range(3 ** len(factors)):
+        digits = [(s // 3 ** (len(factors) - 1 - p)) % 3 for p in range(len(factors))]
+        target, e = 0, 0
+        for col, d in zip(cols, digits):
+            row, ep = col[d]
+            target = 3 * target + row
+            e += ep
+        out.append((target, e % 3))
+    return tuple(out)
+
+
+def clifford_generator(n: int, k: int) -> Action:
+    """The clock-and-shift image of q_k (0-based) among n generators."""
+    return _tensor_action([BASIS[7]] * k + [BASIS[1]] + [IDENTITY] * (n - k - 1))
+
+
+def compose(a: Action, b: Action) -> Action:
+    """The operator a b (b acts first)."""
+    return tuple((a[t][0], (e + a[t][1]) % 3) for t, e in b)
+
+
+def phase(e: int, a: Action) -> Action:
+    """j^e times the operator a."""
+    return tuple((t, (x + e) % 3) for t, x in a)
+
+
+def clifford_monomial(mono: Sequence[int]) -> Action:
+    """The image of q_0^m_0 q_1^m_1 ... q_{n-1}^m_{n-1}."""
+    n = len(mono)
+    out = _tensor_action([IDENTITY] * n)
+    for k, m in enumerate(mono):
+        for _ in range(m):
+            out = compose(out, clifford_generator(n, k))
+    return out

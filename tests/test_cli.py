@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nonion.cli import main
 
 
@@ -179,6 +181,21 @@ def test_clifford_dim_range_guard(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "13"),
+    ("census", "100000"),
+    ("census", "0"),
+    ("mul", "q1", "q2", "--n", "13"),
+    ("mul", "q1", "q1", "--n", "0"),
+    ("identities", "--n", "13"),
+    ("identities", "0"),
+])
+def test_clifford_generator_count_bound(capsys, argv):
+    code, out, err = run(capsys, "clifford", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: generator count must be 1..12, got {int(argv[-1])}\n"
+
+
 def test_clifford_census(capsys):
     code, out, _ = run(capsys, "clifford", "census", "4")
     assert json.loads(out)["census"] == [1, 4, 10, 16, 19, 16, 10, 4, 1]
@@ -246,3 +263,12 @@ def test_verify_md_output(capsys, tmp_path):
     text = out_path.read_text()
     assert text.startswith("# Verification report")
     assert "tu3-table" in text
+
+
+def test_verify_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, "verify", "roots", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write report to {target}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not target.exists()

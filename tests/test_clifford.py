@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -17,6 +18,9 @@ from nonion.clifford import (
 )
 from nonion.field import J, J2, ONE, ZERO, j_pow, rational
 from nonion.fixtures import clifford_census_fixture
+
+import oracle
+from conftest import random_field_elem
 
 # ---------------------------------------------------------------------------
 # normal ordering
@@ -76,6 +80,67 @@ def test_mixed_n_rejected():
         generator(2, 0) * generator(3, 0)
     with pytest.raises(LengthMismatchError):
         generator(2, 0) + generator(3, 0)
+
+
+def pairwise_product(a: CliffElement, b: CliffElement) -> CliffElement:
+    """Reference product: one normal-ordered FieldElem product per term pair."""
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            phase, mono = normal_order_product(ma, mb)
+            out[mono] = out.get(mono, ZERO) + ca * cb * phase
+    return CliffElement(a.n, out)
+
+
+def _random_element(rng, n: int, coeff) -> CliffElement:
+    monos = list(product((0, 1, 2), repeat=n))
+    chosen = rng.sample(monos, rng.randint(1, min(len(monos), 24)))
+    return CliffElement(n, {m: coeff() for m in chosen})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_matches_pairwise_reference(n):
+    rng = random.Random(1000 + n)
+    units = [j_pow(e) * s for e in range(3) for s in (ONE, -ONE)]
+    kinds = [
+        lambda: random_field_elem(rng, density=0.6, bound=12),  # radicals, mixed denominators
+        lambda: rng.choice(units),
+        lambda: rational(rng.randint(-3, 3) or 1, rng.choice((1, 2, 3, 4, 6))) * rng.choice(units),
+    ]
+    for trial in range(12):
+        kind = kinds[trial % 3]
+        a, b = _random_element(rng, n, kind), _random_element(rng, n, kind)
+        assert a * b == pairwise_product(a, b)
+        # (1 + q_k + q_k^2)(1 - q_k) = 1 - q_k^3 = 0, so every pair sum cancels
+        k = rng.randrange(n)
+        a0 = a * (unit(n) + generator(n, k) + generator(n, k, 2))
+        b0 = (unit(n) - generator(n, k)) * b
+        assert (a0 * b0).is_zero() and pairwise_product(a0, b0).is_zero()
+
+
+def test_product_cancels_across_phase_classes():
+    # (q1 + q2)(q2 - j q1): the (1,1) term is q1 q2 - j q2 q1 = (1 - j j^2) q1 q2 = 0
+    q1, q2 = generator(2, 0), generator(2, 1)
+    ab = (q1 + q2) * (q2 - q1.scale(J))
+    assert ab == generator(2, 0, 2).scale(-J) + generator(2, 1, 2)
+    assert ab == pairwise_product(q1 + q2, q2 - q1.scale(J))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_commutation_in_clock_and_shift_representation(n):
+    """q_l q_k = j^2 q_k q_l for every l > k, in the tensor representation
+    of tests/oracle.py and in the library, which lands on the same operator."""
+    q = [oracle.clifford_generator(n, k) for k in range(n)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            ql_qk = oracle.compose(q[l], q[k])
+            assert ql_qk == oracle.phase(2, oracle.compose(q[k], q[l]))
+            ((mono, c),) = (generator(n, l) * generator(n, k)).items()
+            e = (ONE, J, J2).index(c)
+            assert oracle.phase(e, oracle.clifford_monomial(mono)) == ql_qk
+            assert generator(n, l) * generator(n, k) == (
+                generator(n, k) * generator(n, l)
+            ).scale(J2)
 
 
 def test_associativity_random_words():

@@ -101,6 +101,17 @@ def test_invert_examples():
         ZERO.invert()
 
 
+def test_invert_rational_equals_tower_inverse():
+    # x * sqrt2 and x * j are irrational, so their inverses take the
+    # conjugation tower; x itself is inverted directly.
+    for p, q in ((1, 1), (-1, 1), (3, 1), (1, 3), (-7, 12), (22, 7), (10**20 + 1, -3**30)):
+        x = rational(p, q)
+        assert x.invert() == rational(q, p)
+        assert x.invert() == (x * SQRT2).invert() * SQRT2
+        assert x.invert() == (x * J).invert() * J
+        assert x * x.invert() == ONE
+
+
 def test_conjugate_j_examples():
     assert J.conjugate_j() == -ONE - J
     assert SQRT6.conjugate_j() == SQRT6
@@ -125,6 +136,14 @@ def test_str_is_readable():
     assert str(ZERO) == "0"
     assert str(J) == "j"
     assert "1/2" in str(rational(1, 2) + SQRT3)
+
+
+def test_str_single_minus_on_leading_term():
+    assert str(FieldElem((0, -2, 0, 0, 0, 0, 0, 0))) == "-2j"
+    assert str(SQRT3 * rational(-2, 3)) == "-2/3√3"
+    assert str(-J) == "-j"
+    assert str(rational(-2)) == "-2"
+    assert str(rational(-1, 9) * SQRT3 - rational(2, 9) * J * SQRT3) == "-1/9√3 - 2/9j√3"
 
 
 # ---------------------------------------------------------------------------
