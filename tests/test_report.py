@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,16 @@ def test_report_json_round_trip(tmp_path):
     assert parsed["schema"] == "verification-report/1"
     assert parsed["sections"][0]["name"] == "tu3-table"
     assert parsed["meta"]["fixture_checksums"].keys() == set(FIXTURE_NAMES)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+
+
+def test_full_report_matches_golden():
+    # the interpreter version is the one meta field that varies by machine
+    report = run_verify("all")
+    del report.meta["python"]
+    assert emit_report(report, "json") == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_report_determinism_byte_identical():
