@@ -13,21 +13,17 @@ from .field import FieldElem, J, J2, ONE, SQRT2, SQRT3, SQRT6, ZERO, j_pow, rati
 from .matrix import Mat3, NotInSpanError, SingularGramError, decompose_in_basis, hs_inner
 from .bases import (
     NonionBasis,
-    PhaseTwist,
     TU3Basis,
     cyclic_relabel,
     nonion_basis,
     pair_phase_matrix,
-    phase_twist,
     tu3_basis,
 )
 from .bracket import (
     FixtureParseError,
     FixtureRowCountError,
-    NotCentralError,
     StructureRow,
     TableDiff,
-    binary_reduction_check,
     diff_table,
     s3_bracket,
     structure_table,
@@ -36,7 +32,6 @@ from .poly import MPoly, NonionPoly
 from .cubic import (
     TermCensus,
     UnknownVariantError,
-    assemble_qhat,
     det_poly,
     term_census,
     triple_product_components,
@@ -68,12 +63,12 @@ __all__ = [
     "__version__",
     "FieldElem", "J", "J2", "ONE", "SQRT2", "SQRT3", "SQRT6", "ZERO", "j_pow", "rational",
     "Mat3", "NotInSpanError", "SingularGramError", "decompose_in_basis", "hs_inner",
-    "NonionBasis", "TU3Basis", "PhaseTwist", "nonion_basis", "tu3_basis",
-    "cyclic_relabel", "pair_phase_matrix", "phase_twist",
-    "StructureRow", "TableDiff", "NotCentralError", "FixtureParseError",
-    "FixtureRowCountError", "s3_bracket", "binary_reduction_check",
+    "NonionBasis", "TU3Basis", "nonion_basis", "tu3_basis",
+    "cyclic_relabel", "pair_phase_matrix",
+    "StructureRow", "TableDiff", "FixtureParseError",
+    "FixtureRowCountError", "s3_bracket",
     "structure_table", "diff_table",
-    "MPoly", "NonionPoly", "TermCensus", "UnknownVariantError", "assemble_qhat",
+    "MPoly", "NonionPoly", "TermCensus", "UnknownVariantError",
     "det_poly", "variant_poly", "triple_product_components", "term_census",
     "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
     "root_inner", "z3_rotate", "gellmann_decompose", "su3_structure_constants",

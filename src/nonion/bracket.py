@@ -15,17 +15,16 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
-from .field import FieldElem, rational
+from .field import FieldElem
 from .matrix import Mat3, decompose_in_basis
 
 __all__ = [
     "StructureRow",
     "TableDiff",
-    "NotCentralError",
     "FixtureParseError",
     "FixtureRowCountError",
     "s3_bracket",
-    "binary_reduction_check",
+    "structure_row",
     "structure_table",
     "all_triples",
     "diff_table",
@@ -33,10 +32,6 @@ __all__ = [
 ]
 
 Basis = Union[NonionBasis, TU3Basis]
-
-
-class NotCentralError(Exception):
-    """The designated central argument fails to commute."""
 
 
 class FixtureParseError(Exception):
@@ -54,22 +49,6 @@ def s3_bracket(a: Mat3, b: Mat3, c: Mat3) -> Mat3:
     return even - odd
 
 
-def binary_reduction_check(a: Mat3, b: Mat3, identity_like: Mat3) -> Mat3:
-    """Bracket with a central third slot, checked against the commutator.
-
-    For identity_like = t*I the bracket collapses to t*(ab - ba); the
-    result is returned after that identity is verified exactly.
-    """
-    if not (identity_like.commutes_with(a) and identity_like.commutes_with(b)):
-        raise NotCentralError("third argument does not commute with the first two")
-    br = s3_bracket(a, b, identity_like)
-    t = identity_like.trace() / rational(3)
-    expected = (a * b - b * a).scale(t)
-    if br != expected:
-        raise AssertionError("central reduction identity violated")
-    return br
-
-
 @dataclass(frozen=True)
 class StructureRow:
     """One bracket row: sorted index triple and its nonzero components."""
@@ -85,16 +64,19 @@ def all_triples() -> list[tuple[int, int, int]]:
     return [(k, l, m) for k in range(9) for l in range(k + 1, 9) for m in range(l + 1, 9)]
 
 
+def structure_row(basis: Basis, triple: tuple[int, int, int]) -> StructureRow:
+    """The bracket of three basis elements, decomposed exactly in the basis."""
+    els = basis.elements
+    k, l, m = triple
+    coeffs = decompose_in_basis(s3_bracket(els[k], els[l], els[m]), els, basis.grams)
+    return StructureRow(
+        (k, l, m), tuple((n, c) for n, c in enumerate(coeffs) if not c.is_zero())
+    )
+
+
 def structure_table(basis: Basis) -> list[StructureRow]:
     """All 84 bracket rows of the given basis, decomposed exactly."""
-    els = basis.elements
-    rows = []
-    for k, l, m in all_triples():
-        br = s3_bracket(els[k], els[l], els[m])
-        coeffs = decompose_in_basis(br, els, basis.grams)
-        targets = tuple((n, c) for n, c in enumerate(coeffs) if not c.is_zero())
-        rows.append(StructureRow((k, l, m), targets))
-    return rows
+    return [structure_row(basis, t) for t in all_triples()]
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +118,22 @@ def load_table_fixture(path: Union[str, Path]) -> dict:
     if not isinstance(data, dict) or "rows" not in data:
         raise FixtureParseError(f"fixture {path} has no 'rows' key")
     rows = data["rows"]
+    if not isinstance(rows, list):
+        raise FixtureParseError(f"fixture {path}: 'rows' is not a list")
     if len(rows) != 84:
         raise FixtureRowCountError(f"fixture {path} has {len(rows)} rows, expected 84")
     seen = set()
     for row in rows:
         try:
             trip = tuple(row["triple"])
+            is_sorted = trip == tuple(sorted(trip))
             for tgt in row["targets"]:
+                if not isinstance(tgt["index"], int):
+                    raise ValueError(f"target index {tgt['index']!r} is not an integer")
                 FieldElem.from_json(tgt["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureParseError(f"fixture {path} row is malformed: {exc}") from exc
-        if trip != tuple(sorted(trip)) or len(trip) != 3:
+        if not is_sorted or len(trip) != 3:
             raise FixtureParseError(f"fixture {path}: triple {trip} is not sorted")
         if trip in seen:
             raise FixtureParseError(f"fixture {path}: duplicate triple {trip}")

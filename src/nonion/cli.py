@@ -17,7 +17,7 @@ from .bracket import (
     FixtureParseError,
     StructureRow,
     diff_table,
-    s3_bracket,
+    structure_row,
     structure_table,
 )
 from .clifford import (
@@ -28,17 +28,15 @@ from .clifford import (
     generator,
     s3_symmetric_sum,
     unit,
-    weighted_identity_check,
+    weighted_identities,
 )
 from .cubic import det_poly, qhat_at, term_census, triple_product_components
 from .field import FieldElem, parse_rational
-from .fixtures import fixture_path, lambda_combos_fixture, surface_poly_fixture
-from .poly import MPoly
-from .report import SCOPES, emit_report, run_verify
+from .fixtures import fixture_path, surface_poly_fixture
+from .report import SCOPES, emit_report, lambda_claims, run_verify
 from .roots import (
     extract_alpha_root,
     extract_beta_root,
-    gellmann_decompose,
     su3_structure_constants,
     z3_rotate,
 )
@@ -78,10 +76,6 @@ def _print_table_md(rows) -> None:
         print(_row_md(row))
 
 
-def _poly_md(p: MPoly) -> str:
-    return str(p)
-
-
 # ----------------------------------------------------------------------
 # subcommand handlers
 # ----------------------------------------------------------------------
@@ -113,15 +107,7 @@ def _cmd_bracket(args) -> int:
         if not 0 <= idx <= 8:
             print("indices must be 0..8", file=sys.stderr)
             return 2
-    els = basis.elements
-    br = s3_bracket(els[args.k], els[args.l], els[args.m])
-    from .matrix import decompose_in_basis
-
-    coeffs = decompose_in_basis(br, els, basis.grams)
-    row = StructureRow(
-        (args.k, args.l, args.m),
-        tuple((n, c) for n, c in enumerate(coeffs) if not c.is_zero()),
-    )
+    row = structure_row(basis, (args.k, args.l, args.m))
     if args.format == "json":
         print(json.dumps(_row_json(row), indent=2))
     else:
@@ -153,9 +139,6 @@ def _cmd_norm(args) -> int:
         return 2
     coords = [FieldElem.from_fraction(parse_rational(t)) for t in parts]
     value = qhat_at(coords).det()
-    sanity = det_poly().evaluate(coords)
-    if value != sanity:  # pragma: no cover - identical by the polynomial identity
-        raise AssertionError("matrix and polynomial norms disagree")
     approx = value.approx_complex()
     print(
         json.dumps(
@@ -172,7 +155,7 @@ def _cmd_expand(args) -> int:
         if args.format == "json":
             print(json.dumps({"poly": "det", "terms": p.to_json()}, indent=2))
         else:
-            print(_poly_md(p))
+            print(p)
     else:
         comps = triple_product_components()
         if args.format == "json":
@@ -183,7 +166,7 @@ def _cmd_expand(args) -> int:
             )
         else:
             for i, c in enumerate(comps):
-                print(f"A{i} = {_poly_md(c)}")
+                print(f"A{i} = {c}")
     return 0
 
 
@@ -257,9 +240,6 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_su3(args) -> int:
-    if args.action != "check":
-        print("usage: su3 check", file=sys.stderr)
-        return 2
     f = su3_structure_constants()
     payload = {
         "".join(map(str, k)): {"text": str(v), "exact": v.to_json()} for k, v in sorted(f.items())
@@ -269,24 +249,7 @@ def _cmd_su3(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    if args.action != "diff":
-        print("usage: lambda diff", file=sys.stderr)
-        return 2
-    computed = {row["lambda"]: row["coeffs"] for row in gellmann_decompose()}
-    rows = []
-    for claim in lambda_combos_fixture():
-        idx = claim["lambda"]
-        rows.append(
-            {
-                "lambda": idx,
-                "printed_as": claim["printed_as"],
-                "note": claim["note"],
-                "matches": list(computed[idx]) == list(claim["coeffs"]),
-                "computed": [str(c) for c in computed[idx]],
-                "claimed": [str(c) for c in claim["coeffs"]],
-            }
-        )
-    print(json.dumps(rows, indent=2))
+    print(json.dumps(lambda_claims(), indent=2))
     return 0
 
 
@@ -316,36 +279,39 @@ def _cliff_json(e: CliffElement) -> list[dict]:
 
 
 def _cmd_clifford(args) -> int:
-    if args.action == "dim":
-        print(json.dumps({"n": args.n, "dimension": dimension(args.n)}))
-        return 0
-    if args.action == "census":
-        print(json.dumps({"n": args.n, "census": degree_census(args.n)}))
-        return 0
+    # `clifford dim 3` and `clifford mul "q2 q1" "q1" --n 2` both arrive here
+    n = args.n_opt
     if args.action == "mul":
-        a = _parse_word(args.words[0], args.n)
-        b = _parse_word(args.words[1], args.n)
+        if n is None or len(args.rest) != 2:
+            print("clifford mul needs two words and --n", file=sys.stderr)
+            return 2
+    elif n is None and args.rest:
+        try:
+            n = int(args.rest[0])
+        except ValueError:
+            pass
+    if n is None:
+        print(f"clifford {args.action} needs a generator count", file=sys.stderr)
+        return 2
+    if not 1 <= n <= MAX_GENERATORS:
+        print(f"error: generator count must be 1..{MAX_GENERATORS}, got {n}", file=sys.stderr)
+        return 2
+
+    if args.action == "dim":
+        print(json.dumps({"n": n, "dimension": dimension(n)}))
+    elif args.action == "census":
+        print(json.dumps({"n": n, "census": degree_census(n)}))
+    elif args.action == "mul":
+        a, b = (_parse_word(word, n) for word in args.rest)
         print(json.dumps({"product": _cliff_json(a * b)}, indent=2))
-        return 0
-    if args.action == "identities":
-        n = args.n
-        rows = []
-        for k in range(n):
-            for l in range(k + 1, n):
-                rows.append(
-                    {
-                        "k": k,
-                        "l": l,
-                        "kind1": str(weighted_identity_check(1, k, l, n)),
-                        "kind2": str(weighted_identity_check(2, k, l, n)),
-                        "kind3": str(weighted_identity_check(3, k, l, n)),
-                    }
-                )
+    else:
+        rows = [
+            {"k": k, "l": l, "kind1": str(v1), "kind2": str(v2), "kind3": str(v3)}
+            for (k, l), (v1, v2, v3) in weighted_identities(n).items()
+        ]
         sym = str(s3_symmetric_sum(0, 0, 0, n))
         print(json.dumps({"symmetric_sum_000": sym, "weighted": rows}, indent=2))
-        return 0
-    print("usage: clifford dim|census|mul|identities", file=sys.stderr)
-    return 2
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -443,30 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "clifford":
-        # `clifford dim 3` and `clifford mul "q2 q1" "q1" --n 2` both arrive here
-        if args.action == "mul":
-            if args.n_opt is None or len(args.rest) != 2:
-                print("clifford mul needs two words and --n", file=sys.stderr)
-                return 2
-            args.words = list(args.rest)
-            args.n = args.n_opt
-        else:
-            n = args.n_opt
-            if n is None and args.rest:
-                try:
-                    n = int(args.rest[0])
-                except ValueError:
-                    n = None
-            if n is None:
-                print(f"clifford {args.action} needs a generator count", file=sys.stderr)
-                return 2
-            args.n = n
-        if not 1 <= args.n <= MAX_GENERATORS:
-            print(f"error: generator count must be 1..{MAX_GENERATORS}, got {args.n}",
-                  file=sys.stderr)
-            return 2
 
     try:
         return args.func(args)

@@ -11,7 +11,7 @@ the monomial count per total degree is the coefficient sequence of
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -23,6 +23,7 @@ from .field import (
     fold_phases,
     j_pow,
     mul_accumulate,
+    sum_terms,
 )
 
 __all__ = [
@@ -33,13 +34,13 @@ __all__ = [
     "unit",
     "s3_symmetric_sum",
     "weighted_identity_check",
+    "weighted_identities",
     "dimension",
     "degree_census",
     "grade",
 ]
 
 MAX_GENERATORS = 12
-_ENUM_LIMIT = 6  # up to here counts are cross-checked by direct enumeration
 
 
 class LengthMismatchError(Exception):
@@ -118,15 +119,7 @@ class CliffElement:
 
     def __add__(self, other: "CliffElement") -> "CliffElement":
         self._require_same_n(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            cur = out.get(mono)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return CliffElement(self.n, out)
+        return CliffElement(self.n, sum_terms([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> "CliffElement":
         return CliffElement(self.n, {m: -c for m, c in self.terms.items()})
@@ -235,31 +228,27 @@ def weighted_identity_check(kind: int, k: int, l: int, n: int) -> CliffElement:
     return qk * ql * qk + (qk2 * ql).scale(j_pow(e1)) + (ql * qk2).scale(j_pow(e2))
 
 
+def weighted_identities(n: int) -> dict[tuple[int, int], tuple[CliffElement, ...]]:
+    """Kinds 1..3 of the weighted identity, keyed by each pair k < l in order."""
+    return {
+        (k, l): tuple(weighted_identity_check(kind, k, l, n) for kind in (1, 2, 3))
+        for k in range(n)
+        for l in range(k + 1, n)
+    }
+
+
 def dimension(n: int) -> int:
-    """3^n, cross-checked by exhaustive enumeration for small n."""
+    """3^n, the number of normal-form monomials."""
     if not 1 <= n <= MAX_GENERATORS:
         raise ValueError(f"generator count must be 1..{MAX_GENERATORS}, got {n}")
-    dim = 3**n
-    if n <= _ENUM_LIMIT:
-        count = sum(1 for _ in product((0, 1, 2), repeat=n))
-        if count != dim:  # pragma: no cover - arithmetic identity
-            raise AssertionError("enumeration disagrees with 3^n")
-    return dim
+    return 3**n
 
 
 def degree_census(n: int) -> list[int]:
-    """Monomial count per total degree 0..2n.
-
-    Direct enumeration for small n; the coefficient convolution of
-    (1 + t + t^2)^n beyond.
-    """
+    """Monomial count per total degree 0..2n: the coefficients of
+    (1 + t + t^2)^n."""
     if n < 1:
         raise ValueError("generator count must be >= 1")
-    if n <= _ENUM_LIMIT:
-        counts = [0] * (2 * n + 1)
-        for mono in product((0, 1, 2), repeat=n):
-            counts[sum(mono)] += 1
-        return counts
     coeffs = [1]
     for _ in range(n):
         out = [0] * (len(coeffs) + 2)

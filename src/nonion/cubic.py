@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bases import nonion_basis, phase_twist
+from .bases import TWIST_EXPONENTS, nonion_basis
 from .field import FieldElem, j_pow, rational
 from .matrix import Mat3
 from .poly import MPoly, NonionPoly
@@ -28,7 +28,6 @@ __all__ = [
     "VARIANT_GROUPS",
     "CYCLE_ALL_GROUPS",
     "CYCLE_FIX_DIAG",
-    "assemble_qhat",
     "qhat_matrix_view",
     "qhat_at",
     "det_poly",
@@ -60,32 +59,6 @@ CYCLE_ALL_GROUPS = {0: 7, 7: 8, 8: 0, 1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4}
 CYCLE_FIX_DIAG = {0: 0, 7: 7, 8: 8, 1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4}
 
 
-# Expected entries of the coordinate matrix: entry -> list of (var, j-exp).
-_QHAT_EXPECTED = (
-    ((0, 0), (7, 1), (8, 2)), ((1, 0), (2, 0), (3, 0)), ((4, 0), (5, 1), (6, 2)),
-    ((4, 0), (5, 0), (6, 0)), ((0, 0), (7, 2), (8, 1)), ((1, 0), (2, 1), (3, 2)),
-    ((1, 0), (2, 2), (3, 1)), ((4, 0), (5, 2), (6, 1)), ((0, 0), (7, 0), (8, 0)),
-)
-
-
-@lru_cache(maxsize=1)
-def assemble_qhat() -> NonionPoly:
-    """The coordinate element: component a is the monomial x_a.
-
-    Construction validates that the 3x3 matrix view sum(x_a * q_a)
-    equals the expected printed entries, entry by entry.
-    """
-    poly = NonionPoly([MPoly.var(a) for a in range(9)])
-    view = qhat_matrix_view()
-    for idx, spec_terms in enumerate(_QHAT_EXPECTED):
-        expected = MPoly.zero()
-        for var, jexp in spec_terms:
-            expected = expected + MPoly.var(var, j_pow(jexp))
-        if view[idx] != expected:
-            raise AssertionError(f"coordinate matrix entry {divmod(idx, 3)} is wrong")
-    return poly
-
-
 @lru_cache(maxsize=1)
 def qhat_matrix_view() -> tuple[MPoly, ...]:
     """sum_a x_a*q_a as a flat 3x3 grid of linear forms, row-major."""
@@ -111,19 +84,13 @@ def qhat_at(coords: list[FieldElem]) -> Mat3:
 
 @lru_cache(maxsize=1)
 def det_poly() -> MPoly:
-    """Symbolic cofactor determinant of the coordinate matrix, exact.
-
-    All coefficients are plain rationals; that reality is asserted.
-    """
+    """Symbolic cofactor determinant of the coordinate matrix, exact."""
     g = qhat_matrix_view()
-    det = (
+    return (
         g[0] * (g[4] * g[8] - g[5] * g[7])
         - g[1] * (g[3] * g[8] - g[5] * g[6])
         + g[2] * (g[3] * g[7] - g[4] * g[6])
     )
-    if not det.has_rational_coeffs():
-        raise AssertionError("determinant coefficients are not all rational")
-    return det
 
 
 def _cube_group(a: int, b: int, c: int) -> MPoly:
@@ -166,13 +133,10 @@ def triple_product_components() -> tuple[MPoly, ...]:
     product table.
     """
     basis = nonion_basis()
-    twist = phase_twist()
-    factors = []
-    for k in range(3):
-        exps = twist.power(k)
-        factors.append(
-            NonionPoly([MPoly.var(a, j_pow(exps[a])) for a in range(9)])
-        )
+    factors = [
+        NonionPoly([MPoly.var(a, j_pow(k * e)) for a, e in enumerate(TWIST_EXPONENTS)])
+        for k in range(3)
+    ]
     prod = factors[0].multiply(factors[1], basis.product_table, j_pow)
     prod = prod.multiply(factors[2], basis.product_table, j_pow)
     return prod.components

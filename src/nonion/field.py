@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 __all__ = [
     "FieldElem",
@@ -325,14 +325,25 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# raw numerator kernels for graded products
+# sparse sums and raw numerator kernels for graded products
 #
+# sum_terms adds coefficients key by key for the sparse element types.
 # A graded product (such as CliffElement.__mul__) sums many coefficient
-# products per output term.  These helpers keep the sum in raw integer
+# products per output term.  The raw kernels keep that sum in integer
 # numerators over one known denominator, so only the final value of each
-# term is built (and gcd-normalised) as a FieldElem.  They are not part
-# of the public API.
+# term is built (and gcd-normalised) as a FieldElem.  None of these
+# helpers is part of the public API.
 # ----------------------------------------------------------------------
+
+def sum_terms(pairs: Iterable[tuple[Hashable, FieldElem]]) -> dict:
+    """Sum the coefficients of equal keys; sums that cancel stay as zeros,
+    which the sparse constructors (MPoly, CliffElement) drop."""
+    out: dict = {}
+    for key, c in pairs:
+        cur = out.get(key)
+        out[key] = c if cur is None else cur + c
+    return out
+
 
 def common_numerators(elems: Collection[FieldElem]) -> tuple[list[tuple], int]:
     """Put elements over one shared denominator as sparse numerators.

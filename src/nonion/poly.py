@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .field import ONE, ZERO, FieldElem
+from .field import ONE, ZERO, FieldElem, sum_terms
 
 __all__ = ["NVARS", "MPoly", "NonionPoly"]
 
@@ -78,15 +78,7 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = out.get(exp)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return MPoly(out)
+        return MPoly(sum_terms([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> "MPoly":
         return MPoly({e: -c for e, c in self.terms.items()})
@@ -97,18 +89,11 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
             return NotImplemented
-        out: dict[tuple[int, ...], FieldElem] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                cur = out.get(exp)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return MPoly(out)
+        return MPoly(sum_terms(
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        ))
 
     def scale(self, c: FieldElem) -> "MPoly":
         if c.is_zero():
@@ -135,19 +120,13 @@ class MPoly:
 
     def permute_vars(self, mapping: Mapping[int, int]) -> "MPoly":
         """Apply the substitution x_i -> x_mapping[i] (a permutation)."""
-        out: dict[tuple[int, ...], FieldElem] = {}
+        pairs = []
         for exp, c in self.terms.items():
             new = [0] * NVARS
             for i, e in enumerate(exp):
                 new[mapping.get(i, i)] += e
-            key = tuple(new)
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MPoly(out)
+            pairs.append((tuple(new), c))
+        return MPoly(sum_terms(pairs))
 
     def __str__(self) -> str:
         if not self.terms:

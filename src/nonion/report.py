@@ -23,7 +23,7 @@ from .clifford import (
     generator,
     s3_symmetric_sum,
     unit,
-    weighted_identity_check,
+    weighted_identities,
 )
 from .cubic import (
     CYCLE_ALL_GROUPS,
@@ -50,11 +50,15 @@ from .roots import (
     gellmann_decompose,
     projected_alpha_root,
     root_inner,
+    su3_f,
     su3_structure_constants,
     z3_rotate,
 )
 
-__all__ = ["Check", "Section", "VerificationReport", "SCOPES", "run_verify", "emit_report"]
+__all__ = [
+    "Check", "Section", "VerificationReport", "SCOPES", "lambda_claims", "run_verify",
+    "emit_report",
+]
 
 SCOPES = (
     "all",
@@ -442,6 +446,26 @@ def _section_triple_product() -> Section:
     return Section("triple-product", checks)
 
 
+def lambda_claims() -> list[dict]:
+    """Each claimed lambda combination against the exact decomposition.
+
+    The decomposition asserts its own reconstruction, so every computed
+    row round-trips exactly.
+    """
+    computed = {row["lambda"]: row["coeffs"] for row in gellmann_decompose()}
+    return [
+        {
+            "lambda": claim["lambda"],
+            "printed_as": claim["printed_as"],
+            "note": claim["note"],
+            "matches": list(computed[claim["lambda"]]) == list(claim["coeffs"]),
+            "computed": [str(c) for c in computed[claim["lambda"]]],
+            "claimed": [str(c) for c in claim["coeffs"]],
+        }
+        for claim in lambda_combos_fixture()
+    ]
+
+
 def _section_su3() -> Section:
     checks: list[Check] = []
     f = su3_structure_constants()
@@ -459,51 +483,36 @@ def _section_su3() -> Section:
         (6, 7, 8): s32,
     }
 
-    def lookup(i, jx, k):
-        # completely antisymmetric: reduce to sorted key and a sign
-        order = (i, jx, k)
-        srt = tuple(sorted(order))
-        perm_sign = 1
-        lst = list(order)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if lst[a] > lst[b]:
-                    lst[a], lst[b] = lst[b], lst[a]
-                    perm_sign = -perm_sign
-        val = f.get(srt, ZERO)
-        return val if perm_sign == 1 else -val
-
-    ok = all(lookup(*key) == val for key, val in expected.items())
+    ok = all(su3_f(f, *key) == val for key, val in expected.items())
     checks.append(
         Check(
             "f123 = 1; f147 = f165 = f246 = f257 = f345 = f376 = 1/2; f458 = f678 = sqrt3/2",
             "assert",
             ok,
-            {"".join(map(str, k)): str(lookup(*k)) for k in sorted(expected)},
+            {"".join(map(str, k)): str(su3_f(f, *k)) for k in sorted(expected)},
         )
     )
 
-    decomp = gellmann_decompose()  # raises if any round-trip fails
+    claims = lambda_claims()  # raises if any round-trip fails
     checks.append(Check("all 8 lambda decompositions round-trip exactly", "assert", True))
-
-    claims = {row["lambda"]: row for row in lambda_combos_fixture()}
-    rows = []
-    all_match = True
-    for entry in decomp:
-        idx = entry["lambda"]
-        claimed = claims[idx]["coeffs"]
-        same = list(entry["coeffs"]) == list(claimed)
-        all_match = all_match and same
-        rows.append(
-            {
-                "lambda": idx,
-                "matches_claim": same,
-                "computed": [str(c) for c in entry["coeffs"]],
-                "claimed": [str(c) for c in claimed],
-                "note": claims[idx]["note"],
-            }
+    rows = [
+        {
+            "lambda": r["lambda"],
+            "matches_claim": r["matches"],
+            "computed": r["computed"],
+            "claimed": r["claimed"],
+            "note": r["note"],
+        }
+        for r in claims
+    ]
+    checks.append(
+        Check(
+            "computed combinations vs claimed combinations",
+            "info",
+            all(r["matches"] for r in claims),
+            rows,
         )
-    checks.append(Check("computed combinations vs claimed combinations", "info", all_match, rows))
+    )
     return Section("su3", checks)
 
 
@@ -547,22 +556,18 @@ def _section_clifford() -> Section:
 
     detail = {}
     ok1 = ok2 = ok3 = True
-    for k in range(n):
-        for l in range(k + 1, n):
-            v1 = weighted_identity_check(1, k, l, n)
-            v2 = weighted_identity_check(2, k, l, n)
-            v3 = weighted_identity_check(3, k, l, n)
-            x = generator(n, k, 2) * generator(n, l)
-            ok1 = ok1 and v1.is_zero()
-            ok2 = ok2 and v2.is_zero()
-            ok3 = ok3 and v3 == x.scale(rational(3) * j_pow(1))
-            if (k, l) == (0, 1):
-                detail = {
-                    "kind1": str(v1),
-                    "kind2": str(v2),
-                    "kind3": str(v3),
-                    "expected_kind3": str(x.scale(rational(3) * j_pow(1))),
-                }
+    for (k, l), (v1, v2, v3) in weighted_identities(n).items():
+        x = generator(n, k, 2) * generator(n, l)
+        ok1 = ok1 and v1.is_zero()
+        ok2 = ok2 and v2.is_zero()
+        ok3 = ok3 and v3 == x.scale(rational(3) * j_pow(1))
+        if (k, l) == (0, 1):
+            detail = {
+                "kind1": str(v1),
+                "kind2": str(v2),
+                "kind3": str(v3),
+                "expected_kind3": str(x.scale(rational(3) * j_pow(1))),
+            }
     checks.append(Check("weighted identity kind 1 vanishes", "assert", ok1))
     checks.append(Check("weighted identity kind 2 vanishes", "assert", ok2, detail))
     checks.append(Check("weighted identity kind 3 equals 3j q_k^2 q_l", "assert", ok3, detail))

@@ -34,6 +34,7 @@ __all__ = [
     "gellmann_matrices",
     "gellmann_decompose",
     "su3_structure_constants",
+    "su3_f",
 ]
 
 RootVector = tuple[FieldElem, FieldElem, FieldElem]
@@ -151,7 +152,7 @@ def gellmann_matrices() -> tuple[Mat3, ...]:
         return Mat3.from_rows(rows)
 
     z, o = ZERO, ONE
-    lam = (
+    return (
         m([[z, o, z], [o, z, z], [z, z, z]]),
         m([[z, -i, z], [i, z, z], [z, z, z]]),
         m([[o, z, z], [z, -o, z], [z, z, z]]),
@@ -161,10 +162,6 @@ def gellmann_matrices() -> tuple[Mat3, ...]:
         m([[z, z, z], [z, z, -i], [z, i, z]]),
         m([[inv_sqrt3, z, z], [z, inv_sqrt3, z], [z, z, -(inv_sqrt3 + inv_sqrt3)]]),
     )
-    for lm in lam:
-        if lm.dagger() != lm or not lm.trace().is_zero():
-            raise AssertionError("lambda matrix is not Hermitian traceless")
-    return lam
 
 
 def gellmann_decompose() -> list[dict]:
@@ -206,14 +203,22 @@ def su3_structure_constants() -> dict[tuple[int, int, int], FieldElem]:
                 rebuilt = rebuilt + g[c].scale(f * I_UNIT)
                 key = (a + 1, b + 1, c + 1)
                 srt = tuple(sorted(key))
-                # sign of the permutation taking key to sorted order
-                sign = 1 if key in (srt, (srt[1], srt[2], srt[0]), (srt[2], srt[0], srt[1])) else -1
-                value = f if sign == 1 else -f
-                if srt in out:
-                    if out[srt] != value:
-                        raise AssertionError(f"antisymmetry violated at {srt}")
-                else:
-                    out[srt] = value
+                if srt not in out:
+                    # f at the sorted order: the permutation sign is its own inverse
+                    out[srt] = su3_f({srt: f}, *key)
+                elif su3_f(out, *key) != f:
+                    raise AssertionError(f"antisymmetry violated at {srt}")
             if rebuilt != comm:
                 raise AssertionError(f"commutator ({a + 1},{b + 1}) not in span")
     return out
+
+
+def su3_f(f: dict[tuple[int, int, int], FieldElem], i: int, j: int, k: int) -> FieldElem:
+    """f_ijk from a table keyed by sorted triples, by complete antisymmetry.
+
+    An even permutation of the sorted key (a cyclic shift) keeps the sign;
+    an odd one flips it.  A triple absent from the table gives zero.
+    """
+    a, b, c = srt = tuple(sorted((i, j, k)))
+    value = f.get(srt, ZERO)
+    return value if (i, j, k) in (srt, (b, c, a), (c, a, b)) else -value

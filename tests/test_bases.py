@@ -3,7 +3,6 @@ from nonion.bases import (
     TWIST_EXPONENTS,
     cyclic_relabel,
     pair_phase_matrix,
-    phase_twist,
     tilde_composite,
     tilde_fixture_check,
 )
@@ -33,6 +32,14 @@ def test_cube_law_and_unit_determinant(nonions):
     for e in nonions.elements:
         assert e ** 3 == Mat3.identity()
         assert e.det() == ONE
+
+
+def test_hs_orthogonal_with_gram_three(nonions):
+    q = nonions.elements
+    for a in range(9):
+        for b in range(9):
+            assert hs_inner(q[a], q[b]) == (rational(3) if a == b else ZERO)
+    assert nonions.grams == (rational(3),) * 9
 
 
 def test_grade_classes(nonions):
@@ -100,6 +107,10 @@ def test_cyclic_relabel_has_order_three(rng):
 
 def test_pair_phase_examples(nonions):
     omega = pair_phase_matrix(nonions)
+    q = nonions.elements
+    for a in range(9):
+        for b in range(9):
+            assert q[a] * q[b] == (q[b] * q[a]).scale(j_pow(omega[a][b]))
     assert omega[1][2] == 1  # q1 q2 = j q2 q1
     assert all(omega[a][0] == 0 for a in range(9))
     assert all(omega[a][a] == 0 for a in range(9))
@@ -110,10 +121,9 @@ def test_pair_phase_examples(nonions):
 
 
 def test_phase_twist_cubes_to_identity():
-    tw = phase_twist()
-    assert tw.exponents == TWIST_EXPONENTS
-    assert tw.power(3) == (0,) * 9
-    assert all(p in (0, 1, 2) for p in tw.exponents)
+    # 1 at index 0; j at 7,1,2,3; j^2 at 8,4,5,6
+    assert TWIST_EXPONENTS == (0, 1, 1, 1, 2, 2, 2, 1, 2)
+    assert all(j_pow(e) ** 3 == ONE for e in TWIST_EXPONENTS)
 
 
 def test_phase_twist_is_not_multiplicative(nonions):

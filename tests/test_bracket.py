@@ -5,8 +5,6 @@ import pytest
 from nonion.bracket import (
     FixtureParseError,
     FixtureRowCountError,
-    NotCentralError,
-    binary_reduction_check,
     diff_table,
     s3_bracket,
     structure_table,
@@ -66,34 +64,39 @@ def test_bracket_linearity_in_each_slot(rng):
 # binary reduction
 # ---------------------------------------------------------------------------
 
+# With a central third slot t*I the bracket collapses to t*(ab - ba).
+
 def test_binary_reduction_is_commutator(nonions):
     q = nonions.elements
-    br = binary_reduction_check(q[1], q[2], q[0])
-    assert br == q[1] * q[2] - q[2] * q[1]
+    assert s3_bracket(q[1], q[2], q[0]) == q[1] * q[2] - q[2] * q[1]
 
 
 def test_binary_reduction_all_28_pairs(nonions):
     q = nonions.elements
     for a in range(1, 9):
         for b in range(a + 1, 9):
-            br = binary_reduction_check(q[a], q[b], q[0])
-            assert br == q[a] * q[b] - q[b] * q[a]
+            assert s3_bracket(q[a], q[b], q[0]) == q[a] * q[b] - q[b] * q[a]
 
 
 def test_binary_reduction_same_element_vanishes(nonions):
     q = nonions.elements
-    assert binary_reduction_check(q[3], q[3], q[0]).is_zero()
+    assert s3_bracket(q[3], q[3], q[0]).is_zero()
 
 
 def test_binary_reduction_tu3_cartan(tu3):
     e = tu3.elements
-    assert binary_reduction_check(e[7], e[8], e[0]).is_zero()
+    t = e[0].trace() / rational(3)
+    br = s3_bracket(e[7], e[8], e[0])
+    assert br == (e[7] * e[8] - e[8] * e[7]).scale(t)
+    assert br.is_zero()
 
 
 def test_binary_reduction_rejects_non_central(nonions):
+    # q7 does not commute with q1, and the reduction fails for it
     q = nonions.elements
-    with pytest.raises(NotCentralError):
-        binary_reduction_check(q[1], q[2], q[7])
+    assert not q[7].commutes_with(q[1])
+    t = q[7].trace() / rational(3)
+    assert s3_bracket(q[1], q[2], q[7]) != (q[1] * q[2] - q[2] * q[1]).scale(t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonion.cli import main
+from nonion.fixtures import fixture_path
 
 
 def run(capsys, *argv):
@@ -71,6 +76,35 @@ def test_diff_table_fixture_error(tmp_path, capsys):
     bad.write_text("{oops")
     code, _, err = run(capsys, "diff-table", "--fixture", str(bad))
     assert code == 2 and "fixture error" in err
+
+
+def _rows_not_a_list(data):
+    return {"rows": 5}
+
+
+def _triple_not_int(data):
+    data["rows"][0]["triple"] = [0, 1, "a"]
+    return data
+
+
+def _target_without_index(data):
+    row = next(r for r in data["rows"] if r["targets"])
+    del row["targets"][0]["index"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_rows_not_a_list, _triple_not_int, _target_without_index],
+    ids=["rows-not-a-list", "triple-not-int", "target-without-index"],
+)
+def test_diff_table_malformed_fixture(tmp_path, capsys, corrupt):
+    data = json.loads(fixture_path("table_tu3_s3.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(data)))
+    code, out, err = run(capsys, "diff-table", "--basis", "tu3", "--fixture", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("fixture error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +306,81 @@ def test_verify_unwritable_out_is_usage_error(capsys, tmp_path):
     assert err.startswith(f"error: cannot write report to {target}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argv from the command grammar ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+# Mostly well-formed values, with out-of-range and malformed ones mixed in.
+_index = (st.integers(0, 8) | st.integers(-2, 11)).map(str)
+_count = (st.integers(1, 4) | st.integers(-1, 13)).map(str)
+_rational = st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(1, 9)
+) | st.integers(-50, 50).map(str)
+_bad_rational = st.sampled_from(["", "x", "1/", "1.5", "1/0", "-2/-3"])
+_token = st.builds(
+    lambda k, p: f"q{k}" + ("" if p is None else f"^{p}"),
+    st.integers(1, 3),
+    st.none() | st.integers(-4, 4),
+)
+_bad_token = st.builds(lambda k: f"q{k}", st.integers(-1, 13)) | st.sampled_from(
+    ["x1", "q", "q1^", "q1^2^3"]
+)
+_word = st.lists(st.one_of(_token, _token, _token, _bad_token), max_size=4).map(" ".join)
+_opt = st.lists(
+    st.sampled_from([["--basis", "nonion"], ["--basis", "tu3"],
+                     ["--format", "json"], ["--format", "md"]]),
+    max_size=2,
+).map(lambda opts: [tok for opt in opts for tok in opt])
+_vector = st.builds(
+    lambda kind, i: f"{kind}{i}", st.sampled_from(["alpha", "beta", "gamma", ""]),
+    st.integers(-1, 8),
+)
+_n = _count.map(lambda n: ["--n", n])
+
+_argv = st.one_of(
+    st.tuples(
+        st.just(["bracket"]),
+        st.lists(_index, min_size=3, max_size=3) | st.lists(_index, max_size=4),
+        _opt,
+    ),
+    st.tuples(
+        st.just(["norm", "--coords"]),
+        (
+            st.lists(_rational, min_size=9, max_size=9)
+            | st.lists(_rational | _bad_rational, min_size=8, max_size=10)
+        ).map(lambda xs: [",".join(xs)]),
+    ),
+    st.tuples(
+        st.just(["roots", "rotate"]),
+        st.none() | _vector.map(lambda v: ["--vector", v]),
+        st.none() | st.integers(-5, 5).map(lambda p: ["--power", str(p)]),
+    ),
+    st.sampled_from([["su3", "check"], ["su3"], ["lambda", "diff"], ["lambda", "x"]])
+    .map(lambda argv: (argv,)),
+    st.tuples(
+        st.just(["clifford"]),
+        st.sampled_from(["dim", "census", "identities"]).map(lambda a: [a]),
+        st.lists(_count | st.just("abc"), max_size=2),
+        st.none() | _n,
+    ),
+    st.tuples(
+        st.just(["clifford", "mul"]),
+        st.lists(_word, min_size=2, max_size=2) | st.lists(_word, max_size=3),
+        st.one_of(st.none(), _n, _n),
+    ),
+).map(lambda parts: [tok for part in parts if part for tok in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv)
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

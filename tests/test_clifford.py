@@ -247,12 +247,14 @@ def test_census_sums_and_symmetry():
         assert c == c[::-1]
 
 
-def test_census_enumeration_matches_convolution():
-    # n = 7 uses the convolution path; compare with direct counting
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_enumeration_matches_convolution(n):
+    # the convolution of (1 + t + t^2)^n against direct counting
     from collections import Counter
 
-    counts = Counter(sum(m) for m in product((0, 1, 2), repeat=7))
-    assert degree_census(7) == [counts[d] for d in range(15)]
+    counts = Counter(sum(m) for m in product((0, 1, 2), repeat=n))
+    assert degree_census(n) == [counts[d] for d in range(2 * n + 1)]
+    assert dimension(n) == sum(counts.values())
 
 
 def test_census_fixture():

@@ -7,7 +7,6 @@ from nonion.cubic import (
     CYCLE_FIX_DIAG,
     UnknownVariantError,
     a0_vs_det,
-    assemble_qhat,
     det_poly,
     qhat_at,
     qhat_matrix_view,
@@ -57,9 +56,21 @@ def test_poly_json_round_trip():
 # the coordinate matrix
 # ---------------------------------------------------------------------------
 
+# Entries of the coordinate matrix sum(x_a q_a), row-major: (var, j-exponent).
+QHAT_EXPECTED = (
+    ((0, 0), (7, 1), (8, 2)), ((1, 0), (2, 0), (3, 0)), ((4, 0), (5, 1), (6, 2)),
+    ((4, 0), (5, 0), (6, 0)), ((0, 0), (7, 2), (8, 1)), ((1, 0), (2, 1), (3, 2)),
+    ((1, 0), (2, 2), (3, 1)), ((4, 0), (5, 2), (6, 1)), ((0, 0), (7, 0), (8, 0)),
+)
+
+
 def test_qhat_entries():
-    assemble_qhat()  # validates every entry on construction
     g = qhat_matrix_view()
+    for idx, terms in enumerate(QHAT_EXPECTED):
+        expected = MPoly.zero()
+        for var, jexp in terms:
+            expected = expected + MPoly.var(var, j_pow(jexp))
+        assert g[idx] == expected, divmod(idx, 3)
     assert g[8] == MPoly.var(0) + MPoly.var(7) + MPoly.var(8)  # bottom-right
     assert g[1] == MPoly.var(1) + MPoly.var(2) + MPoly.var(3)  # top-middle
     assert g[0] == MPoly.var(0) + MPoly.var(7, J) + MPoly.var(8, J2)
@@ -208,19 +219,17 @@ def test_components_a1_a8_do_not_vanish():
 def test_triple_product_against_matrix_oracle():
     """Evaluate the symbolic product numerically and compare with the
     matrix product of the twisted coordinate matrices."""
-    from nonion.bases import nonion_basis, phase_twist
+    from nonion.bases import TWIST_EXPONENTS, nonion_basis
     from nonion.matrix import decompose_in_basis
 
     comps = triple_product_components()
     basis = nonion_basis()
-    twist = phase_twist()
     rng = random.Random(23)
     for _ in range(12):
         x = [rational(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(9)]
         mats = []
         for k in range(3):
-            exps = twist.power(k)
-            coords = [x[a] * j_pow(exps[a]) for a in range(9)]
+            coords = [x[a] * j_pow(k * e) for a, e in enumerate(TWIST_EXPONENTS)]
             mats.append(qhat_at(coords))
         product = mats[0] * mats[1] * mats[2]
         coeffs = decompose_in_basis(product, basis.elements, basis.grams)

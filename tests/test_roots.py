@@ -14,6 +14,7 @@ from nonion.roots import (
     gellmann_matrices,
     projected_alpha_root,
     root_inner,
+    su3_f,
     su3_structure_constants,
     z3_rotate,
     z3_rotation,
@@ -192,6 +193,9 @@ def test_lambda_matrices_shape():
     assert len(lam) == 8
     assert lam[2] == Mat3.diag(ONE, -ONE, ZERO)  # lambda_3
     assert lam[0][0, 1] == ONE and lam[0][1, 0] == ONE  # lambda_1
+    for m in lam:  # Hermitian and traceless
+        assert m.dagger() == m
+        assert m.trace().is_zero()
 
 
 def test_lambda_decompositions():
@@ -220,6 +224,13 @@ def test_su3_structure_constants():
     assert f[(6, 7, 8)] == s32
     # nothing else appears
     assert len(f) == 9
+    # su3_f reads any order: even permutations keep the sign, odd ones flip it
+    assert su3_f(f, 1, 6, 5) == su3_f(f, 3, 7, 6) == half
+    for perm, sign in [((1, 2, 3), 1), ((2, 3, 1), 1), ((3, 1, 2), 1),
+                       ((2, 1, 3), -1), ((1, 3, 2), -1), ((3, 2, 1), -1)]:
+        assert su3_f(f, *perm) == (ONE if sign == 1 else -ONE)
+    assert su3_f(f, 1, 2, 4) == ZERO
+    assert su3_f(f, 1, 1, 2) == ZERO
 
 
 def test_su3_complete_antisymmetry():
