@@ -2,7 +2,9 @@
 
 * The nonion basis: nine 3x3 unit matrices q0..q8 (clock/shift family)
   that pairwise commute up to a power of j and cube to the identity.
-  q1 is the cyclic shift, q7 = diag(j, j^2, 1), q8 = diag(j^2, j, 1).
+  Each is a phase times a word q1^a q2^b in the two generators, q1 the
+  cyclic shift and q2 = q1 diag(j^2, 1, j); `LABELS` names the words,
+  and the Clifford normal ordering gives the product table.
 * The real step/diagonal basis ("TU3"): six elementary step matrices
   Q1..Q6 plus the radical-normalised diagonals Q7, Q8 and
   Q0 = identity/sqrt3, orthonormal under the Hilbert-Schmidt pairing.
@@ -20,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .clifford import _normal_order, _suffix_sums, grade
 from .field import J, J2, ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
-from .matrix import Mat3, decompose_in_basis, hs_inner
+from .matrix import Mat3, decompose_in_basis
 
 __all__ = [
     "NonionBasis",
@@ -69,55 +72,37 @@ class TU3Basis:
     name: str = "tu3"
 
 
-def _m(rows) -> Mat3:
-    return Mat3.from_rows([[_scal(x) for x in row] for row in rows])
-
-
-def _scal(x) -> FieldElem:
-    if isinstance(x, FieldElem):
-        return x
-    return {0: ZERO, 1: ONE, "j": J, "j2": J2}[x]
+# q1^a q2^b = j^s q_c, keyed (a, b) -> (s, c).  The nonions are the
+# ternary Clifford algebra on two generators (Sylvester's nonions; Morris
+# 1967), so clifford._normal_order and this table give every product.
+LABELS = {
+    (0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 5),
+    (1, 0): (0, 1), (1, 1): (2, 6), (1, 2): (1, 8),
+    (2, 0): (0, 4), (2, 1): (1, 7), (2, 2): (2, 3),
+}
 
 
 @lru_cache(maxsize=1)
 def nonion_basis() -> NonionBasis:
-    """The nine unit matrices and their product table."""
-    q = (
-        Mat3.identity(),
-        _m([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-        _m([[0, 1, 0], [0, 0, "j"], ["j2", 0, 0]]),
-        _m([[0, 1, 0], [0, 0, "j2"], ["j", 0, 0]]),
-        _m([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-        _m([[0, 0, "j"], [1, 0, 0], [0, "j2", 0]]),
-        _m([[0, 0, "j2"], [1, 0, 0], [0, "j", 0]]),
-        Mat3.diag(J, J2, ONE),
-        Mat3.diag(J2, J, ONE),
-    )
-    grade = (0, 1, 1, 1, 2, 2, 2, 0, 0)
-    three = rational(3)
+    """q_c = j^-s q1^a q2^b with q1 the cyclic shift, q2 = q1 diag(j^2, 1, j)."""
+    words = sorted((c, ab, s) for ab, (s, c) in LABELS.items())
+    q1 = Mat3.from_rows([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]])
+    q2 = q1 * Mat3.diag(J2, ONE, J)
+    elements = tuple((q1 ** a * q2 ** b).scale(j_pow(-s)) for _, (a, b), s in words)
 
-    # Closure: q_a*q_b = j^s * q_c, found by projecting onto the basis.
+    # q_a q_b = j^(e - s_a - s_b) (word_a word_b) with word_a word_b = j^s q_c.
     table = []
-    for a in range(9):
+    for _, wa, sa in words:
+        higher = _suffix_sums(wa)
         row = []
-        for b in range(9):
-            prod = q[a] * q[b]
-            hit = None
-            for c in range(9):
-                coeff = hs_inner(q[c], prod) / three
-                if coeff.is_zero():
-                    continue
-                for s in range(3):
-                    if coeff == j_pow(s):
-                        hit = (s, c)
-                        break
-                break
-            if hit is None or q[hit[1]].scale(j_pow(hit[0])) != prod:
-                raise AssertionError(f"nonion closure fails at ({a},{b})")
-            row.append(hit)
+        for _, wb, sb in words:
+            mono, e = _normal_order(higher, wa, wb)
+            s, c = LABELS[mono]
+            row.append(((e + s - sa - sb) % 3, c))
         table.append(tuple(row))
 
-    return NonionBasis(q, grade, tuple(table), grams=(three,) * 9)
+    grades = tuple(grade(ab) for _, ab, _ in words)
+    return NonionBasis(elements, grades, tuple(table), grams=(rational(3),) * 9)
 
 
 @lru_cache(maxsize=1)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 from typing import Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
-from .field import FieldElem
+from .field import FieldElem, fold_phases
 from .matrix import Mat3, decompose_in_basis
 
 __all__ = [
@@ -42,6 +43,10 @@ class FixtureRowCountError(FixtureParseError):
     """A table fixture does not contain exactly 84 rows."""
 
 
+# Signs of itertools.permutations((k, l, m)) in its output order.
+_PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
+
+
 def s3_bracket(a: Mat3, b: Mat3, c: Mat3) -> Mat3:
     """Signed sum of the six permuted triple products, exact."""
     even = a * b * c + b * c * a + c * a * b
@@ -65,13 +70,28 @@ def all_triples() -> list[tuple[int, int, int]]:
 
 
 def structure_row(basis: Basis, triple: tuple[int, int, int]) -> StructureRow:
-    """The bracket of three basis elements, decomposed exactly in the basis."""
-    els = basis.elements
+    """The bracket of three basis elements, decomposed exactly in the basis.
+
+    For the nonions each permuted product is a unit j^s q_c read from the
+    product table, so a row is a signed count per (target, phase), folded.
+    The TU3 basis is not monomial and goes through the matrix bracket.
+    """
     k, l, m = triple
-    coeffs = decompose_in_basis(s3_bracket(els[k], els[l], els[m]), els, basis.grams)
-    return StructureRow(
-        (k, l, m), tuple((n, c) for n, c in enumerate(coeffs) if not c.is_zero())
-    )
+    if not isinstance(basis, NonionBasis):
+        els = basis.elements
+        coeffs = decompose_in_basis(s3_bracket(els[k], els[l], els[m]), els, basis.grams)
+        return StructureRow(
+            (k, l, m), tuple((n, c) for n, c in enumerate(coeffs) if not c.is_zero())
+        )
+    table = basis.product_table
+    counts: dict[int, list[list[int]]] = {}
+    for (x, y, z), sign in zip(permutations((k, l, m)), _PERMUTATION_SIGNS):
+        s1, c1 = table[x][y]
+        s2, c = table[c1][z]
+        cell = counts.setdefault(c, [[0] * 8 for _ in range(3)])
+        cell[(s1 + s2) % 3][0] += sign
+    folded = ((c, FieldElem(fold_phases(*counts[c]))) for c in sorted(counts))
+    return StructureRow((k, l, m), tuple((c, v) for c, v in folded if not v.is_zero()))
 
 
 def structure_table(basis: Basis) -> list[StructureRow]:

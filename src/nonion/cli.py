@@ -283,15 +283,18 @@ def _cmd_clifford(args) -> int:
     n = args.n_opt
     if args.action == "mul":
         if n is None or len(args.rest) != 2:
-            print("clifford mul needs two words and --n", file=sys.stderr)
+            print("error: clifford mul needs two words and --n", file=sys.stderr)
             return 2
-    elif n is None and args.rest:
+    elif len(args.rest) + (n is not None) > 1:
+        print(f"error: clifford {args.action} takes one generator count", file=sys.stderr)
+        return 2
+    elif args.rest:
         try:
             n = int(args.rest[0])
         except ValueError:
             pass
     if n is None:
-        print(f"clifford {args.action} needs a generator count", file=sys.stderr)
+        print(f"error: clifford {args.action} needs a generator count", file=sys.stderr)
         return 2
     if not 1 <= n <= MAX_GENERATORS:
         print(f"error: generator count must be 1..{MAX_GENERATORS}, got {n}", file=sys.stderr)

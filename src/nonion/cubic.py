@@ -74,12 +74,7 @@ def qhat_matrix_view() -> tuple[MPoly, ...]:
 
 def qhat_at(coords: list[FieldElem]) -> Mat3:
     """Numeric coordinate matrix sum_a coords[a]*q_a."""
-    basis = nonion_basis()
-    out = Mat3.zero()
-    for c, q in zip(coords, basis.elements):
-        if not c.is_zero():
-            out = out + q.scale(c)
-    return out
+    return Mat3([g.evaluate(coords) for g in qhat_matrix_view()])
 
 
 @lru_cache(maxsize=1)
@@ -132,14 +127,11 @@ def triple_product_components() -> tuple[MPoly, ...]:
     twist table; multiplication runs left to right through the unit
     product table.
     """
-    basis = nonion_basis()
     factors = [
         NonionPoly([MPoly.var(a, j_pow(k * e)) for a, e in enumerate(TWIST_EXPONENTS)])
         for k in range(3)
     ]
-    prod = factors[0].multiply(factors[1], basis.product_table, j_pow)
-    prod = prod.multiply(factors[2], basis.product_table, j_pow)
-    return prod.components
+    return factors[0].multiply(factors[1]).multiply(factors[2]).components
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ plain dict representation is ample.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .field import ONE, ZERO, FieldElem, sum_terms
+from .bases import nonion_basis
+from .field import ONE, ZERO, FieldElem, j_pow, sum_terms
 
 __all__ = ["NVARS", "MPoly", "NonionPoly"]
 
@@ -180,13 +181,9 @@ class NonionPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, NonionPoly) and self.components == other.components
 
-    def multiply(
-        self,
-        other: "NonionPoly",
-        product_table: Sequence[Sequence[tuple[int, int]]],
-        j_scalar: Callable[[int], FieldElem],
-    ) -> "NonionPoly":
-        """Bilinear product using a closure table q_a*q_b = j^s*q_c."""
+    def multiply(self, other: "NonionPoly") -> "NonionPoly":
+        """Bilinear product through the nonion table q_a*q_b = j^s*q_c."""
+        product_table = nonion_basis().product_table
         comps = [MPoly.zero()] * 9
         for a, pa in enumerate(self.components):
             if pa.is_zero():
@@ -195,6 +192,6 @@ class NonionPoly:
                 if pb.is_zero():
                     continue
                 s, c = product_table[a][b]
-                term = (pa * pb).scale(j_scalar(s))
+                term = (pa * pb).scale(j_pow(s))
                 comps[c] = comps[c] + term
         return NonionPoly(comps)

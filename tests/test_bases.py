@@ -1,11 +1,13 @@
 from nonion.bases import (
     CLAIMED_TILDE_EXPONENTS,
+    LABELS,
     TWIST_EXPONENTS,
     cyclic_relabel,
     pair_phase_matrix,
     tilde_composite,
     tilde_fixture_check,
 )
+from nonion.clifford import grade
 from nonion.field import J, J2, ONE, ZERO, j_pow, rational
 from nonion.matrix import Mat3, hs_inner
 
@@ -44,6 +46,16 @@ def test_hs_orthogonal_with_gram_three(nonions):
 
 def test_grade_classes(nonions):
     assert nonions.grade == (0, 1, 1, 1, 2, 2, 2, 0, 0)
+
+
+def test_labels_are_the_two_generator_clifford_words(nonions):
+    # q_c = j^-s q1^a q2^b, graded by the word's total degree mod 3
+    q = nonions.elements
+    assert sorted(c for _, c in LABELS.values()) == list(range(9))
+    for (a, b), (s, c) in LABELS.items():
+        assert q[1] ** a * q[2] ** b == q[c].scale(j_pow(s))
+        assert nonions.grade[c] == grade((a, b))
+    assert q[2] == q[1] * Mat3.diag(J2, ONE, J)
 
 
 def test_closure_with_grading(nonions):

@@ -5,14 +5,16 @@ import pytest
 from nonion.bracket import (
     FixtureParseError,
     FixtureRowCountError,
+    all_triples,
     diff_table,
     s3_bracket,
     structure_table,
 )
 from nonion.field import J, J2, rational
 from nonion.fixtures import fixture_path
-from nonion.matrix import Mat3
+from nonion.matrix import Mat3, decompose_in_basis
 
+import oracle
 from conftest import random_mat3
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,23 @@ def test_nonion_rows_match_recomputation(nonions):
     assert rows[(1, 2, 4)] == {2: J - J2}
     assert rows[(0, 1, 2)] == {6: J2 - J}
     assert rows[(0, 1, 4)] == {}
+
+
+def test_nonion_table_matches_matrix_bracket_and_oracle(nonions):
+    # the phase-counting rows against the Mat3 bracket projected back onto
+    # the basis, and against the Z[j] oracle, on all 84 triples
+    q = nonions.elements
+    rows = structure_table(nonions)
+    assert [r.triple for r in rows] == all_triples()
+    for row in rows:
+        k, l, m = row.triple
+        coeffs = decompose_in_basis(s3_bracket(q[k], q[l], q[m]), q, nonions.grams)
+        assert row.target_map() == {n: c for n, c in enumerate(coeffs) if not c.is_zero()}
+        expected = oracle.project(oracle.bracket(*(oracle.BASIS[i] for i in row.triple)))
+        got = [oracle.ZERO] * 9
+        for n, c in row.targets:
+            got[n] = oracle.from_library_scalar(c)
+        assert tuple(got) == expected
 
 
 def test_nonion_grading_compatibility(nonions):

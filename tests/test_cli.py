@@ -230,6 +230,17 @@ def test_clifford_generator_count_bound(capsys, argv):
     assert err == f"error: generator count must be 1..12, got {int(argv[-1])}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("dim", "3", "4"),
+    ("census", "4", "--n", "5"),
+    ("identities", "3", "--n", "4"),
+])
+def test_clifford_rejects_two_generator_counts(capsys, argv):
+    code, out, err = run(capsys, "clifford", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: clifford {argv[0]} takes one generator count\n"
+
+
 def test_clifford_census(capsys):
     code, out, _ = run(capsys, "clifford", "census", "4")
     assert json.loads(out)["census"] == [1, 4, 10, 16, 19, 16, 10, 4, 1]
@@ -247,6 +258,13 @@ def test_clifford_mul(capsys):
 def test_clifford_mul_needs_n(capsys):
     code, _, err = run(capsys, "clifford", "mul", "q1", "q2")
     assert code == 2
+    assert err == "error: clifford mul needs two words and --n\n"
+
+
+def test_clifford_needs_a_generator_count(capsys):
+    code, _, err = run(capsys, "clifford", "dim")
+    assert code == 2
+    assert err == "error: clifford dim needs a generator count\n"
 
 
 def test_clifford_identities(capsys):

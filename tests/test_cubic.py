@@ -14,7 +14,7 @@ from nonion.cubic import (
     triple_product_components,
     variant_poly,
 )
-from nonion.field import J, J2, ONE, ZERO, j_pow, rational
+from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
 from nonion.fixtures import surface_poly_fixture
 from nonion.matrix import Mat3
 from nonion.poly import MPoly
@@ -122,6 +122,23 @@ def test_variant_examples():
     assert variant_poly(2).coeff(mono(x0=1, x1=1, x4=1)) == rational(-3)
     with pytest.raises(UnknownVariantError):
         variant_poly(5)
+
+
+def test_qhat_at_matches_scale_and_add(nonions):
+    # wide points: all eight coordinates nonzero, 12-digit numerators and
+    # denominators
+    rng = random.Random(23)
+    lo, hi = 10**11, 10**12
+    for _ in range(6):
+        x = [
+            FieldElem([rng.choice((-1, 1)) * rng.randrange(lo, hi) for _ in range(8)],
+                      rng.randrange(lo, hi))
+            for _ in range(9)
+        ]
+        expected = Mat3.zero()
+        for c, q in zip(x, nonions.elements):
+            expected = expected + q.scale(c)
+        assert qhat_at(x) == expected
 
 
 def test_det_multiplicativity_random_pairs():

@@ -234,13 +234,20 @@ def test_su3_structure_constants():
 
 
 def test_su3_complete_antisymmetry():
-    """Recompute a commutator with swapped arguments and check the sign."""
+    """[g_a, g_b] = i sum_c f_abc g_c for all 28 pairs in both orders, with
+    f_abc read through su3_f, and the trace formula gives each f_abc."""
+    f = su3_structure_constants()
     g = [lam.scale(rational(1, 2)) for lam in gellmann_matrices()]
     two = rational(2)
     inv_i = I_UNIT.invert()
-    for (i, k, m) in [(1, 2, 3), (4, 5, 8), (1, 4, 7)]:
-        comm_ik = g[i - 1] * g[k - 1] - g[k - 1] * g[i - 1]
-        comm_ki = g[k - 1] * g[i - 1] - g[i - 1] * g[k - 1]
-        f_ikm = two * (g[m - 1] * comm_ik).trace() * inv_i
-        f_kim = two * (g[m - 1] * comm_ki).trace() * inv_i
-        assert f_ikm == -f_kim
+    for a in range(8):
+        for b in range(8):
+            if a == b:
+                continue
+            comm = g[a] * g[b] - g[b] * g[a]
+            rebuilt = Mat3.zero()
+            for c in range(8):
+                f_abc = su3_f(f, a + 1, b + 1, c + 1)
+                assert two * (g[c] * comm).trace() * inv_i == f_abc
+                rebuilt = rebuilt + g[c].scale(f_abc * I_UNIT)
+            assert rebuilt == comm
