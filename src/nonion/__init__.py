@@ -10,7 +10,7 @@ no floating point enters any verification path.
 
 from ._version import __version__
 from .field import FieldElem, J, J2, ONE, SQRT2, SQRT3, SQRT6, ZERO, j_pow, rational
-from .matrix import Mat3, NotInSpanError, SingularGramError, decompose_in_basis, hs_inner
+from .matrix import Mat3, SingularGramError, decompose_in_basis, hs_inner
 from .bases import (
     NonionBasis,
     TU3Basis,
@@ -62,7 +62,7 @@ from .fixtures import surface_poly_fixture
 __all__ = [
     "__version__",
     "FieldElem", "J", "J2", "ONE", "SQRT2", "SQRT3", "SQRT6", "ZERO", "j_pow", "rational",
-    "Mat3", "NotInSpanError", "SingularGramError", "decompose_in_basis", "hs_inner",
+    "Mat3", "SingularGramError", "decompose_in_basis", "hs_inner",
     "NonionBasis", "TU3Basis", "nonion_basis", "tu3_basis",
     "cyclic_relabel", "pair_phase_matrix",
     "StructureRow", "TableDiff", "FixtureParseError",

@@ -20,7 +20,7 @@ silently reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .clifford import _normal_order, _suffix_sums, grade
 from .field import J, J2, ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
@@ -62,6 +62,11 @@ class NonionBasis:
     grams: tuple[FieldElem, ...] = field(default=(), repr=False)
     name: str = "nonion"
 
+    @cached_property
+    def products(self) -> tuple:
+        """products[a][b] = ((c, j^s),): the table in TU3Basis.products' format."""
+        return tuple(tuple(((c, j_pow(s)),) for s, c in row) for row in self.product_table)
+
 
 @dataclass(frozen=True)
 class TU3Basis:
@@ -70,6 +75,21 @@ class TU3Basis:
     elements: tuple[Mat3, ...]
     grams: tuple[FieldElem, ...] = field(default=(), repr=False)
     name: str = "tu3"
+
+    @cached_property
+    def products(self) -> tuple:
+        """products[a][b] = ((c, coeff), ...) with Q_a*Q_b = sum of coeff*Q_c.
+
+        Projected on first use, not in tu3_basis(), which stays cheap.
+        """
+        e, g = self.elements, self.grams
+        return tuple(
+            tuple(
+                tuple((c, v) for c, v in enumerate(decompose_in_basis(a * b, e, g)) if v)
+                for b in e
+            )
+            for a in e
+        )
 
 
 # q1^a q2^b = j^s q_c, keyed (a, b) -> (s, c).  The nonions are the

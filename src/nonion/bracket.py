@@ -2,9 +2,9 @@
 
 {A,B,C} = ABC + BCA + CAB - BAC - ACB - CBA summed over the six
 permutations of the arguments.  For each of the C(9,3) = 84 index
-triples the bracket of basis elements is decomposed back in the basis;
-the resulting rows are diffed against a transcribed reference table
-without ever mutating or "correcting" it.
+triples the bracket of basis elements is summed from the basis's own
+multiplication table; the rows are diffed against a transcribed
+reference table without ever mutating or "correcting" it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
-from .field import FieldElem, fold_phases
-from .matrix import Mat3, decompose_in_basis
+from .field import FieldElem, sum_terms
+from .matrix import Mat3
 
 __all__ = [
     "StructureRow",
@@ -72,26 +72,19 @@ def all_triples() -> list[tuple[int, int, int]]:
 def structure_row(basis: Basis, triple: tuple[int, int, int]) -> StructureRow:
     """The bracket of three basis elements, decomposed exactly in the basis.
 
-    For the nonions each permuted product is a unit j^s q_c read from the
-    product table, so a row is a signed count per (target, phase), folded.
-    The TU3 basis is not monomial and goes through the matrix bracket.
+    Each permuted product (e_x e_y) e_z is read from the basis's sparse
+    multiplication table `products`, and the signed terms are summed per
+    target.  The triple is taken in argument order, sorted or not.
     """
     k, l, m = triple
-    if not isinstance(basis, NonionBasis):
-        els = basis.elements
-        coeffs = decompose_in_basis(s3_bracket(els[k], els[l], els[m]), els, basis.grams)
-        return StructureRow(
-            (k, l, m), tuple((n, c) for n, c in enumerate(coeffs) if not c.is_zero())
-        )
-    table = basis.product_table
-    counts: dict[int, list[list[int]]] = {}
-    for (x, y, z), sign in zip(permutations((k, l, m)), _PERMUTATION_SIGNS):
-        s1, c1 = table[x][y]
-        s2, c = table[c1][z]
-        cell = counts.setdefault(c, [[0] * 8 for _ in range(3)])
-        cell[(s1 + s2) % 3][0] += sign
-    folded = ((c, FieldElem(fold_phases(*counts[c]))) for c in sorted(counts))
-    return StructureRow((k, l, m), tuple((c, v) for c, v in folded if not v.is_zero()))
+    products = basis.products
+    terms = (
+        (c, u * v if sign > 0 else -(u * v))
+        for (x, y, z), sign in zip(permutations((k, l, m)), _PERMUTATION_SIGNS)
+        for c1, u in products[x][y]
+        for c, v in products[c1][z]
+    )
+    return StructureRow((k, l, m), tuple(sorted((c, v) for c, v in sum_terms(terms).items() if v)))
 
 
 def structure_table(basis: Basis) -> list[StructureRow]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .bases import nonion_basis, pair_phase_matrix, tu3_basis
@@ -105,7 +106,7 @@ def _cmd_bracket(args) -> int:
     basis = _basis(args.basis)
     for idx in (args.k, args.l, args.m):
         if not 0 <= idx <= 8:
-            print("indices must be 0..8", file=sys.stderr)
+            print("error: indices must be 0..8", file=sys.stderr)
             return 2
     row = structure_row(basis, (args.k, args.l, args.m))
     if args.format == "json":
@@ -135,7 +136,7 @@ def _cmd_diff_table(args) -> int:
 def _cmd_norm(args) -> int:
     parts = args.coords.split(",")
     if len(parts) != 9:
-        print("--coords needs 9 comma-separated rationals", file=sys.stderr)
+        print("error: --coords needs 9 comma-separated rationals", file=sys.stderr)
         return 2
     coords = [FieldElem.from_fraction(parse_rational(t)) for t in parts]
     value = qhat_at(coords).det()
@@ -193,32 +194,29 @@ def _cmd_census(args) -> int:
 def _cmd_roots(args) -> int:
     if args.action == "rotate":
         if not args.vector:
-            print("--vector is required for rotate", file=sys.stderr)
+            print("error: --vector is required for rotate", file=sys.stderr)
             return 2
-        kind, idx = args.vector[:-1], int(args.vector[-1])
-        if kind == "alpha":
-            vec = extract_alpha_root(idx)
-        elif kind == "beta":
-            vec = extract_beta_root(idx)[1]
-        else:
-            print("--vector must look like alpha1 or beta3", file=sys.stderr)
+        match = re.fullmatch(r"(alpha|beta)([1-6])", args.vector)
+        if match is None:
+            print("error: --vector must look like alpha1 or beta3", file=sys.stderr)
             return 2
-        out = z3_rotate(vec, args.power)
-        print(json.dumps({"vector": args.vector, "power": args.power,
+        idx = int(match[2])
+        vec = extract_alpha_root(idx) if match[1] == "alpha" else extract_beta_root(idx)[1]
+        power = 1 if args.power is None else args.power
+        out = z3_rotate(vec, power)
+        print(json.dumps({"vector": args.vector, "power": power,
                           "result": [_fe_json(c) for c in out]}, indent=2))
         return 0
+    if args.vector is not None or args.power is not None:
+        print("error: --vector and --power need roots rotate", file=sys.stderr)
+        return 2
 
-    which = []
-    if args.alpha or not args.beta:
-        which.append("alpha")
-    if args.beta:
-        which.append("beta")
     payload = {}
-    if "alpha" in which:
+    if args.alpha or not args.beta:
         payload["alpha"] = {
             str(i): [_fe_json(c) for c in extract_alpha_root(i)] for i in range(1, 7)
         }
-    if "beta" in which:
+    if args.beta:
         payload["beta"] = {}
         for i in range(1, 7):
             target, root = extract_beta_root(i)
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", action="store_true")
     p.add_argument("--beta", action="store_true")
     p.add_argument("--vector", default=None, help="alpha1..alpha6 or beta1..beta6")
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=int, default=None, help="rotate only (default 1)")
     p.add_argument("--format", choices=["json", "md"], default="json")
     p.set_defaults(func=_cmd_roots)
 

@@ -17,15 +17,10 @@ from .field import ZERO, ONE, FieldElem
 
 __all__ = [
     "Mat3",
-    "NotInSpanError",
     "SingularGramError",
     "hs_inner",
     "decompose_in_basis",
 ]
-
-
-class NotInSpanError(Exception):
-    """Projection coefficients failed to reconstruct the matrix."""
 
 
 class SingularGramError(Exception):
@@ -94,6 +89,8 @@ class Mat3:
         return Mat3(out)
 
     def __pow__(self, n: int) -> "Mat3":
+        if n < 0:
+            raise ValueError(f"Mat3 power needs an exponent >= 0, got {n}")
         result = _ID3
         for _ in range(n):
             result = result * self
@@ -175,17 +172,10 @@ def decompose_in_basis(
 ) -> tuple[FieldElem, ...]:
     """Coefficients of m in an hs-orthogonal basis, by projection.
 
-    Raises SingularGramError on a zero gram entry and NotInSpanError if
-    the projected coefficients fail to rebuild m exactly (which cannot
-    happen for a true basis; it guards fixture and construction typos).
+    The basis must be hs-orthogonal with nine elements, as both bases in
+    `nonion.bases` are; it then spans M3 and the coefficients rebuild m
+    exactly.  Raises SingularGramError on a zero gram entry.
     """
     if any(g.is_zero() for g in gram):
         raise SingularGramError("basis has a zero-norm element")
-    coeffs = tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
-    rebuilt = Mat3.zero()
-    for c, b in zip(coeffs, basis):
-        if not c.is_zero():
-            rebuilt = rebuilt + b.scale(c)
-    if rebuilt != m:
-        raise NotInSpanError("matrix is not in the span of the given basis")
-    return coeffs
+    return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .bases import nonion_basis
-from .field import ONE, ZERO, FieldElem, j_pow, sum_terms
+from .field import ONE, ZERO, FieldElem, sum_terms
 
 __all__ = ["NVARS", "MPoly", "NonionPoly"]
 
@@ -183,7 +183,7 @@ class NonionPoly:
 
     def multiply(self, other: "NonionPoly") -> "NonionPoly":
         """Bilinear product through the nonion table q_a*q_b = j^s*q_c."""
-        product_table = nonion_basis().product_table
+        products = nonion_basis().products
         comps = [MPoly.zero()] * 9
         for a, pa in enumerate(self.components):
             if pa.is_zero():
@@ -191,7 +191,6 @@ class NonionPoly:
             for b, pb in enumerate(other.components):
                 if pb.is_zero():
                     continue
-                s, c = product_table[a][b]
-                term = (pa * pb).scale(j_pow(s))
-                comps[c] = comps[c] + term
+                ((c, phase),) = products[a][b]
+                comps[c] = comps[c] + (pa * pb).scale(phase)
         return NonionPoly(comps)

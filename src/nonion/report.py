@@ -42,12 +42,14 @@ from .fixtures import (
     lambda_combos_fixture,
     surface_poly_fixture,
 )
+from .matrix import Mat3
 from .poly import MPoly
 from .roots import (
     cartan_check,
     extract_alpha_root,
     extract_beta_root,
     gellmann_decompose,
+    gellmann_matrices,
     projected_alpha_root,
     root_inner,
     su3_f,
@@ -449,8 +451,8 @@ def _section_triple_product() -> Section:
 def lambda_claims() -> list[dict]:
     """Each claimed lambda combination against the exact decomposition.
 
-    The decomposition asserts its own reconstruction, so every computed
-    row round-trips exactly.
+    The su3 section checks that every computed row rebuilds its lambda
+    matrix.
     """
     computed = {row["lambda"]: row["coeffs"] for row in gellmann_decompose()}
     return [
@@ -493,8 +495,13 @@ def _section_su3() -> Section:
         )
     )
 
-    claims = lambda_claims()  # raises if any round-trip fails
-    checks.append(Check("all 8 lambda decompositions round-trip exactly", "assert", True))
+    q = nonion_basis().elements
+    round_trip = all(
+        sum(map(Mat3.scale, q, row["coeffs"]), Mat3.zero()) == lam
+        for row, lam in zip(gellmann_decompose(), gellmann_matrices())
+    )
+    checks.append(Check("all 8 lambda decompositions round-trip exactly", "assert", round_trip))
+    claims = lambda_claims()
     rows = [
         {
             "lambda": r["lambda"],

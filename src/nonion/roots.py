@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bases import nonion_basis, tu3_basis
-from .bracket import s3_bracket
+from .bracket import s3_bracket, structure_row
 from .field import J, ONE, SQRT3, ZERO, FieldElem, rational
-from .matrix import Mat3, decompose_in_basis, hs_inner
+from .matrix import Mat3, decompose_in_basis
 
 __all__ = [
     "NotProportionalError",
@@ -57,10 +57,11 @@ def cartan_check(basis=None) -> bool:
     return s3_bracket(e[0], e[7], e[8]).is_zero()
 
 
-def _scalar_multiple_of(br: Mat3, op: Mat3) -> FieldElem:
-    """The exact c with br = c*op (op has unit hs norm), or raise."""
-    c = hs_inner(op, br)
-    if op.scale(c) != br:
+def _row_multiple_of(triple: tuple[int, int, int], target: int) -> FieldElem:
+    """The exact c with {Q_h,Q_k,Q_l} = c*Q_target, or raise."""
+    coeffs = structure_row(tu3_basis(), triple).target_map()
+    c = coeffs.pop(target, ZERO)
+    if coeffs:
         raise NotProportionalError("bracket is not a scalar multiple of the operator")
     return c
 
@@ -73,13 +74,7 @@ def extract_alpha_root(i: int) -> RootVector:
     """
     if not 1 <= i <= 6:
         raise ValueError("step operator index must be 1..6")
-    q = tu3_basis().elements
-    brs = (
-        s3_bracket(q[i], q[7], q[8]),
-        s3_bracket(q[0], q[i], q[7]),
-        s3_bracket(q[0], q[i], q[8]),
-    )
-    return tuple(_scalar_multiple_of(br, q[i]) for br in brs)
+    return tuple(_row_multiple_of(t, i) for t in ((i, 7, 8), (0, i, 7), (0, i, 8)))
 
 
 def extract_beta_root(pair_index: int) -> tuple[int, RootVector]:
@@ -91,15 +86,9 @@ def extract_beta_root(pair_index: int) -> tuple[int, RootVector]:
     if not 1 <= pair_index <= 6:
         raise ValueError("pair index must be 1..6")
     k, l = BETA_PAIRS[pair_index - 1]
-    q = tu3_basis().elements
-    prod = q[k] * q[l]
-    if prod.is_zero():
-        prod = q[l] * q[k]
-    target = next(n for n in range(1, 7) if q[n] == prod)
-    root = tuple(
-        _scalar_multiple_of(s3_bracket(q[h], q[k], q[l]), q[target]) for h in (0, 7, 8)
-    )
-    return target, root
+    products = tu3_basis().products
+    ((target, _),) = products[k][l] or products[l][k]
+    return target, tuple(_row_multiple_of((h, k, l), target) for h in (0, 7, 8))
 
 
 def projected_alpha_root(i: int) -> RootVector:
@@ -165,10 +154,9 @@ def gellmann_matrices() -> tuple[Mat3, ...]:
 
 
 def gellmann_decompose() -> list[dict]:
-    """Exact unit-basis coefficients of each lambda matrix.
+    """Exact unit-basis coefficients of each lambda matrix, by projection.
 
-    The reconstruction is asserted inside the projection, so every
-    returned row round-trips exactly.
+    The report's su3 section checks that each row rebuilds its matrix.
     """
     basis = nonion_basis()
     out = []

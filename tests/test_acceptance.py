@@ -337,10 +337,16 @@ def test_c7_su3():
         and f[(4, 5, 8)] == s32
         and f[(6, 7, 8)] == s32
     )
-    from nonion.roots import gellmann_decompose
+    from nonion.roots import gellmann_decompose, gellmann_matrices
 
-    rows = gellmann_decompose()  # projection asserts exact reconstruction
+    q = nonion_basis().elements
+    rows = gellmann_decompose()
     ok = ok and len(rows) == 8
+    for row, lam in zip(rows, gellmann_matrices()):
+        rebuilt = Mat3.zero()
+        for c, e in zip(row["coeffs"], q):
+            rebuilt = rebuilt + e.scale(c)
+        ok = ok and rebuilt == lam
     check("7  su(3) structure constants and lambda round-trips", ok)
 
 

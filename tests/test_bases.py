@@ -1,3 +1,5 @@
+import pytest
+
 from nonion.bases import (
     CLAIMED_TILDE_EXPONENTS,
     LABELS,
@@ -6,6 +8,7 @@ from nonion.bases import (
     pair_phase_matrix,
     tilde_composite,
     tilde_fixture_check,
+    tu3_basis,
 )
 from nonion.clifford import grade
 from nonion.field import J, J2, ONE, ZERO, j_pow, rational
@@ -65,6 +68,28 @@ def test_closure_with_grading(nonions):
             s, c = nonions.product_table[a][b]
             assert q[a] * q[b] == q[c].scale(j_pow(s))
             assert (nonions.grade[a] + nonions.grade[b]) % 3 == nonions.grade[c]
+
+
+@pytest.mark.parametrize("name", ["nonions", "tu3"])
+def test_products_rebuild_every_product(request, name):
+    basis = request.getfixturevalue(name)
+    e = basis.elements
+    for a in range(9):
+        for b in range(9):
+            rebuilt = Mat3.zero()
+            for c, coeff in basis.products[a][b]:
+                assert not coeff.is_zero()
+                rebuilt = rebuilt + e[c].scale(coeff)
+            assert rebuilt == e[a] * e[b]
+
+
+def test_tu3_products_are_built_on_first_use():
+    # tu3_basis() itself builds no table: callers that never multiply in
+    # the basis do not pay for 81 products and projections
+    fresh = tu3_basis.__wrapped__()
+    assert "products" not in vars(fresh)
+    assert fresh.products == tu3_basis().products
+    assert "products" in vars(fresh)
 
 
 # ---------------------------------------------------------------------------

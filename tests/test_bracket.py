@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, permutations
 
 import pytest
 
@@ -8,6 +9,7 @@ from nonion.bracket import (
     all_triples,
     diff_table,
     s3_bracket,
+    structure_row,
     structure_table,
 )
 from nonion.field import J, J2, rational
@@ -138,6 +140,30 @@ def test_nonion_table_matches_matrix_bracket_and_oracle(nonions):
         for n, c in row.targets:
             got[n] = oracle.from_library_scalar(c)
         assert tuple(got) == expected
+
+
+def test_tu3_table_matches_matrix_bracket(tu3):
+    # the table-product rows against the Mat3 bracket projected back onto
+    # the basis, on all 84 triples
+    q = tu3.elements
+    rows = structure_table(tu3)
+    assert [r.triple for r in rows] == all_triples()
+    for row in rows:
+        k, l, m = row.triple
+        coeffs = decompose_in_basis(s3_bracket(q[k], q[l], q[m]), q, tu3.grams)
+        assert row.target_map() == {n: c for n, c in enumerate(coeffs) if not c.is_zero()}
+
+
+@pytest.mark.parametrize("name", ["nonions", "tu3"])
+@pytest.mark.parametrize("triple", [(1, 2, 3), (1, 2, 5), (2, 5, 7), (0, 7, 8), (3, 6, 8)])
+def test_structure_row_in_any_argument_order(request, name, triple):
+    basis = request.getfixturevalue(name)
+    base = structure_row(basis, triple)
+    for perm in permutations(triple):
+        odd = sum(x > y for x, y in combinations(perm, 2)) % 2
+        row = structure_row(basis, perm)
+        assert row.triple == perm
+        assert row.targets == tuple((n, -c if odd else c) for n, c in base.targets)
 
 
 def test_nonion_grading_compatibility(nonions):

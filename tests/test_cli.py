@@ -45,7 +45,7 @@ def test_bracket_command(capsys):
 
 def test_bracket_rejects_bad_index(capsys):
     code, _, err = run(capsys, "bracket", "1", "2", "11")
-    assert code == 2 and "0..8" in err
+    assert code == 2 and err == "error: indices must be 0..8\n"
 
 
 def test_table_md_row_count(capsys):
@@ -126,7 +126,7 @@ def test_norm_rational_input(capsys):
 
 def test_norm_wrong_arity(capsys):
     code, _, err = run(capsys, "norm", "--coords", "1,2,3")
-    assert code == 2
+    assert code == 2 and err == "error: --coords needs 9 comma-separated rationals\n"
 
 
 def test_expand_det_json(capsys):
@@ -181,7 +181,29 @@ def test_roots_rotate(capsys):
 
 def test_roots_rotate_requires_vector(capsys):
     code, _, err = run(capsys, "roots", "rotate")
-    assert code == 2
+    assert code == 2 and err == "error: --vector is required for rotate\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--vector alpha1 --power 2", "--vector and --power need roots rotate"),
+        ("--beta --power 1", "--vector and --power need roots rotate"),
+        ("rotate --vector alpha", "--vector must look like alpha1 or beta3"),
+        ("rotate --vector beta7", "--vector must look like alpha1 or beta3"),
+        ("rotate --vector alpha12", "--vector must look like alpha1 or beta3"),
+        ("rotate --vector gamma1", "--vector must look like alpha1 or beta3"),
+    ],
+)
+def test_roots_option_errors(capsys, argv, message):
+    code, out, err = run(capsys, "roots", *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_roots_rotate_power_defaults_to_one(capsys):
+    _, default, _ = run(capsys, "roots", "rotate", "--vector", "beta2")
+    _, explicit, _ = run(capsys, "roots", "rotate", "--vector", "beta2", "--power", "1")
+    assert default == explicit and json.loads(default)["power"] == 1
 
 
 def test_su3_check(capsys):

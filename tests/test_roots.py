@@ -1,10 +1,12 @@
 import pytest
 
 from nonion.bases import tu3_basis
+from nonion.bracket import s3_bracket, structure_row
 from nonion.field import J, ONE, SQRT2, SQRT3, ZERO, rational
 from nonion.fixtures import roots_fixture
-from nonion.matrix import Mat3
+from nonion.matrix import Mat3, hs_inner
 from nonion.roots import (
+    BETA_PAIRS,
     I_UNIT,
     NotProportionalError,
     cartan_check,
@@ -44,8 +46,6 @@ def test_cartan_check_false_with_step_operator(tu3):
 
 def test_cartan_check_trivial_on_repeated_arguments(tu3):
     e = tu3.elements
-    from nonion.bracket import s3_bracket
-
     assert s3_bracket(e[0], e[0], e[8]).is_zero()
 
 
@@ -88,13 +88,35 @@ def test_extract_alpha_rejects_bad_index():
 
 
 def test_not_proportional_error():
-    from nonion.bracket import s3_bracket
-    from nonion.roots import _scalar_multiple_of
+    from nonion.roots import _row_multiple_of
 
-    e = tu3_basis().elements
-    br = s3_bracket(e[1], e[2], e[3])  # multiple of Q0, not of Q1
+    # {Q1,Q2,Q3} = sqrt3 Q0, which is not a multiple of Q1
+    assert structure_row(tu3_basis(), (1, 2, 3)).target_map() == {0: SQRT3}
+    assert _row_multiple_of((1, 2, 3), 0) == SQRT3
     with pytest.raises(NotProportionalError):
-        _scalar_multiple_of(br, e[1])
+        _row_multiple_of((1, 2, 3), 1)
+
+
+def test_roots_match_matrix_bracket(tu3):
+    # every alpha and beta component against the Mat3 bracket, which must
+    # be exactly that multiple of the operator
+    q = tu3.elements
+
+    def multiple(triple, target):
+        br = s3_bracket(*(q[t] for t in triple))
+        c = hs_inner(q[target], br)
+        assert q[target].scale(c) == br
+        return c
+
+    for i in range(1, 7):
+        assert extract_alpha_root(i) == tuple(
+            multiple(t, i) for t in ((i, 7, 8), (0, i, 7), (0, i, 8))
+        )
+    for p, (k, l) in enumerate(BETA_PAIRS, start=1):
+        target, root = extract_beta_root(p)
+        prod = q[k] * q[l]
+        assert (prod if not prod.is_zero() else q[l] * q[k]) == q[target]
+        assert root == tuple(multiple((h, k, l), target) for h in (0, 7, 8))
 
 
 # ---------------------------------------------------------------------------
