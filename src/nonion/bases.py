@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .clifford import _normal_order, _suffix_sums, grade
-from .field import J, J2, ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
+from .clifford import _column_action, _normal_order, _suffix_sums, grade
+from .field import ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
 from .matrix import Mat3, decompose_in_basis
 
 __all__ = [
@@ -102,13 +102,19 @@ LABELS = {
 }
 
 
+def _unit(word: tuple[int, int], s: int) -> Mat3:
+    """j^-s q1^a q2^b, read off the two-generator clock-and-shift matrix."""
+    ent = [ZERO] * 9
+    for col, (row, e) in enumerate(_column_action(word)):
+        ent[3 * row + col] = j_pow(e - s)
+    return Mat3(ent)
+
+
 @lru_cache(maxsize=1)
 def nonion_basis() -> NonionBasis:
     """q_c = j^-s q1^a q2^b with q1 the cyclic shift, q2 = q1 diag(j^2, 1, j)."""
     words = sorted((c, ab, s) for ab, (s, c) in LABELS.items())
-    q1 = Mat3.from_rows([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]])
-    q2 = q1 * Mat3.diag(J2, ONE, J)
-    elements = tuple((q1 ** a * q2 ** b).scale(j_pow(-s)) for _, (a, b), s in words)
+    elements = tuple(_unit(ab, s) for _, ab, s in words)
 
     # q_a q_b = j^(e - s_a - s_b) (word_a word_b) with word_a word_b = j^s q_c.
     table = []

@@ -38,6 +38,7 @@ from .report import SCOPES, emit_report, lambda_claims, run_verify
 from .roots import (
     extract_alpha_root,
     extract_beta_root,
+    gellmann_decompose,
     su3_structure_constants,
     z3_rotate,
 )
@@ -193,6 +194,10 @@ def _cmd_census(args) -> int:
 
 def _cmd_roots(args) -> int:
     if args.action == "rotate":
+        if args.alpha or args.beta or args.format != "json":
+            print("error: --alpha, --beta and --format md do not apply to roots rotate",
+                  file=sys.stderr)
+            return 2
         if not args.vector:
             print("error: --vector is required for rotate", file=sys.stderr)
             return 2
@@ -247,7 +252,7 @@ def _cmd_su3(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    print(json.dumps(lambda_claims(), indent=2))
+    print(json.dumps(lambda_claims(gellmann_decompose()), indent=2))
     return 0
 
 

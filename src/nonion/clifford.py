@@ -7,11 +7,28 @@ phases are exact powers of j, so the quotient algebra is realized
 concretely without symbolic ideal reduction.  The dimension is 3^n and
 the monomial count per total degree is the coefficient sequence of
 (1 + t + t^2)^n.
+
+With 2m generators the algebra is the full matrix algebra M_(3^m)
+(Morris 1967), and the nonions are the case m = 1.  The faithful
+representation used here puts q_(2i) and q_(2i+1) on tensor factor i as
+the shift X and X diag(j^2, 1, j), behind a clock on every earlier
+factor; at n = 2 these are the q1, q2 of `bases.nonion_basis`.  For odd
+n the algebra is the subalgebra of the (n+1)-generator one whose
+monomials have last exponent 0.  Every monomial is a monomial matrix
+j^c X^a Z^b in closed form (`_column_action`).
+
+Products have two exact kernels, chosen by a cost model on the term
+counts: the pairwise kernel sums the normal-ordered product of every
+term pair, and the matrix kernel multiplies the two d x d images
+(d = 3^ceil(n/2)) and reads each coefficient back as tr(M^dagger P)/d.
+Sparse products, such as generator words, take the first; dense ones
+the second.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -82,6 +99,133 @@ def normal_order_product(
     return j_pow(e), mono
 
 
+Terms = Mapping[tuple[int, ...], FieldElem]
+
+
+def _pairwise_product(a: Terms, b: Terms) -> dict:
+    """Raw integer sums per (monomial, phase) over all term pairs, then
+    one normalised FieldElem per output monomial."""
+    left, da = common_numerators(a.values())
+    right, db = common_numerators(b.values())
+    acc: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for ma, xa in zip(a, left):
+        higher = _suffix_sums(ma)
+        for mb, xb in zip(b, right):
+            key = _normal_order(higher, ma, mb)
+            cell = acc.get(key)
+            if cell is None:
+                cell = acc[key] = [0] * 8
+            mul_accumulate(cell, xa, xb)
+    return {
+        mono: FieldElem(
+            fold_phases(acc.get((mono, 0)), acc.get((mono, 1)), acc.get((mono, 2))),
+            da * db,
+        )
+        for mono in {m for m, _ in acc}
+    }
+
+
+def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(row, j-exponent) of the one nonzero entry of each column of the
+    clock-and-shift matrix of the monomial q^mono (odd lengths padded with 0).
+
+    The monomial is j^c X^a Z^b on m = ceil(n/2) tensor factors, with
+    X e_v = e_(v-1) and Z e_v = j^v e_v on each factor, so column v holds
+    j^(c + b.v) in row v - a.  Generator q_(2i) is X on factor i and
+    q_(2i+1) is X diag(j^2, 1, j) = j^2 X Z there; both carry Z on every
+    earlier factor, so X^a Z^b collects the exponents in closed form.
+    """
+    if len(mono) % 2:
+        mono = (*mono, 0)
+    a, b, c, later = [], [], 0, 0
+    for i in range(len(mono) - 2, -1, -2):
+        e0, e1 = mono[i], mono[i + 1]
+        a.append((e0 + e1) % 3)
+        b.append((e1 + later) % 3)
+        later += e0 + e1
+        c += 2 * (e1 == 1)  # (j^2 X Z)^e = j^(2e - e(e-1)/2) X^e Z^e
+    phases = _clock_phases(tuple(reversed(b)))
+    return [(row, (c + p) % 3) for row, p in zip(_shifted_rows(tuple(reversed(a))), phases)]
+
+
+@lru_cache(maxsize=1024)
+def _shifted_rows(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The row v - a (digit by digit, mod 3) of each column v."""
+    rows = [0]
+    for ai in a:
+        rows = [3 * r + (t - ai) % 3 for r in rows for t in range(3)]
+    return tuple(rows)
+
+
+@lru_cache(maxsize=1024)
+def _clock_phases(b: tuple[int, ...]) -> tuple[int, ...]:
+    """b.v mod 3 for each column v."""
+    phases = [0]
+    for bi in b:
+        phases = [(p + bi * t) % 3 for p in phases for t in range(3)]
+    return tuple(phases)
+
+
+def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
+    """Cost model: ta*tb term pairs against one d x d product (d = 3^ceil(n/2))
+    plus the conversions, about (ta + tb + 3^n) * d cell updates.  A term
+    pair (normal ordering, a dict lookup and a cell update) costs about
+    two cell updates."""
+    d = 3 ** ((n + 1) // 2)
+    return 2 * ta * tb > d**3 + (ta + tb + 3**n) * d
+
+
+def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
+    """The product through the faithful d x d clock-and-shift representation.
+
+    Both operands become matrices of raw 8-int numerator cells, one
+    product of those matrices follows (zero cells skipped), and each
+    monomial's coefficient is read back as tr(M^dagger P) / d.
+    """
+    d = 3 ** ((n + 1) // 2)
+    ma, da = _to_matrix(a, d)
+    mb, db = _to_matrix(b, d)
+    prod = [[[0] * 8 for _ in range(d)] for _ in range(d)]
+    for out, row in zip(prod, ma):
+        for k, x in row:
+            for col, y in mb[k]:
+                mul_accumulate(out[col], x, y)
+    coeffs = {}
+    for mono in product(range(3), repeat=n):
+        classes: list[list] = [[], [], []]
+        for col, (row, e) in enumerate(_column_action(mono)):
+            classes[-e % 3].append(prod[row][col])
+        nums = fold_phases(*[[sum(z) for z in zip(*c)] if c else None for c in classes])
+        if any(nums):
+            coeffs[mono] = FieldElem(nums, da * db * d)
+    return coeffs
+
+
+def _to_matrix(terms: Terms, d: int) -> tuple[list[list[tuple[int, tuple]]], int]:
+    """Rows of sparse (column, numerators) cells of the d x d matrix
+    sum c_m M_m over one shared denominator, which is returned with them."""
+    nums, den = common_numerators(terms.values())
+    cells = [[[0] * 8 for _ in range(d)] for _ in range(d)]
+    for mono, x in zip(terms, nums):
+        dense = [0] * 8
+        for i, v in x:
+            dense[i] = v
+        turns = [
+            [(i, v) for i, v in enumerate(fold_phases(*rot)) if v]
+            for rot in ((dense, None, None), (None, dense, None), (None, None, dense))
+        ]
+        for col, (row, e) in enumerate(_column_action(mono)):
+            cell = cells[row][col]
+            for i, v in turns[e]:
+                cell[i] += v
+    sparse = [
+        [(col, tuple((i, v) for i, v in enumerate(cell) if v)) for col, cell in enumerate(row)
+         if any(cell)]
+        for row in cells
+    ]
+    return sparse, den
+
+
 class CliffElement:
     """Sparse element: map normal-form monomial -> FieldElem."""
 
@@ -133,30 +277,13 @@ class CliffElement:
         return CliffElement(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "CliffElement") -> "CliffElement":
-        """Graded product: raw integer sums per (monomial, phase), one
-        normalised FieldElem per output monomial."""
+        """Exact product, through whichever kernel the term counts make cheaper."""
         if not isinstance(other, CliffElement):
             return NotImplemented
         self._require_same_n(other)
-        left, da = common_numerators(self.terms.values())
-        right, db = common_numerators(other.terms.values())
-        acc: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        for ma, xa in zip(self.terms, left):
-            higher = _suffix_sums(ma)
-            for mb, xb in zip(other.terms, right):
-                key = _normal_order(higher, ma, mb)
-                cell = acc.get(key)
-                if cell is None:
-                    cell = acc[key] = [0] * 8
-                mul_accumulate(cell, xa, xb)
-        out = {
-            mono: FieldElem(
-                fold_phases(acc.get((mono, 0)), acc.get((mono, 1)), acc.get((mono, 2))),
-                da * db,
-            )
-            for mono in {m for m, _ in acc}
-        }
-        return CliffElement(self.n, out)  # drops the terms that cancelled
+        if _matrix_is_cheaper(self.n, len(self.terms), len(other.terms)):
+            return CliffElement(self.n, _matrix_product(self.n, self.terms, other.terms))
+        return CliffElement(self.n, _pairwise_product(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return (

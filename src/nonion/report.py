@@ -448,13 +448,14 @@ def _section_triple_product() -> Section:
     return Section("triple-product", checks)
 
 
-def lambda_claims() -> list[dict]:
-    """Each claimed lambda combination against the exact decomposition.
+def lambda_claims(decomposed: list[dict]) -> list[dict]:
+    """Each claimed lambda combination against the exact decomposition,
+    the rows of `gellmann_decompose()`.
 
     The su3 section checks that every computed row rebuilds its lambda
     matrix.
     """
-    computed = {row["lambda"]: row["coeffs"] for row in gellmann_decompose()}
+    computed = {row["lambda"]: row["coeffs"] for row in decomposed}
     return [
         {
             "lambda": claim["lambda"],
@@ -496,12 +497,13 @@ def _section_su3() -> Section:
     )
 
     q = nonion_basis().elements
+    decomposed = gellmann_decompose()
     round_trip = all(
         sum(map(Mat3.scale, q, row["coeffs"]), Mat3.zero()) == lam
-        for row, lam in zip(gellmann_decompose(), gellmann_matrices())
+        for row, lam in zip(decomposed, gellmann_matrices())
     )
     checks.append(Check("all 8 lambda decompositions round-trip exactly", "assert", round_trip))
-    claims = lambda_claims()
+    claims = lambda_claims(decomposed)
     rows = [
         {
             "lambda": r["lambda"],

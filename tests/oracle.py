@@ -14,6 +14,7 @@ library's own arithmetic.
 
 from __future__ import annotations
 
+from itertools import product as _product
 from typing import Sequence
 
 ZJ = tuple[int, int]
@@ -245,4 +246,34 @@ def clifford_monomial(mono: Sequence[int]) -> Action:
     for k, m in enumerate(mono):
         for _ in range(m):
             out = compose(out, clifford_generator(n, k))
+    return out
+
+
+def clifford_actions(n: int) -> dict[tuple[int, ...], Action]:
+    """The image of every normal-form monomial among n generators.
+
+    Each monomial is built from the one before it in lexicographic order
+    that has one fewer factor of its last generator.
+    """
+    gens = [clifford_generator(n, k) for k in range(n)]
+    out = {}
+    for mono in _product((0, 1, 2), repeat=n):
+        if not any(mono):
+            out[mono] = _tensor_action([IDENTITY] * n)
+            continue
+        k = max(i for i, e in enumerate(mono) if e)
+        prev = (*mono[:k], mono[k] - 1, *mono[k + 1:])
+        out[mono] = compose(out[prev], gens[k])
+    return out
+
+
+def clifford_apply(
+    actions: dict[tuple[int, ...], Action], coeffs: dict[tuple[int, ...], ZJ], v: Sequence[ZJ]
+) -> list[ZJ]:
+    """rep(x) v for x = sum of coeffs[m] q^m, with Z[j] coefficients."""
+    out = [ZERO] * len(v)
+    for mono, c in coeffs.items():
+        turns = (c, mul(c, J), mul(c, J2))
+        for (t, e), x in zip(actions[mono], v):
+            out[t] = add(out[t], mul(turns[e], x))
     return out

@@ -184,6 +184,9 @@ def test_roots_rotate_requires_vector(capsys):
     assert code == 2 and err == "error: --vector is required for rotate\n"
 
 
+_ROTATE_ONLY = "--alpha, --beta and --format md do not apply to roots rotate"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -193,11 +196,22 @@ def test_roots_rotate_requires_vector(capsys):
         ("rotate --vector beta7", "--vector must look like alpha1 or beta3"),
         ("rotate --vector alpha12", "--vector must look like alpha1 or beta3"),
         ("rotate --vector gamma1", "--vector must look like alpha1 or beta3"),
+        ("rotate --vector alpha1 --format md --beta", _ROTATE_ONLY),
+        ("rotate --vector beta2 --alpha", _ROTATE_ONLY),
+        ("rotate --vector alpha1 --beta", _ROTATE_ONLY),
+        ("rotate --vector alpha1 --format md", _ROTATE_ONLY),
+        ("rotate --alpha", _ROTATE_ONLY),
     ],
 )
 def test_roots_option_errors(capsys, argv, message):
     code, out, err = run(capsys, "roots", *argv.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_roots_rotate_accepts_format_json(capsys):
+    _, default, _ = run(capsys, "roots", "rotate", "--vector", "alpha2")
+    code, explicit, err = run(capsys, "roots", "rotate", "--vector", "alpha2", "--format", "json")
+    assert (code, explicit, err) == (0, default, "")
 
 
 def test_roots_rotate_power_defaults_to_one(capsys):
@@ -396,6 +410,7 @@ _argv = st.one_of(
         st.just(["roots", "rotate"]),
         st.none() | _vector.map(lambda v: ["--vector", v]),
         st.none() | st.integers(-5, 5).map(lambda p: ["--power", str(p)]),
+        st.none() | st.sampled_from([["--alpha"], ["--beta"], ["--format", "md"], ["--format", "json"]]),
     ),
     st.sampled_from([["su3", "check"], ["su3"], ["lambda", "diff"], ["lambda", "x"]])
     .map(lambda argv: (argv,)),

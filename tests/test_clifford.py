@@ -2,7 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nonion import clifford
 from nonion.bases import nonion_basis, pair_phase_matrix
 from nonion.clifford import (
     CliffElement,
@@ -16,8 +19,9 @@ from nonion.clifford import (
     unit,
     weighted_identity_check,
 )
-from nonion.field import J, J2, ONE, ZERO, j_pow, rational
+from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
 from nonion.fixtures import clifford_census_fixture
+from nonion.matrix import Mat3
 
 import oracle
 from conftest import random_field_elem
@@ -93,9 +97,10 @@ def pairwise_product(a: CliffElement, b: CliffElement) -> CliffElement:
 
 
 def _random_element(rng, n: int, coeff) -> CliffElement:
+    """Up to 24 terms, or every monomial one time in four."""
     monos = list(product((0, 1, 2), repeat=n))
-    chosen = rng.sample(monos, rng.randint(1, min(len(monos), 24)))
-    return CliffElement(n, {m: coeff() for m in chosen})
+    size = len(monos) if rng.random() < 0.25 else rng.randint(1, min(len(monos), 24))
+    return CliffElement(n, {m: coeff() for m in rng.sample(monos, size)})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -116,6 +121,162 @@ def test_product_matches_pairwise_reference(n):
         a0 = a * (unit(n) + generator(n, k) + generator(n, k, 2))
         b0 = (unit(n) - generator(n, k)) * b
         assert (a0 * b0).is_zero() and pairwise_product(a0, b0).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the matrix path: the faithful clock-and-shift representation
+# ---------------------------------------------------------------------------
+
+_coeff_st = st.builds(
+    FieldElem,
+    st.lists(st.integers(-40, 40) | st.just(0), min_size=8, max_size=8),
+    st.integers(1, 36),
+)
+
+
+@st.composite
+def _operands(draw):
+    """(n, a, b): n = 1..6 and two elements, dense, sparse or in between.
+
+    A small palette of hypothesis-drawn field elements (radicals, mixed
+    denominators) times powers of j and signs fills the chosen monomials.
+    At n >= 5 one operand keeps at most 12 terms, so the reference stays fast.
+    """
+    n = draw(st.integers(1, 6))
+    monos = list(product((0, 1, 2), repeat=n))
+    palette = draw(st.lists(_coeff_st.filter(bool), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def element(most):
+        size = draw(st.sampled_from([most, 12, 2, 1]))
+        chosen = rng.sample(monos, min(size, len(monos)))
+        return CliffElement(n, {
+            m: rng.choice(palette) * j_pow(rng.randrange(3)) * rng.choice((ONE, -ONE))
+            for m in chosen
+        })
+
+    a = element(len(monos))
+    b = element(len(monos) if n <= 4 else 12)
+    return (n, a, b) if draw(st.booleans()) else (n, b, a)
+
+
+def _matrix(a: CliffElement, b: CliffElement) -> CliffElement:
+    return CliffElement(a.n, clifford._matrix_product(a.n, a.terms, b.terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_operands())
+def test_matrix_path_matches_pairwise_reference(operands):
+    n, a, b = operands
+    assert _matrix(a, b) == pairwise_product(a, b)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_matrix_path_dense_times_sparse(n):
+    rng = random.Random(700 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+    dense = CliffElement(n, {m: random_field_elem(rng, density=0.5, bound=20) for m in monos})
+    sparse = CliffElement(n, {m: random_field_elem(rng, bound=20) for m in rng.sample(monos, 3)})
+    assert _matrix(dense, sparse) == pairwise_product(dense, sparse)
+    assert _matrix(sparse, dense) == pairwise_product(sparse, dense)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_operands(), st.data())
+def test_matrix_path_cancels_to_zero(operands, data):
+    # a (1 + q_k + q_k^2) times (1 - q_k) b is a (1 - q_k^3) b = 0
+    n, a, b = operands
+    k = data.draw(st.integers(0, n - 1))
+    a0 = pairwise_product(a, unit(n) + generator(n, k) + generator(n, k, 2))
+    b0 = pairwise_product(unit(n) - generator(n, k), b)
+    assert _matrix(a0, b0).is_zero()
+
+
+def _action_matrix(action) -> Mat3:
+    ent = [ZERO] * 9
+    for col, (row, e) in enumerate(action):
+        ent[3 * row + col] = j_pow(e)
+    return Mat3(ent)
+
+
+def test_two_generator_representation_is_the_nonion_pair(nonions):
+    shift = Mat3.from_rows([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ONE, ZERO, ZERO]])
+    q1 = _action_matrix(clifford._column_action((1, 0)))
+    q2 = _action_matrix(clifford._column_action((0, 1)))
+    assert q1 == shift == nonions.elements[1]
+    assert q2 == shift * Mat3.diag(J2, ONE, J) == nonions.elements[2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_column_action_is_the_product_of_generator_actions(n):
+    """The closed form of every monomial against composing its generators."""
+    def compose(x, y):  # x y, y acting first
+        return [(x[t][0], (e + x[t][1]) % 3) for t, e in y]
+
+    gens = [clifford._column_action(tuple(int(i == k) for i in range(n))) for k in range(n)]
+    d = len(gens[0])
+    for mono in product((0, 1, 2), repeat=n):
+        word = [(t, 0) for t in range(d)]
+        for k, e in enumerate(mono):
+            for _ in range(e):
+                word = compose(word, gens[k])
+        assert clifford._column_action(mono) == word
+
+
+def test_dense_product_takes_the_matrix_path(monkeypatch):
+    rng = random.Random(44)
+    monos = list(product((0, 1, 2), repeat=4))
+    a, b = (
+        CliffElement(4, {m: random_field_elem(rng, density=0.4, bound=9) for m in monos})
+        for _ in range(2)
+    )
+    expected = pairwise_product(a, b)
+
+    def refuse(*args):
+        raise AssertionError("dense product reached the pairwise kernel")
+
+    monkeypatch.setattr(clifford, "_pairwise_product", refuse)
+    assert a * b == expected
+
+
+def test_generator_words_stay_on_the_pairwise_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator word reached the matrix path")
+
+    monkeypatch.setattr(clifford, "_matrix_product", refuse)
+    assert generator(12, 11) * generator(12, 0) == (
+        generator(12, 0) * generator(12, 11)
+    ).scale(J2)
+    for n in (2, 4, 6, 12):
+        assert not clifford._matrix_is_cheaper(n, 1, 1)
+        assert not clifford._matrix_is_cheaper(n, 3, 3)
+    assert clifford._matrix_is_cheaper(5, 243, 243)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_dense_product_in_oracle_representation(n):
+    """rep(a) rep(b) v = rep(ab) v in the tensor representation of
+    tests/oracle.py, for dense Z[j] operands on the matrix path."""
+    rng = random.Random(500 + n)
+
+    def zj(bound):
+        x = (0, 0)
+        while x == (0, 0):
+            x = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        return x
+
+    monos = list(product((0, 1, 2), repeat=n))
+    ca, cb = ({m: zj(4) for m in monos} for _ in range(2))
+    a, b = (
+        CliffElement(n, {m: FieldElem((x, y, 0, 0, 0, 0, 0, 0)) for m, (x, y) in c.items()})
+        for c in (ca, cb)
+    )
+    assert clifford._matrix_is_cheaper(n, len(a.terms), len(b.terms))
+    cab = {m: oracle.from_library_scalar(c) for m, c in (a * b).terms.items()}
+    actions = oracle.clifford_actions(n)
+    v = [zj(9) for _ in monos]
+    lhs = oracle.clifford_apply(actions, ca, oracle.clifford_apply(actions, cb, v))
+    assert lhs == oracle.clifford_apply(actions, cab, v)
 
 
 def test_product_cancels_across_phase_classes():

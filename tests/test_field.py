@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,10 @@ from nonion.field import (
     SQRT6,
     ZERO,
     FieldElem,
+    common_numerators,
+    fold_phases,
     j_pow,
+    mul_accumulate,
     parse_rational,
     rational,
 )
@@ -213,3 +217,93 @@ def test_hypothesis_inverse(a):
 def test_hypothesis_conjugation_fixes_norm_subfield(a):
     n = a * a.conjugate_j()
     assert n.has_zero_j_part()
+
+
+# ---------------------------------------------------------------------------
+# the raw numerator kernels against FieldElem arithmetic
+# ---------------------------------------------------------------------------
+
+# zeros are common, so the kernels see sparse numerators; denominators up
+# to 10^12 are mixed freely
+wide_st = st.builds(
+    FieldElem,
+    st.lists(st.just(0) | st.integers(-(10**12), 10**12), min_size=8, max_size=8),
+    st.integers(min_value=1, max_value=10**12),
+)
+
+
+def _dense(sparse) -> list[int]:
+    out = [0] * 8
+    for i, v in sparse:
+        out[i] = v
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(wide_st, min_size=1, max_size=6))
+def test_common_numerators_against_field_elems(elems):
+    sparse, den = common_numerators(elems)
+    assert den == math.lcm(*(e.den for e in elems))
+    for e, x in zip(elems, sparse):
+        assert all(v for _, v in x)
+        assert FieldElem(_dense(x), den) == e
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(wide_st, wide_st), min_size=1, max_size=5))
+def test_mul_accumulate_against_field_products(pairs):
+    left, da = common_numerators([a for a, _ in pairs])
+    right, db = common_numerators([b for _, b in pairs])
+    acc = [0] * 8
+    for x, y in zip(left, right):
+        mul_accumulate(acc, x, y)
+    assert FieldElem(acc, da * db) == sum((a * b for a, b in pairs), ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.none() | st.lists(st.integers(-(10**9), 10**9), min_size=8, max_size=8),
+                min_size=3, max_size=3))
+def test_fold_phases_against_j_powers(classes):
+    expected = ZERO
+    for power, c in zip((ONE, J, J2), classes):
+        if c is not None:
+            expected = expected + power * FieldElem(c)
+    assert FieldElem(fold_phases(*classes)) == expected
+
+
+# ---------------------------------------------------------------------------
+# FieldElem * and invert against sympy algebraic numbers
+# ---------------------------------------------------------------------------
+
+needs_sympy = pytest.mark.skipif(
+    importlib.util.find_spec("sympy") is None, reason="sympy is not installed"
+)
+
+
+def _to_sympy(x: FieldElem):
+    import sympy
+
+    j = (-1 + sympy.sqrt(-3)) / 2
+    basis = (1, j, sympy.sqrt(2), j * sympy.sqrt(2), sympy.sqrt(3), j * sympy.sqrt(3),
+             sympy.sqrt(6), j * sympy.sqrt(6))
+    return sum(sympy.Rational(c.numerator, c.denominator) * b for c, b in zip(x.coeffs, basis))
+
+
+def _sympy_zero(expr) -> bool:
+    import sympy
+
+    return sympy.expand(expr) == 0
+
+
+@needs_sympy
+@settings(max_examples=15, deadline=None)
+@given(wide_st, wide_st)
+def test_mul_against_sympy(a, b):
+    assert _sympy_zero(_to_sympy(a * b) - _to_sympy(a) * _to_sympy(b))
+
+
+@needs_sympy
+@settings(max_examples=25, deadline=None)
+@given(wide_st.filter(bool))
+def test_invert_against_sympy(a):
+    assert _sympy_zero(_to_sympy(a.invert()) * _to_sympy(a) - 1)
