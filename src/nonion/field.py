@@ -217,10 +217,13 @@ class FieldElem:
     # ------------------------------------------------------------------
     def conjugate_j(self) -> "FieldElem":
         """Field automorphism j -> j^2; fixes the real subfield."""
+        # (x, y) -> (x - y, -y) is its own inverse over Z, so the gcd with
+        # the denominator is unchanged and the result is already reduced
         n = self.nums
         return FieldElem(
             (n[0] - n[1], -n[1], n[2] - n[3], -n[3], n[4] - n[5], -n[5], n[6] - n[7], -n[7]),
             self.den,
+            _reduced=True,
         )
 
     def _conj_sqrt3(self) -> "FieldElem":
@@ -325,14 +328,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# sparse sums and raw numerator kernels for graded products
+# sparse sums and raw numerator kernels
 #
 # sum_terms adds coefficients key by key for the sparse element types.
 # A graded product (such as CliffElement.__mul__) sums many coefficient
-# products per output term.  The raw kernels keep that sum in integer
-# numerators over one known denominator, so only the final value of each
-# term is built (and gcd-normalised) as a FieldElem.  None of these
-# helpers is part of the public API.
+# products per output term; so do a matrix entry, a determinant, the
+# Hilbert-Schmidt pairing and a polynomial value.  The raw kernels keep
+# such a sum in integer numerators, so only its final value is built (and
+# gcd-normalised) as a FieldElem.  The graded products put all operands
+# over one shared denominator (common_numerators).  sum_of_products keeps
+# each product over its own factors' denominators and lifts the products
+# once to the lcm of those; with wide, unrelated operand denominators that
+# is far smaller than one denominator shared by all operands.  None of
+# these helpers is part of the public API.
 # ----------------------------------------------------------------------
 
 def sum_terms(pairs: Iterable[tuple[Hashable, FieldElem]]) -> dict:
@@ -368,6 +376,43 @@ def mul_accumulate(acc: list[int], a: tuple, b: tuple) -> None:
             xy = x * y
             for idx, c in row[k]:
                 acc[idx] += xy * c
+
+
+def sparse_numerators(e: FieldElem) -> tuple[tuple, int]:
+    """``(sparse, den)`` of one element: its nonzero ``(index, numerator)``
+    pairs over its own denominator, the factor form of sum_of_products."""
+    return tuple([(i, n) for i, n in enumerate(e.nums) if n]), e.den
+
+
+def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
+    """Sum over rows of the product of each row's factors, as one FieldElem.
+
+    A factor is ``(sparse, den)`` as from sparse_numerators; a row with a
+    zero factor (empty sparse) adds nothing.  Each product stays in raw
+    numerators over the product of its factors' denominators; the
+    products are lifted once to the lcm of those denominators and summed.
+    """
+    prods = []
+    for row in rows:
+        acc, den = row[0]
+        for sparse, d in row[1:]:
+            if not acc:
+                break
+            out = [0, 0, 0, 0, 0, 0, 0, 0]
+            mul_accumulate(out, acc, sparse)
+            acc = tuple([(i, n) for i, n in enumerate(out) if n])
+            den *= d
+        if acc:
+            prods.append((acc, den))
+    if not prods:
+        return ZERO
+    den = math.lcm(*[d for _, d in prods])
+    out = [0, 0, 0, 0, 0, 0, 0, 0]
+    for acc, d in prods:
+        s = den // d
+        for i, n in acc:
+            out[i] += n * s
+    return FieldElem(out, den)
 
 
 def fold_phases(c0: list[int] | None, c1: list[int] | None, c2: list[int] | None) -> list[int]:

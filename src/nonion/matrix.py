@@ -5,6 +5,12 @@ matrices; provides the determinant, the Hermitian (Hilbert-Schmidt)
 pairing and orthogonal-projection decomposition used to extract
 structure constants.
 
+The product, the determinant and the pairing are sums of products of
+entries.  Each goes through the raw kernel `field.sum_of_products`: the
+entries are put in sparse numerator form once per call, products with a
+zero entry are skipped, and each output value is built (and
+gcd-normalised) once, not after every partial product and sum.
+
 The dagger uses only the j-conjugation: the radicals sqrt2, sqrt3,
 sqrt6 are real numbers and are left untouched.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import ZERO, ONE, FieldElem
+from .field import ZERO, ONE, FieldElem, sparse_numerators, sum_of_products
 
 __all__ = [
     "Mat3",
@@ -81,12 +87,13 @@ class Mat3:
     def __mul__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        a, b = self.entries, other.entries
-        out = []
-        for i in (0, 3, 6):
-            for j in (0, 1, 2):
-                out.append(a[i] * b[j] + a[i + 1] * b[3 + j] + a[i + 2] * b[6 + j])
-        return Mat3(out)
+        a = [sparse_numerators(x) for x in self.entries]
+        b = [sparse_numerators(y) for y in other.entries]
+        return Mat3([
+            sum_of_products(((a[i], b[j]), (a[i + 1], b[3 + j]), (a[i + 2], b[6 + j])))
+            for i in (0, 3, 6)
+            for j in (0, 1, 2)
+        ])
 
     def __pow__(self, n: int) -> "Mat3":
         if n < 0:
@@ -114,11 +121,15 @@ class Mat3:
 
     def det(self) -> FieldElem:
         """Exact determinant by cofactor expansion along the first row."""
-        e = self.entries
-        return (
-            e[0] * (e[4] * e[8] - e[5] * e[7])
-            - e[1] * (e[3] * e[8] - e[5] * e[6])
-            + e[2] * (e[3] * e[7] - e[4] * e[6])
+        e = [sparse_numerators(x) for x in self.entries]
+        n1, n4, n5 = (sparse_numerators(-self.entries[k]) for k in (1, 4, 5))
+        minors = (
+            sum_of_products(((e[4], e[8]), (n5, e[7]))),
+            sum_of_products(((e[3], e[8]), (n5, e[6]))),
+            sum_of_products(((e[3], e[7]), (n4, e[6]))),
+        )
+        return sum_of_products(
+            (f, sparse_numerators(m)) for f, m in zip((e[0], n1, e[2]), minors)
         )
 
     def is_zero(self) -> bool:
@@ -159,12 +170,11 @@ _ID3 = Mat3([ONE, ZERO, ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE])
 
 def hs_inner(a: Mat3, b: Mat3) -> FieldElem:
     """Hilbert-Schmidt pairing tr(a^dagger * b), exact."""
-    total = ZERO
-    for x, y in zip(a.entries, b.entries):
-        if x.is_zero() or y.is_zero():
-            continue
-        total = total + x.conjugate_j() * y
-    return total
+    return sum_of_products(
+        (sparse_numerators(x.conjugate_j()), sparse_numerators(y))
+        for x, y in zip(a.entries, b.entries)
+        if x and y
+    )
 
 
 def decompose_in_basis(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .bases import nonion_basis
-from .field import ONE, ZERO, FieldElem, sum_terms
+from .field import ONE, ZERO, FieldElem, sparse_numerators, sum_of_products, sum_terms
 
 __all__ = ["NVARS", "MPoly", "NonionPoly"]
 
@@ -109,15 +109,24 @@ class MPoly:
 
     # ------------------------------------------------------------------
     def evaluate(self, values: Sequence[FieldElem]) -> FieldElem:
-        """Exact evaluation at a point."""
-        total = ZERO
+        """Exact evaluation at a point of NVARS values.
+
+        Each term is one product, coefficient times variables, in
+        `field.sum_of_products`.
+        """
+        if len(values) != NVARS:
+            raise ValueError(f"evaluate needs {NVARS} values, got {len(values)}")
+        xs: list = [None] * NVARS  # each value's sparse form, made on first use
+        rows = []
         for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(values, exp):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
+            row = [sparse_numerators(c)]
+            for i, e in enumerate(exp):
+                if e:
+                    if xs[i] is None:
+                        xs[i] = sparse_numerators(values[i])
+                    row += [xs[i]] * e
+            rows.append(row)
+        return sum_of_products(rows)
 
     def permute_vars(self, mapping: Mapping[int, int]) -> "MPoly":
         """Apply the substitution x_i -> x_mapping[i] (a permutation)."""

@@ -83,6 +83,16 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
+def det(a: Mat) -> ZJ:
+    """Leibniz sum over the six permutations of the columns."""
+    out = ZERO
+    for (c0, c1, c2), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                               ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        term = mul(mul(a[c0], a[3 + c1]), a[6 + c2])
+        out = add(out, (sign * term[0], sign * term[1]))
+    return out
+
+
 def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(add(x, y) for x, y in zip(a, b))
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonion.cubic import (
     CYCLE_ALL_GROUPS,
@@ -18,6 +20,9 @@ from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
 from nonion.fixtures import surface_poly_fixture
 from nonion.matrix import Mat3
 from nonion.poly import MPoly
+
+import oracle
+from conftest import entry_st, needs_sympy, radical_st, sympy_zero, to_sympy, wide_elem_st
 
 
 def mono(**kw):
@@ -45,6 +50,62 @@ def test_poly_permute_and_eval():
     assert q == MPoly.var(1) * MPoly.var(0) + MPoly.var(4).scale(rational(2))
     vals = [rational(k + 1) for k in range(9)]
     assert p.evaluate(vals) == rational(1) * rational(2) + rational(2) * rational(5)
+
+
+def test_evaluate_needs_nine_values():
+    with pytest.raises(ValueError, match="needs 9 values, got 1"):
+        MPoly.var(8).evaluate([rational(5)])
+    with pytest.raises(ValueError, match="got 3"):
+        det_poly().evaluate([rational(2)] * 3)
+    with pytest.raises(ValueError, match="got 10"):
+        det_poly().evaluate([ONE] * 10)
+    with pytest.raises(ValueError, match="got 0"):
+        MPoly.zero().evaluate([])
+
+
+def test_qhat_at_needs_nine_coordinates():
+    with pytest.raises(ValueError, match="needs 9 values, got 4"):
+        qhat_at([ONE, J, J2, rational(2)])
+
+
+def chained_evaluate(p: MPoly, values) -> FieldElem:
+    total = ZERO
+    for exp, c in p.terms.items():
+        term = c
+        for v, e in zip(values, exp):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    return total
+
+
+# a monomial of total degree <= 3 as a list of variable indices
+monomial_st = st.lists(st.integers(0, 8), max_size=3).map(
+    lambda vs: tuple(vs.count(i) for i in range(9))
+)
+poly_st = st.dictionaries(monomial_st, radical_st | wide_elem_st, max_size=8).map(MPoly)
+point_st = st.lists(entry_st, min_size=9, max_size=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_st, point_st)
+def test_evaluate_matches_chained_arithmetic(p, x):
+    assert p.evaluate(x) == chained_evaluate(p, x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(point_st)
+def test_det_poly_evaluate_matches_chained_arithmetic(x):
+    assert det_poly().evaluate(x) == chained_evaluate(det_poly(), x)
+
+
+@settings(max_examples=15, deadline=None)
+@given(entry_st, entry_st)
+def test_evaluate_sum_that_cancels(x, y):
+    # x0^2 - x1*x2 at x1 = x2 = x0
+    p = MPoly.monomial(mono(x0=2)) - MPoly.monomial(mono(x1=1, x2=1))
+    v = p.evaluate([x, x, x] + [y] * 6)
+    assert v == ZERO and v.nums == (0,) * 8 and v.den == 1
 
 
 def test_poly_json_round_trip():
@@ -153,6 +214,22 @@ def test_det_multiplicativity_random_pairs():
 # ---------------------------------------------------------------------------
 # census
 # ---------------------------------------------------------------------------
+
+@needs_sympy
+def test_det_poly_against_sympy_matrix_det():
+    # the coordinate matrix sum x_a q_a built from the oracle's units
+    import sympy
+
+    j = (-1 + sympy.sqrt(-3)) / 2
+    xs = sympy.symbols("x0:9")
+    m = sympy.zeros(3, 3)
+    for x, q in zip(xs, oracle.BASIS):
+        m += x * sympy.Matrix(3, 3, [a + b * j for a, b in q])
+    ours = 0
+    for exp, c in det_poly().items():
+        ours += to_sympy(c) * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
+    assert sympy_zero(m.det(method="berkowitz") - ours)
+
 
 def test_census_det():
     c = term_census(det_poly())

@@ -1,4 +1,3 @@
-import importlib.util
 import math
 import random
 from fractions import Fraction
@@ -24,7 +23,7 @@ from nonion.field import (
     rational,
 )
 
-from conftest import random_field_elem
+from conftest import needs_sympy, random_field_elem, sympy_zero, to_sympy
 
 # ---------------------------------------------------------------------------
 # construction and canonical form
@@ -272,38 +271,67 @@ def test_fold_phases_against_j_powers(classes):
 
 
 # ---------------------------------------------------------------------------
-# FieldElem * and invert against sympy algebraic numbers
+# FieldElem arithmetic against sympy algebraic numbers
 # ---------------------------------------------------------------------------
-
-needs_sympy = pytest.mark.skipif(
-    importlib.util.find_spec("sympy") is None, reason="sympy is not installed"
-)
-
-
-def _to_sympy(x: FieldElem):
-    import sympy
-
-    j = (-1 + sympy.sqrt(-3)) / 2
-    basis = (1, j, sympy.sqrt(2), j * sympy.sqrt(2), sympy.sqrt(3), j * sympy.sqrt(3),
-             sympy.sqrt(6), j * sympy.sqrt(6))
-    return sum(sympy.Rational(c.numerator, c.denominator) * b for c, b in zip(x.coeffs, basis))
-
-
-def _sympy_zero(expr) -> bool:
-    import sympy
-
-    return sympy.expand(expr) == 0
-
 
 @needs_sympy
 @settings(max_examples=15, deadline=None)
 @given(wide_st, wide_st)
 def test_mul_against_sympy(a, b):
-    assert _sympy_zero(_to_sympy(a * b) - _to_sympy(a) * _to_sympy(b))
+    assert sympy_zero(to_sympy(a * b) - to_sympy(a) * to_sympy(b))
 
 
 @needs_sympy
 @settings(max_examples=25, deadline=None)
 @given(wide_st.filter(bool))
 def test_invert_against_sympy(a):
-    assert _sympy_zero(_to_sympy(a.invert()) * _to_sympy(a) - 1)
+    assert sympy_zero(to_sympy(a.invert()) * to_sympy(a) - 1)
+
+
+@needs_sympy
+@settings(max_examples=15, deadline=None)
+@given(wide_st, wide_st)
+def test_add_sub_div_against_sympy(a, b):
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert sympy_zero(to_sympy(a + b) - (sa + sb))
+    assert sympy_zero(to_sympy(a - b) - (sa - sb))
+    if b:
+        assert sympy_zero(to_sympy(a / b) * sb - sa)
+
+
+@needs_sympy
+@settings(max_examples=20, deadline=None)
+@given(wide_st)
+def test_conjugate_j_against_sympy(a):
+    # j -> j^2 is complex conjugation; the radicals are real
+    import sympy
+
+    assert sympy_zero(to_sympy(a.conjugate_j()) - sympy.conjugate(to_sympy(a)))
+
+
+@needs_sympy
+@settings(max_examples=15, deadline=None)
+@given(field_st.filter(bool), st.integers(-2, 4))
+def test_pow_against_sympy(a, n):
+    sa = to_sympy(a)
+    if n >= 0:
+        assert sympy_zero(to_sympy(a**n) - sa**n)
+    else:
+        assert sympy_zero(to_sympy(a**n) * sa ** (-n) - 1)
+
+
+@needs_sympy
+@settings(max_examples=10, deadline=None)
+@given(field_st, field_st, field_st)
+def test_field_axioms_against_sympy(a, b, c):
+    sa, sb, sc = to_sympy(a), to_sympy(b), to_sympy(c)
+    for left, right in (
+        ((a * b) * c, sa * sb * sc),
+        (a * (b * c), sa * sb * sc),
+        (b * a, sa * sb),
+        ((a + b) + c, sa + sb + sc),
+        (a * (b + c), sa * sb + sa * sc),
+    ):
+        assert sympy_zero(to_sympy(left) - right)
+    if a:
+        assert sympy_zero(to_sympy(a * a.invert()) - 1)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonion.field import J, J2, ONE, ZERO, rational
+from nonion.field import J, J2, ONE, ZERO, FieldElem, rational
 from nonion.matrix import (
     Mat3,
     SingularGramError,
@@ -8,7 +10,8 @@ from nonion.matrix import (
     hs_inner,
 )
 
-from conftest import random_mat3
+import oracle
+from conftest import entry_st, mat3_st, random_mat3
 
 # ---------------------------------------------------------------------------
 # products and determinants
@@ -116,3 +119,70 @@ def test_json_round_trip(nonions):
     assert Mat3.from_json(m.to_json()) == m
     with pytest.raises(ValueError):
         Mat3.from_json([[["1/1"] * 8] * 3] * 2)
+
+
+# ---------------------------------------------------------------------------
+# the sum-of-products kernel against chained FieldElem arithmetic
+# ---------------------------------------------------------------------------
+
+def chained_mul(a: Mat3, b: Mat3) -> Mat3:
+    x, y = a.entries, b.entries
+    return Mat3([x[i] * y[j] + x[i + 1] * y[3 + j] + x[i + 2] * y[6 + j]
+                 for i in (0, 3, 6) for j in (0, 1, 2)])
+
+
+def chained_det(m: Mat3) -> FieldElem:
+    e = m.entries
+    return (
+        e[0] * (e[4] * e[8] - e[5] * e[7])
+        - e[1] * (e[3] * e[8] - e[5] * e[6])
+        + e[2] * (e[3] * e[7] - e[4] * e[6])
+    )
+
+
+def chained_hs_inner(a: Mat3, b: Mat3) -> FieldElem:
+    total = ZERO
+    for x, y in zip(a.entries, b.entries):
+        total = total + x.conjugate_j() * y
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(mat3_st, mat3_st)
+def test_mul_det_hs_inner_match_chained_arithmetic(a, b):
+    assert a * b == chained_mul(a, b)
+    assert a.det() == chained_det(a)
+    assert hs_inner(a, b) == chained_hs_inner(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(entry_st, entry_st, mat3_st)
+def test_sums_that_cancel_give_exact_zero(x, y, m):
+    e = m.entries
+    # entry (0, 0) of a * b is x*y + y*(-x) + 0*e[6]
+    a = Mat3([x, y, ZERO, *e[3:]])
+    b = Mat3([y, e[1], e[2], -x, *e[4:]])
+    p = a * b
+    assert p == chained_mul(a, b) and p[0, 0] == ZERO
+    assert p[0, 0].nums == (0,) * 8 and p[0, 0].den == 1
+    # two equal rows
+    singular = Mat3([*e[:3], *e[3:6], *e[:3]])
+    assert singular.det() == ZERO == chained_det(singular)
+    # conj(x)*y + conj(x)*(-y)
+    assert hs_inner(Mat3([x, x, *e[2:]]), Mat3([y, -y] + [ZERO] * 7)) == ZERO
+
+
+zj_st = st.just(0) | st.integers(-(10**6), 10**6)
+zj_mat_st = st.lists(st.tuples(zj_st, zj_st), min_size=9, max_size=9).map(tuple)
+
+
+def _library(m) -> Mat3:
+    return Mat3([FieldElem((a, b, 0, 0, 0, 0, 0, 0)) for a, b in m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(zj_mat_st, zj_mat_st)
+def test_mul_and_det_against_zj_oracle(a, b):
+    p = _library(a) * _library(b)
+    assert tuple(oracle.from_library_scalar(x) for x in p.entries) == oracle.mat_mul(a, b)
+    assert oracle.from_library_scalar(_library(a).det()) == oracle.det(a)
