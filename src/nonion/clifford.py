@@ -36,10 +36,12 @@ from .field import (
     ONE,
     ZERO,
     FieldElem,
+    add_pairs,
     common_numerators,
     fold_phases,
     j_pow,
     mul_accumulate,
+    numerator_pairs,
     sum_terms,
 )
 
@@ -178,9 +180,10 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
 def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     """The product through the faithful d x d clock-and-shift representation.
 
-    Both operands become matrices of raw 8-int numerator cells, one
-    product of those matrices follows (zero cells skipped), and each
-    monomial's coefficient is read back as tr(M^dagger P) / d.
+    Both operands become matrices of sparse numerator-pair cells, one
+    product of those matrices into raw 8-int cells follows (zero cells
+    skipped), and each monomial's coefficient is read back as
+    tr(M^dagger P) / d.
     """
     d = 3 ** ((n + 1) // 2)
     ma, da = _to_matrix(a, d)
@@ -202,25 +205,21 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
 
 
 def _to_matrix(terms: Terms, d: int) -> tuple[list[list[tuple[int, tuple]]], int]:
-    """Rows of sparse (column, numerators) cells of the d x d matrix
+    """Rows of sparse (column, numerator pairs) cells of the d x d matrix
     sum c_m M_m over one shared denominator, which is returned with them."""
     nums, den = common_numerators(terms.values())
     cells = [[[0] * 8 for _ in range(d)] for _ in range(d)]
     for mono, x in zip(terms, nums):
         dense = [0] * 8
-        for i, v in x:
-            dense[i] = v
+        add_pairs(dense, x)
         turns = [
-            [(i, v) for i, v in enumerate(fold_phases(*rot)) if v]
+            numerator_pairs(fold_phases(*rot))
             for rot in ((dense, None, None), (None, dense, None), (None, None, dense))
         ]
         for col, (row, e) in enumerate(_column_action(mono)):
-            cell = cells[row][col]
-            for i, v in turns[e]:
-                cell[i] += v
+            add_pairs(cells[row][col], turns[e])
     sparse = [
-        [(col, tuple((i, v) for i, v in enumerate(cell) if v)) for col, cell in enumerate(row)
-         if any(cell)]
+        [(col, numerator_pairs(cell)) for col, cell in enumerate(row) if any(cell)]
         for row in cells
     ]
     return sparse, den

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .bases import TWIST_EXPONENTS, nonion_basis
-from .field import FieldElem, j_pow, rational
+from .field import J, J2, ONE, FieldElem, fold_phases, j_pow, rational
 from .matrix import Mat3
 from .poly import MPoly, NonionPoly
 
@@ -72,9 +73,37 @@ def qhat_matrix_view() -> tuple[MPoly, ...]:
     return tuple(grid)
 
 
-def qhat_at(coords: list[FieldElem]) -> Mat3:
-    """Numeric coordinate matrix sum_a coords[a]*q_a."""
-    return Mat3([g.evaluate(coords) for g in qhat_matrix_view()])
+@lru_cache(maxsize=1)
+def _qhat_cells() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(a, k) for each term j^k x_a of each cell of qhat_matrix_view()."""
+    phases = (ONE, J, J2)
+    return tuple(
+        tuple((exp.index(1), phases.index(c)) for exp, c in g.items())
+        for g in qhat_matrix_view()
+    )
+
+
+def qhat_at(coords: Sequence[FieldElem]) -> Mat3:
+    """Numeric coordinate matrix sum_a coords[a]*q_a.
+
+    Each cell is a sum of coordinates times cube-root phases: the
+    coordinates are lifted to the lcm of their denominators and the
+    phases folded in raw numerators, one FieldElem per cell.
+    """
+    if len(coords) != 9:
+        raise ValueError(f"qhat_at needs 9 values, got {len(coords)}")
+    cells = []
+    for cell in _qhat_cells():
+        den = math.lcm(*[coords[a].den for a, _ in cell])
+        classes: list = [None, None, None]
+        for a, k in cell:
+            x = coords[a]
+            s = den // x.den
+            nums = [n * s for n in x.nums]
+            c = classes[k]
+            classes[k] = nums if c is None else [p + q for p, q in zip(c, nums)]
+        cells.append(FieldElem(fold_phases(*classes), den))
+    return Mat3(cells)
 
 
 @lru_cache(maxsize=1)

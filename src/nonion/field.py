@@ -10,6 +10,11 @@ sqrt6^2 = 6.  This is the smallest field containing every scalar the
 library needs: cube-root phases and the radical entries 1/sqrt2,
 1/sqrt6, sqrt(2/3) of the diagonal operators.
 
+The field is Q(j) over Q(sqrt2, sqrt3): coordinates 2r and 2r + 1 are
+the pair x + y*j on the radical r (1, sqrt2, sqrt3, sqrt6), and every
+product, including `FieldElem.__mul__`, is computed one Z[j] pair
+product at a time by the raw kernel `mul_accumulate` below.
+
 Internally an element is stored as 8 integer numerators over a single
 shared positive denominator, reduced so gcd(n0..n7, den) = 1.  That
 form is canonical (it is uniquely determined by the 8 rational
@@ -39,36 +44,16 @@ __all__ = [
 
 BASIS_NAMES = ("1", "j", "√2", "j√2", "√3", "j√3", "√6", "j√6")
 
-# Radical multiplication: _RAD[r1][r2] = (integer factor, radical index)
-# with radical indices 0:1, 1:sqrt2, 2:sqrt3, 3:sqrt6.
+# Radical multiplication: _RAD[r1][r2] = (integer factor m, coordinate
+# index 2r) for radical_r1 * radical_r2 = m * radical_r, with radical
+# indices 0:1, 1:sqrt2, 2:sqrt3, 3:sqrt6; coordinates 2r and 2r + 1 hold
+# the 1- and j-parts on radical r.
 _RAD = (
-    ((1, 0), (1, 1), (1, 2), (1, 3)),
-    ((1, 1), (2, 0), (1, 3), (2, 2)),
-    ((1, 2), (1, 3), (3, 0), (3, 1)),
-    ((1, 3), (2, 2), (3, 1), (6, 0)),
+    ((1, 0), (1, 2), (1, 4), (1, 6)),
+    ((1, 2), (2, 0), (1, 6), (2, 4)),
+    ((1, 4), (1, 6), (3, 0), (3, 2)),
+    ((1, 6), (2, 4), (3, 2), (6, 0)),
 )
-
-
-def _build_mul_table():
-    # _MUL[i][k] = tuple of (basis index, integer coefficient) for b_i * b_k.
-    table = []
-    for i in range(8):
-        r1, e1 = divmod(i, 2)
-        row = []
-        for k in range(8):
-            r2, e2 = divmod(k, 2)
-            m, r = _RAD[r1][r2]
-            e = e1 + e2
-            if e < 2:
-                row.append(((2 * r + e, m),))
-            else:
-                # j^2 = -1 - j
-                row.append(((2 * r, -m), (2 * r + 1, -m)))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-_MUL = _build_mul_table()
 _gcd = math.gcd
 
 
@@ -182,17 +167,7 @@ class FieldElem:
         if not isinstance(other, FieldElem):
             return NotImplemented
         out = [0, 0, 0, 0, 0, 0, 0, 0]
-        bnums = other.nums
-        for i, a in enumerate(self.nums):
-            if not a:
-                continue
-            row = _MUL[i]
-            for k, b in enumerate(bnums):
-                if not b:
-                    continue
-                ab = a * b
-                for idx, c in row[k]:
-                    out[idx] += ab * c
+        mul_accumulate(out, numerator_pairs(self.nums), numerator_pairs(other.nums))
         return FieldElem(out, self.den * other.den)
 
     def __pow__(self, n: int) -> "FieldElem":
@@ -203,8 +178,9 @@ class FieldElem:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no squaring after the last bit
+                base = base * base
         return result
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
@@ -335,12 +311,19 @@ def parse_rational(text: str) -> Fraction:
 # products per output term; so do a matrix entry, a determinant, the
 # Hilbert-Schmidt pairing and a polynomial value.  The raw kernels keep
 # such a sum in integer numerators, so only its final value is built (and
-# gcd-normalised) as a FieldElem.  The graded products put all operands
-# over one shared denominator (common_numerators).  sum_of_products keeps
-# each product over its own factors' denominators and lifts the products
-# once to the lcm of those; with wide, unrelated operand denominators that
-# is far smaller than one denominator shared by all operands.  None of
-# these helpers is part of the public API.
+# gcd-normalised) as a FieldElem.
+#
+# The sparse factor form of the kernels is the tuple of nonzero Z[j]
+# pairs (radical, x, y) of the integer numerators (numerator_pairs), and
+# every field product is one Z[j] product per pair of pairs
+# (mul_accumulate): at most 16 for two dense elements, where the 8
+# coordinates would take 64.  The graded
+# products put all operands over one shared denominator
+# (common_numerators).  sum_of_products keeps each product over its own
+# factors' denominators and lifts the products once to the lcm of those;
+# with wide, unrelated operand denominators that is far smaller than one
+# denominator shared by all operands.  None of these helpers is part of
+# the public API.
 # ----------------------------------------------------------------------
 
 def sum_terms(pairs: Iterable[tuple[Hashable, FieldElem]]) -> dict:
@@ -353,35 +336,65 @@ def sum_terms(pairs: Iterable[tuple[Hashable, FieldElem]]) -> dict:
     return out
 
 
+def numerator_pairs(nums: Sequence[int]) -> tuple:
+    """The nonzero Z[j] pairs ``(radical, x, y)`` of 8 raw numerators, with
+    x and y the numerators of radical and j*radical."""
+    n0, n1, n2, n3, n4, n5, n6, n7 = nums
+    if not (n2 or n3 or n4 or n5 or n6 or n7):
+        return ((0, n0, n1),) if n0 or n1 else ()
+    out = [(0, n0, n1)] if n0 or n1 else []
+    if n2 or n3:
+        out.append((1, n2, n3))
+    if n4 or n5:
+        out.append((2, n4, n5))
+    if n6 or n7:
+        out.append((3, n6, n7))
+    return tuple(out)
+
+
+def add_pairs(acc: list[int], pairs: Iterable[tuple[int, int, int]], s: int = 1) -> None:
+    """``acc += s * pairs`` on 8 raw numerators."""
+    for r, x, y in pairs:
+        i = 2 * r
+        acc[i] += x * s
+        acc[i + 1] += y * s
+
+
 def common_numerators(elems: Collection[FieldElem]) -> tuple[list[tuple], int]:
     """Put elements over one shared denominator as sparse numerators.
 
-    Returns ``(sparse, den)`` where ``sparse[t]`` is the tuple of
-    ``(coordinate index, integer numerator)`` pairs of the nonzero
-    coordinates of ``elems[t] * den``.
+    Returns ``(sparse, den)`` where ``sparse[t]`` is the tuple of nonzero
+    Z[j] pairs ``(radical, x, y)`` of ``elems[t] * den``.
     """
     den = math.lcm(*[e.den for e in elems])
     sparse = []
     for e in elems:
         s = den // e.den
-        sparse.append(tuple([(i, n * s) for i, n in enumerate(e.nums) if n]))
+        sparse.append(numerator_pairs([n * s for n in e.nums]))
     return sparse, den
 
 
-def mul_accumulate(acc: list[int], a: tuple, b: tuple) -> None:
-    """``acc += a * b`` on 8 raw numerators; a and b sparse, as above."""
-    for i, x in a:
-        row = _MUL[i]
-        for k, y in b:
-            xy = x * y
-            for idx, c in row[k]:
-                acc[idx] += xy * c
+def mul_accumulate(acc: list[int], a: Iterable[tuple], b: Sequence[tuple]) -> None:
+    """``acc += a * b`` on 8 raw numerators; a and b in pair form, as above.
+
+    Each pair of pairs is one Z[j] product,
+    (x1 + y1 j)(x2 + y2 j) = (x1 x2 - y1 y2) + (x1 y2 + y1 x2 - y1 y2) j,
+    on the product of the two radicals, scaled by its integer factor.
+    """
+    for r1, x1, y1 in a:
+        rad = _RAD[r1]
+        for r2, x2, y2 in b:
+            m, i = rad[r2]
+            yy = y1 * y2
+            acc[i] += m * (x1 * x2 - yy)
+            acc[i + 1] += m * (x1 * y2 + y1 * x2 - yy)
 
 
 def sparse_numerators(e: FieldElem) -> tuple[tuple, int]:
-    """``(sparse, den)`` of one element: its nonzero ``(index, numerator)``
-    pairs over its own denominator, the factor form of sum_of_products."""
-    return tuple([(i, n) for i, n in enumerate(e.nums) if n]), e.den
+    """``(sparse, den)`` of one element: its nonzero Z[j] pairs
+    ``(radical, x, y)`` over its own denominator, the factor form of
+    sum_of_products."""
+    return numerator_pairs(e.nums), e.den
 
 
 def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
@@ -400,7 +413,7 @@ def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
                 break
             out = [0, 0, 0, 0, 0, 0, 0, 0]
             mul_accumulate(out, acc, sparse)
-            acc = tuple([(i, n) for i, n in enumerate(out) if n])
+            acc = numerator_pairs(out)
             den *= d
         if acc:
             prods.append((acc, den))
@@ -409,9 +422,7 @@ def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
     den = math.lcm(*[d for _, d in prods])
     out = [0, 0, 0, 0, 0, 0, 0, 0]
     for acc, d in prods:
-        s = den // d
-        for i, n in acc:
-            out[i] += n * s
+        add_pairs(out, acc, den // d)
     return FieldElem(out, den)
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import warnings
 
 import pytest
 from hypothesis import strategies as st
@@ -7,6 +8,20 @@ from hypothesis import strategies as st
 from nonion.bases import nonion_basis, tu3_basis
 from nonion.field import J, J2, ONE, SQRT2, SQRT3, SQRT6, ZERO, FieldElem, rational
 from nonion.matrix import Mat3
+
+# When a hypothesis test fails, hypothesis imports hypothesis.extra._patching
+# to print a patch; libcst, which that module imports, uses the deprecated
+# mypy_extensions.TypedDict.  Under filterwarnings = ["error"] that warning
+# ends the whole run with INTERNALERROR instead of reporting the failure, so
+# the module is imported once here with only this import's warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst not installed: hypothesis skips the patch
+        pass
 
 
 def random_field_elem(rng: random.Random, density: float = 0.5, bound: int = 99) -> FieldElem:

@@ -66,6 +66,26 @@ def test_evaluate_needs_nine_values():
 def test_qhat_at_needs_nine_coordinates():
     with pytest.raises(ValueError, match="needs 9 values, got 4"):
         qhat_at([ONE, J, J2, rational(2)])
+    with pytest.raises(ValueError, match="needs 9 values, got 10"):
+        qhat_at([ONE] * 10)
+    with pytest.raises(ValueError, match="needs 9 values, got 0"):
+        qhat_at([])
+
+
+# points: rationals over mixed small denominators, radical and phase values,
+# and wide elements with unrelated 9-digit denominators mixed with zeros
+point_st = st.one_of(
+    st.lists(st.builds(rational, st.integers(-99, 99), st.integers(1, 99)), min_size=9, max_size=9),
+    st.lists(radical_st, min_size=9, max_size=9),
+    st.lists(entry_st, min_size=9, max_size=9),
+    st.lists(wide_elem_st, min_size=9, max_size=9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_st)
+def test_qhat_at_equals_evaluated_grid(x):
+    assert qhat_at(x) == Mat3([g.evaluate(x) for g in qhat_matrix_view()])
 
 
 def chained_evaluate(p: MPoly, values) -> FieldElem:

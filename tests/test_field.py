@@ -19,8 +19,10 @@ from nonion.field import (
     fold_phases,
     j_pow,
     mul_accumulate,
+    numerator_pairs,
     parse_rational,
     rational,
+    sum_of_products,
 )
 
 from conftest import needs_sympy, random_field_elem, sympy_zero, to_sympy
@@ -231,10 +233,13 @@ wide_st = st.builds(
 )
 
 
-def _dense(sparse) -> list[int]:
+def _dense(pairs) -> list[int]:
+    """8 numerators from nonzero Z[j] pairs (radical, x, y), radicals ascending."""
     out = [0] * 8
-    for i, v in sparse:
-        out[i] = v
+    assert [r for r, _, _ in pairs] == sorted({r for r, _, _ in pairs})
+    for r, x, y in pairs:
+        assert x or y
+        out[2 * r], out[2 * r + 1] = x, y
     return out
 
 
@@ -244,7 +249,6 @@ def test_common_numerators_against_field_elems(elems):
     sparse, den = common_numerators(elems)
     assert den == math.lcm(*(e.den for e in elems))
     for e, x in zip(elems, sparse):
-        assert all(v for _, v in x)
         assert FieldElem(_dense(x), den) == e
 
 
@@ -257,6 +261,95 @@ def test_mul_accumulate_against_field_products(pairs):
     for x, y in zip(left, right):
         mul_accumulate(acc, x, y)
     assert FieldElem(acc, da * db) == sum((a * b for a, b in pairs), ZERO)
+
+
+# The coordinate-by-coordinate product the Z[j] pair kernel replaced:
+# _COORD_MUL[i][k] lists (index, integer coefficient) of b_i * b_k on the
+# basis [1, j, sqrt2, j sqrt2, sqrt3, j sqrt3, sqrt6, j sqrt6], rebuilt here
+# from the radicands and j^2 = -1 - j.
+_RADICANDS = (1, 2, 3, 6)
+
+
+def _coord_mul_entry(i: int, k: int) -> tuple:
+    (r1, e1), (r2, e2) = divmod(i, 2), divmod(k, 2)
+    n = _RADICANDS[r1] * _RADICANDS[r2]
+    m = next(m for m in (6, 3, 2, 1) if n % (m * m) == 0)
+    r = _RADICANDS.index(n // (m * m))
+    if e1 + e2 < 2:
+        return ((2 * r + e1 + e2, m),)
+    return ((2 * r, -m), (2 * r + 1, -m))
+
+
+_COORD_MUL = [[_coord_mul_entry(i, k) for k in range(8)] for i in range(8)]
+
+
+def _coord_mul_accumulate(acc: list[int], a: list[int], b: list[int]) -> None:
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            if x and y:
+                for idx, c in _COORD_MUL[i][k]:
+                    acc[idx] += x * y * c
+
+
+_int9 = st.integers(-(10**9), 10**9)
+
+
+def _on_radical(r: int, x: int, y: int) -> list[int]:
+    out = [0] * 8
+    out[2 * r], out[2 * r + 1] = x, y
+    return out
+
+
+# raw numerators of every shape the kernels see: rationals (y = 0), pure j
+# (x = 0), Z[j] values, values on one radical, dense and sparse wide values
+# with 9-digit numerators, and zero
+nums_st = st.one_of(
+    st.builds(_on_radical, st.just(0), _int9, st.just(0)),
+    st.builds(_on_radical, st.just(0), st.just(0), _int9),
+    st.builds(_on_radical, st.just(0), _int9, _int9),
+    st.builds(_on_radical, st.integers(1, 3), _int9, _int9),
+    st.lists(_int9, min_size=8, max_size=8),
+    st.lists(st.just(0) | _int9, min_size=8, max_size=8),
+    st.just([0] * 8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(nums_st, nums_st), min_size=1, max_size=4))
+def test_mul_accumulate_against_coordinate_table(pairs):
+    acc, expected = [0] * 8, [0] * 8
+    for a, b in pairs:
+        x, y = numerator_pairs(a), numerator_pairs(b)
+        assert _dense(x) == a and _dense(y) == b
+        mul_accumulate(acc, x, y)
+        _coord_mul_accumulate(expected, a, b)
+    assert acc == expected
+
+
+factor_st = st.tuples(nums_st, st.integers(1, 10**9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(factor_st, min_size=1, max_size=4), min_size=1, max_size=5),
+       st.booleans())
+def test_sum_of_products_against_coordinate_table(rows, cancel):
+    if cancel:  # the first row again, negated: the two products cancel
+        (nums, den), *rest = rows[0]
+        rows = rows + [[([-n for n in nums], den), *rest]]
+    prods = []
+    for row in rows:
+        acc, den = row[0]
+        for nums, d in row[1:]:
+            out = [0] * 8
+            _coord_mul_accumulate(out, acc, nums)
+            acc, den = out, den * d
+        prods.append((acc, den))
+    lcm = math.lcm(*(d for _, d in prods))
+    total = [sum(acc[i] * (lcm // d) for acc, d in prods) for i in range(8)]
+    got = sum_of_products([[(numerator_pairs(n), d) for n, d in row] for row in rows])
+    assert got == FieldElem(total, lcm)
+    if cancel and len(rows) == 2:
+        assert got == ZERO
 
 
 @settings(max_examples=60, deadline=None)
