@@ -23,6 +23,11 @@ term pair, and the matrix kernel multiplies the two d x d images
 (d = 3^ceil(n/2)) and reads each coefficient back as tr(M^dagger P)/d.
 Sparse products, such as generator words, take the first; dense ones
 the second.
+
+One readback (`_read_back`) serves both graded algebras: at n = 2 the
+monomials, up to a phase, are the nonion units, and
+`matrix.decompose_in_basis` reads a 3x3 matrix's nonion coefficients
+through it, three cells folded by phase per coefficient.
 """
 
 from __future__ import annotations
@@ -182,7 +187,7 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
 
     Both operands become matrices of sparse numerator-pair cells, one
     product of those matrices into raw 8-int cells follows (zero cells
-    skipped), and each monomial's coefficient is read back as
+    skipped), and `_read_back` gives each monomial's coefficient as
     tr(M^dagger P) / d.
     """
     d = 3 ** ((n + 1) // 2)
@@ -193,15 +198,34 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
         for k, x in row:
             for col, y in mb[k]:
                 mul_accumulate(out[col], x, y)
-    coeffs = {}
-    for mono in product(range(3), repeat=n):
+    monos = list(product(range(3), repeat=n))
+    return {
+        mono: FieldElem(nums, da * db * d)
+        for mono, nums in zip(monos, _read_back(prod, map(_column_action, monos)))
+        if any(nums)
+    }
+
+
+def _read_back(cells: list[list], actions: Iterable[list[tuple[int, int]]]) -> list[list[int]]:
+    """tr(M^dagger P) for each phase-monomial matrix M, on raw numerators.
+
+    P is d x d cells of 8 raw numerators over one shared denominator (a
+    zero cell may be None), and each M is given by its column action,
+    the (row, j-exponent) of its one nonzero entry in each column.  The
+    trace picks one cell of P per column, and the conjugated phase
+    j^-e sorts it into a phase class; the three class sums fold into one
+    value.  For a clock-and-shift monomial, dividing by d and by the
+    cells' denominator gives its coefficient in P.
+    """
+    out = []
+    for action in actions:
         classes: list[list] = [[], [], []]
-        for col, (row, e) in enumerate(_column_action(mono)):
-            classes[-e % 3].append(prod[row][col])
-        nums = fold_phases(*[[sum(z) for z in zip(*c)] if c else None for c in classes])
-        if any(nums):
-            coeffs[mono] = FieldElem(nums, da * db * d)
-    return coeffs
+        for col, (row, e) in enumerate(action):
+            cell = cells[row][col]
+            if cell is not None:
+                classes[-e % 3].append(cell)
+        out.append(fold_phases(*[[sum(z) for z in zip(*c)] if c else None for c in classes]))
+    return out
 
 
 def _to_matrix(terms: Terms, d: int) -> tuple[list[list[tuple[int, tuple]]], int]:

@@ -292,7 +292,12 @@ class FieldElem:
 
 def rational(p: int, q: int = 1) -> FieldElem:
     """The rational number p/q as a field element."""
-    return FieldElem.from_fraction(Fraction(p, q))
+    if q < 0:
+        p, q = -p, -q
+    elif not q:
+        raise ZeroDivisionError(f"rational({p}, 0)")
+    g = _gcd(p, q)
+    return FieldElem((p // g, 0, 0, 0, 0, 0, 0, 0), q // g, _reduced=True)
 
 
 def parse_rational(text: str) -> Fraction:

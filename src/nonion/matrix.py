@@ -17,9 +17,12 @@ sqrt6 are real numbers and are left untouched.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .field import ZERO, ONE, FieldElem, sparse_numerators, sum_of_products
+from .clifford import _read_back
+from .field import ZERO, ONE, J, J2, FieldElem, sparse_numerators, sum_of_products
 
 __all__ = [
     "Mat3",
@@ -185,7 +188,43 @@ def decompose_in_basis(
     The basis must be hs-orthogonal with nine elements, as both bases in
     `nonion.bases` are; it then spans M3 and the coefficients rebuild m
     exactly.  Raises SingularGramError on a zero gram entry.
+
+    Each coefficient is tr(b^dagger m) divided by its gram value.  When
+    every basis element has one nonzero entry per column and that entry
+    is 1, j or j^2 (the nonion basis), the pairings are
+    `clifford._read_back` on m lifted to the lcm of its denominators:
+    three cells folded by phase per coefficient.  Any other basis (TU3)
+    pairs with `hs_inner`.
     """
     if any(g.is_zero() for g in gram):
         raise SingularGramError("basis has a zero-norm element")
-    return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
+    basis = tuple(basis)
+    actions = _projection_plan(basis)
+    if actions is None:
+        return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
+    den = math.lcm(*[x.den for x in m.entries])
+    cells = [
+        [[n * (den // x.den) for n in x.nums] if x else None for x in m.entries[i : i + 3]]
+        for i in (0, 3, 6)
+    ]
+    return tuple(FieldElem(nums, den) / g for nums, g in zip(_read_back(cells, actions), gram))
+
+
+_PHASES = {ONE: 0, J: 1, J2: 2}
+
+
+@lru_cache(maxsize=8)
+def _projection_plan(basis: tuple[Mat3, ...]) -> tuple | None:
+    """The column action of each element, read off its entries: the (row,
+    j-exponent) of the one nonzero entry in each column.  None when some
+    column has more than one nonzero entry or one that is not 1, j or j^2."""
+    actions = []
+    for b in basis:
+        action = []
+        for col in range(3):
+            cells = [(row, b[row, col]) for row in range(3) if b[row, col]]
+            if len(cells) != 1 or cells[0][1] not in _PHASES:
+                return None
+            action.append((cells[0][0], _PHASES[cells[0][1]]))
+        actions.append(action)
+    return tuple(actions)

@@ -8,21 +8,23 @@ plain dict representation is ample.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 from .bases import nonion_basis
-from .field import ONE, ZERO, FieldElem, sparse_numerators, sum_of_products, sum_terms
+from .field import ONE, ZERO, FieldElem, add_pairs, mul_accumulate, numerator_pairs, sum_terms
 
 __all__ = ["NVARS", "MPoly", "NonionPoly"]
 
 NVARS = 9
 _ZERO_EXP = (0,) * NVARS
+_UNIT = ((0, 1, 0),)  # the pair form of 1
 
 
 class MPoly:
     """Immutable sparse polynomial: map exponent-tuple -> FieldElem."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms: Mapping[tuple[int, ...], FieldElem] | None = None):
         clean = {}
@@ -69,12 +71,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degrees(self) -> set[int]:
-        return {sum(e) for e in self.terms}
-
-    def has_rational_coeffs(self) -> bool:
-        return all(c.is_rational() for c in self.terms.values())
-
     # ------------------------------------------------------------------
     def __add__(self, other: "MPoly") -> "MPoly":
         if not isinstance(other, MPoly):
@@ -111,22 +107,23 @@ class MPoly:
     def evaluate(self, values: Sequence[FieldElem]) -> FieldElem:
         """Exact evaluation at a point of NVARS values.
 
-        Each term is one product, coefficient times variables, in
-        `field.sum_of_products`.
+        Runs a Horner plan that is built on the first call and kept on
+        the polynomial (`_horner_plan`): the terms are grouped by a shared
+        variable, so each group is multiplied by it once.  A rational
+        coefficient p/q is an integer scale applied when the sums are
+        lifted to a common denominator; any other coefficient is a field
+        factor.  Only the final value is gcd-normalised.
         """
         if len(values) != NVARS:
             raise ValueError(f"evaluate needs {NVARS} values, got {len(values)}")
-        xs: list = [None] * NVARS  # each value's sparse form, made on first use
-        rows = []
-        for exp, c in self.terms.items():
-            row = [sparse_numerators(c)]
-            for i, e in enumerate(exp):
-                if e:
-                    if xs[i] is None:
-                        xs[i] = sparse_numerators(values[i])
-                    row += [xs[i]] * e
-            rows.append(row)
-        return sum_of_products(rows)
+        plan = getattr(self, "_plan", None)
+        if plan is None:
+            plan = _horner_plan([(list(e), c) for e, c in self.terms.items()])
+            object.__setattr__(self, "_plan", plan)
+        pairs, den, scale = _run_plan(plan, [(numerator_pairs(v.nums), v.den) for v in values])
+        out = [0] * 8
+        add_pairs(out, _UNIT if pairs is None else pairs, scale)
+        return FieldElem(out, den)
 
     def permute_vars(self, mapping: Mapping[int, int]) -> "MPoly":
         """Apply the substitution x_i -> x_mapping[i] (a permutation)."""
@@ -172,6 +169,71 @@ class MPoly:
                 raise ValueError(f"duplicate monomial {exp}")
             terms[exp] = c
         return cls(terms)
+
+
+def _horner_plan(terms: list[tuple[list[int], FieldElem]]) -> tuple:
+    """A greedy multivariate Horner scheme for a sum of terms.
+
+    The plan is a tuple of nodes.  A node (v, sub) is x_v times the value
+    of the plan sub, built from the terms that contain x_v with one
+    power of it taken out; v is the variable in the most terms, and the
+    rest are planned the same way.  A constant term is a leaf (-1, f):
+    f = (None, q, p) for a rational p/q, or (pairs, den, 1) for any
+    other coefficient, in the (pairs, den, scale) form of `_run_plan`.
+    """
+    nodes = []
+    while terms:
+        counts = [sum(1 for e, _ in terms if e[v]) for v in range(NVARS)]
+        v = counts.index(max(counts))
+        if not counts[v]:
+            nodes += [
+                (-1, (None, c.den, c.nums[0]) if c.is_rational() else (numerator_pairs(c.nums), c.den, 1))
+                for _, c in terms
+            ]
+            break
+        inner = [([*e[:v], e[v] - 1, *e[v + 1 :]], c) for e, c in terms if e[v]]
+        nodes.append((v, _horner_plan(inner)))
+        terms = [(e, c) for e, c in terms if not e[v]]
+    return tuple(nodes)
+
+
+def _run_plan(plan: tuple, xs: list[tuple[tuple, int]]) -> tuple:
+    """The value of a Horner plan at the point xs, each value in sparse
+    (pairs, den) form, as raw (pairs, den, scale): scale * pairs / den,
+    with pairs None for the constant 1 and () for zero.
+
+    Each node's value is one product of Z[j] pairs (none when the node
+    multiplies a constant); the values of a plan with several nodes are
+    lifted once to the lcm of their denominators, each times its scale,
+    and summed.
+    """
+    vals = []
+    for v, sub in plan:
+        if v < 0:
+            vals.append(sub)
+            continue
+        x, d = xs[v]
+        if not x:
+            continue
+        pairs, den, scale = _run_plan(sub, xs)
+        if pairs is None:
+            pairs = x
+        elif pairs:
+            out = [0, 0, 0, 0, 0, 0, 0, 0]
+            mul_accumulate(out, pairs, x)
+            pairs = numerator_pairs(out)
+        else:
+            continue
+        vals.append((pairs, den * d, scale))
+    if len(vals) == 1:
+        return vals[0]
+    if not vals:
+        return (), 1, 1
+    den = math.lcm(*[d for _, d, _ in vals])
+    out = [0, 0, 0, 0, 0, 0, 0, 0]
+    for pairs, d, scale in vals:
+        add_pairs(out, _UNIT if pairs is None else pairs, scale * (den // d))
+    return numerator_pairs(out), den, 1
 
 
 class NonionPoly:

@@ -19,6 +19,7 @@ from nonion.cubic import (
 from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
 from nonion.fixtures import surface_poly_fixture
 from nonion.matrix import Mat3
+from nonion import poly
 from nonion.poly import MPoly
 
 import oracle
@@ -103,14 +104,74 @@ def chained_evaluate(p: MPoly, values) -> FieldElem:
 monomial_st = st.lists(st.integers(0, 8), max_size=3).map(
     lambda vs: tuple(vs.count(i) for i in range(9))
 )
-poly_st = st.dictionaries(monomial_st, radical_st | wide_elem_st, max_size=8).map(MPoly)
+# coefficients: rationals (an integer scale in the Horner plan), radical
+# and phase values, and wide elements (field factors in the plan)
+coeff_st = (
+    st.builds(rational, st.integers(-9, 9), st.integers(1, 9)) | radical_st | wide_elem_st
+)
+poly_st = st.dictionaries(monomial_st, coeff_st, max_size=8).map(MPoly)
+# over three variables only, so groups share variables and squares and
+# cubes (x0^2 x1, x2^3) are common
+shared_poly_st = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=3).map(lambda vs: tuple(vs.count(i) for i in range(9))),
+    coeff_st,
+    max_size=10,
+).map(MPoly)
 point_st = st.lists(entry_st, min_size=9, max_size=9)
 
 
 @settings(max_examples=40, deadline=None)
-@given(poly_st, point_st)
-def test_evaluate_matches_chained_arithmetic(p, x):
+@given(poly_st | shared_poly_st, point_st, point_st)
+def test_evaluate_matches_chained_arithmetic(p, x, y):
     assert p.evaluate(x) == chained_evaluate(p, x)
+    # the second point reuses the plan built by the first
+    plan = p._plan
+    assert p.evaluate(y) == chained_evaluate(p, y)
+    assert p._plan is plan
+
+
+def test_evaluate_plan_spot_cases():
+    x = [ONE + J, rational(-2, 3), J2 * rational(5, 7)] + [rational(k, 4) for k in range(6)]
+    zero = MPoly.zero().evaluate(x)
+    assert zero == ZERO and zero.nums == (0,) * 8 and zero.den == 1
+    assert MPoly.const(J * rational(3, 9)).evaluate(x) == J * rational(1, 3)
+    assert MPoly.const(rational(-4, 6)).evaluate(x) == rational(-2, 3)
+    # x0^2 x1 with a rational and x2^3 with a field coefficient, plus a constant
+    p = (
+        MPoly.monomial(mono(x0=2, x1=1), rational(-3, 4))
+        + MPoly.monomial(mono(x2=3), J * rational(2, 5))
+        + MPoly.const(J2)
+    )
+    expected = rational(-3, 4) * x[0] * x[0] * x[1] + J * rational(2, 5) * x[2] ** 3 + J2
+    assert p.evaluate(x) == expected == chained_evaluate(p, x)
+    # the group x0 (x1 - x2) sums to zero inside the plan at x1 = x2
+    q = MPoly.var(0) * (MPoly.var(1) - MPoly.var(2)) + MPoly.const(rational(5))
+    assert q.evaluate([J, ONE + J, ONE + J] + [ONE] * 6) == rational(5)
+    # a zero value drops its whole group
+    assert q.evaluate([ZERO, ONE, J] + [ONE] * 6) == rational(5)
+
+
+def test_evaluate_arity_error_before_and_after_the_plan():
+    p = MPoly.var(3) * MPoly.var(4) + MPoly.const(J)
+    with pytest.raises(ValueError, match="evaluate needs 9 values, got 8"):
+        p.evaluate([ONE] * 8)
+    assert p.evaluate([rational(2)] * 9) == rational(4) + J
+    with pytest.raises(ValueError, match="evaluate needs 9 values, got 10"):
+        p.evaluate([ONE] * 10)
+    assert p.evaluate([ONE] * 9) == ONE + J
+
+
+def test_cubic_norm_plan_makes_30_products(monkeypatch):
+    # 21 terms: the nine cubes and -3 on the twelve lines of AG(2, 3); the
+    # plan multiplies 30 times where one product per factor would take 63
+    calls = []
+    real = poly.mul_accumulate
+    monkeypatch.setattr(poly, "mul_accumulate", lambda *args: (calls.append(1), real(*args)))
+    x = [FieldElem([k + 1, -k, 2, k, 3 - k, 1, -1, k * k], 7 + k) for k in range(9)]
+    det = det_poly()
+    assert len(det.terms) == 21
+    assert det.evaluate(x) == chained_evaluate(det, x) == qhat_at(x).det()
+    assert len(calls) == 30
 
 
 @settings(max_examples=15, deadline=None)
@@ -184,8 +245,12 @@ def test_det_axis_restrictions():
         assert det.evaluate(coords) == t * t * t
 
 
+def has_rational_coeffs(p: MPoly) -> bool:
+    return all(c.is_rational() for c in p.terms.values())
+
+
 def test_det_has_rational_coefficients():
-    assert det_poly().has_rational_coeffs()
+    assert has_rational_coeffs(det_poly())
 
 
 def test_variants_equal_det():

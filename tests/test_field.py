@@ -50,6 +50,25 @@ def test_add_negate_gives_exact_zero():
     assert z == ZERO and z.nums == (0,) * 8 and z.den == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(10**30), 10**30) | st.integers(-12, 12),
+    (st.integers(-(10**30), 10**30) | st.integers(-12, 12)).filter(bool),
+)
+def test_rational_equals_the_reduced_fraction(p, q):
+    x = rational(p, q)
+    assert x == FieldElem.from_fraction(Fraction(p, q))
+    assert x.den > 0 and math.gcd(x.nums[0], x.den) == 1
+
+
+def test_rational_rejects_a_zero_denominator():
+    for p in (0, 1, -7):
+        with pytest.raises(ZeroDivisionError):
+            rational(p, 0)
+    assert rational(0, -5) == ZERO and rational(0, -5).den == 1
+    assert rational(6, -4) == FieldElem((-3, 0, 0, 0, 0, 0, 0, 0), 2)
+
+
 def test_json_round_trip_and_zero_encoding():
     x = rational(-3, 4) + J * rational(5) + SQRT6 * rational(1, 6)
     enc = x.to_json()

@@ -1,8 +1,13 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonion.field import J, J2, ONE, ZERO, FieldElem, rational
+from nonion import clifford, matrix
+from nonion.bases import nonion_basis, tu3_basis
+from nonion.field import J, J2, ONE, SQRT2, ZERO, FieldElem, rational
 from nonion.matrix import (
     Mat3,
     SingularGramError,
@@ -11,7 +16,7 @@ from nonion.matrix import (
 )
 
 import oracle
-from conftest import entry_st, mat3_st, random_mat3
+from conftest import entry_st, mat3_st, radical_st, random_field_elem, random_mat3, wide_elem_st
 
 # ---------------------------------------------------------------------------
 # products and determinants
@@ -108,10 +113,17 @@ def test_decompose_round_trip_random(rng, nonions, tu3):
             assert rebuilt == m
 
 
-def test_decompose_errors(nonions):
+def test_decompose_errors(nonions, tu3):
     q = nonions.elements
     with pytest.raises(SingularGramError):
         decompose_in_basis(q[1], q, (ZERO,) * 9)
+    # one zero gram is enough, and it is raised before any projection
+    for basis in (nonions, tu3):
+        grams = (*basis.grams[:4], ZERO, *basis.grams[5:])
+        with pytest.raises(SingularGramError):
+            decompose_in_basis(basis.elements[4], basis.elements, grams)
+    with pytest.raises(SingularGramError):
+        decompose_in_basis(Mat3.zero(), [Mat3.identity()] * 9, (ONE,) * 8 + (ZERO,))
 
 
 def test_json_round_trip(nonions):
@@ -186,3 +198,95 @@ def test_mul_and_det_against_zj_oracle(a, b):
     p = _library(a) * _library(b)
     assert tuple(oracle.from_library_scalar(x) for x in p.entries) == oracle.mat_mul(a, b)
     assert oracle.from_library_scalar(_library(a).det()) == oracle.det(a)
+
+
+# ---------------------------------------------------------------------------
+# the clock-and-shift readback: nonion decompositions and dense Clifford
+# products share clifford._read_back
+# ---------------------------------------------------------------------------
+
+def hs_decompose(m: Mat3, basis, grams) -> tuple:
+    """The projection as chained arithmetic: tr(b^dagger m) / gram."""
+    return tuple(chained_hs_inner(b, m) / g for b, g in zip(basis, grams))
+
+
+# radical, Z[j] and wide entries, with zero cells common
+readback_mat_st = mat3_st | zj_mat_st.map(_library)
+
+
+@settings(max_examples=60, deadline=None)
+@given(readback_mat_st)
+def test_nonion_decompose_matches_hs_projection(m):
+    q = nonion_basis()
+    coeffs = decompose_in_basis(m, q.elements, q.grams)
+    assert coeffs == hs_decompose(m, q.elements, q.grams)
+    rebuilt = Mat3.zero()
+    for c, b in zip(coeffs, q.elements):
+        rebuilt = rebuilt + b.scale(c)
+    assert rebuilt == m
+
+
+@settings(max_examples=30, deadline=None)
+@given(readback_mat_st, st.lists((radical_st | wide_elem_st).filter(bool), min_size=9, max_size=9))
+def test_nonion_decompose_divides_by_any_gram(m, grams):
+    q = nonion_basis().elements
+    six = (rational(6),) * 9
+    assert decompose_in_basis(m, q, six) == tuple(
+        c * rational(1, 2) for c in decompose_in_basis(m, q, nonion_basis().grams)
+    )
+    assert decompose_in_basis(m, q, six) == hs_decompose(m, q, six)
+    # rational grams of either sign, and field grams, one per element
+    assert decompose_in_basis(m, q, grams) == hs_decompose(m, q, grams)
+    mixed = [rational(-5, 7), rational(1, 3), J, SQRT2, rational(9)] + grams[5:]
+    assert decompose_in_basis(m, q, mixed) == hs_decompose(m, q, mixed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(readback_mat_st)
+def test_tu3_decompose_matches_hs_projection(m):
+    t = tu3_basis()
+    assert decompose_in_basis(m, t.elements, t.grams) == hs_decompose(m, t.elements, t.grams)
+
+
+def test_decompose_reads_back_only_phase_monomial_bases(monkeypatch, nonions, tu3):
+    calls = []
+    real = matrix.hs_inner
+    monkeypatch.setattr(matrix, "hs_inner", lambda a, b: (calls.append(1), real(a, b))[1])
+    m = Mat3([rational(k - 4, k + 1) * J for k in range(9)])
+    coeffs = decompose_in_basis(m, nonions.elements, nonions.grams)
+    halves = (rational(3, 2),) * 9
+    assert decompose_in_basis(m, nonions.elements, halves) == tuple(c * rational(2) for c in coeffs)
+    assert calls == []
+    decompose_in_basis(m, tu3.elements, tu3.grams)
+    assert len(calls) == 9
+    # a phase times a nonion element still reads back; any other multiple pairs
+    phased = (nonions.elements[0].scale(J2), *nonions.elements[1:])
+    assert decompose_in_basis(m, phased, nonions.grams) == hs_decompose(m, phased, nonions.grams)
+    # so does any matrix with one entry 1, j or j^2 per column, clock-and-shift or not
+    swap = Mat3([ZERO, J, ZERO, ONE, ZERO, ZERO, ZERO, ZERO, J2])
+    swapped = (swap, *nonions.elements[1:])
+    assert decompose_in_basis(m, swapped, nonions.grams) == hs_decompose(m, swapped, nonions.grams)
+    assert len(calls) == 9
+    scaled = (nonions.elements[0].scale(rational(2)), *nonions.elements[1:])
+    grams = (rational(12), *nonions.grams[1:])
+    assert decompose_in_basis(m, scaled, grams) == hs_decompose(m, scaled, grams)
+    assert len(calls) == 18
+    # as does an element with a zero column
+    corner = (Mat3([ONE] + [ZERO] * 8), *nonions.elements[1:])
+    grams = (ONE, *nonions.grams[1:])
+    assert decompose_in_basis(m, corner, grams) == hs_decompose(m, corner, grams)
+    assert len(calls) == 27
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dense_clifford_matrix_product_matches_pairwise_kernel(n):
+    rng = random.Random(900 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+
+    def dense():
+        return {m: random_field_elem(rng, density=0.4, bound=30) or ONE for m in monos}
+
+    a, b = dense(), dense()
+    assert clifford._matrix_product(n, a, b) == {
+        m: c for m, c in clifford._pairwise_product(a, b).items() if c
+    }
