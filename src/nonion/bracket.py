@@ -121,6 +121,11 @@ class TableDiff:
 
 
 def load_table_fixture(path: Union[str, Path]) -> dict:
+    return _load_table_rows(path)[0]
+
+
+def _load_table_rows(path: Union[str, Path]) -> tuple[dict, list[list[tuple[int, FieldElem]]]]:
+    """The validated fixture and, row by row, its (index, coefficient) targets."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -136,14 +141,16 @@ def load_table_fixture(path: Union[str, Path]) -> dict:
     if len(rows) != 84:
         raise FixtureRowCountError(f"fixture {path} has {len(rows)} rows, expected 84")
     seen = set()
+    parsed = []
     for row in rows:
         try:
             trip = tuple(row["triple"])
             is_sorted = trip == tuple(sorted(trip))
+            targets = []
             for tgt in row["targets"]:
                 if not isinstance(tgt["index"], int):
                     raise ValueError(f"target index {tgt['index']!r} is not an integer")
-                FieldElem.from_json(tgt["coeff"])
+                targets.append((tgt["index"], FieldElem.from_json(tgt["coeff"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureParseError(f"fixture {path} row is malformed: {exc}") from exc
         if not is_sorted or len(trip) != 3:
@@ -151,25 +158,23 @@ def load_table_fixture(path: Union[str, Path]) -> dict:
         if trip in seen:
             raise FixtureParseError(f"fixture {path}: duplicate triple {trip}")
         seen.add(trip)
-    return data
+        parsed.append(targets)
+    return data, parsed
 
 
 def diff_table(computed: Sequence[StructureRow], fixture_path: Union[str, Path]) -> TableDiff:
     """Exact per-row comparison; deterministic order, fixture untouched."""
-    fixture = load_table_fixture(fixture_path)
-    by_triple = {tuple(r["triple"]): r for r in fixture["rows"]}
+    fixture, parsed = _load_table_rows(fixture_path)
+    by_triple = {tuple(r["triple"]): (r, dict(t)) for r, t in zip(fixture["rows"], parsed)}
     out = []
     matches = mismatches = missing = 0
     for row in sorted(computed, key=lambda r: r.triple):
-        frow = by_triple.pop(row.triple, None)
+        frow, expected = by_triple.pop(row.triple, (None, None))
         computed_targets = {n: c for n, c in row.targets}
         if frow is None:
             missing += 1
             out.append({"triple": row.triple, "status": "MissingInFixture"})
             continue
-        expected = {
-            t["index"]: FieldElem.from_json(t["coeff"]) for t in frow["targets"]
-        }
         if expected == computed_targets:
             matches += 1
             out.append({"triple": row.triple, "status": "Match"})

@@ -22,7 +22,11 @@ counts: the pairwise kernel sums the normal-ordered product of every
 term pair, and the matrix kernel multiplies the two d x d images
 (d = 3^ceil(n/2)) and reads each coefficient back as tr(M^dagger P)/d.
 Sparse products, such as generator words, take the first; dense ones
-the second.
+the second.  The matrix kernel packs each row of the right image into
+big integers of d 64-bit slots (Kronecker substitution), so one raw
+product per nonzero cell of the left image does a whole output row; it
+falls back to one raw product per cell triple when the operands'
+numerators are too wide for the slots.
 
 One readback (`_read_back`) serves both graded algebras: at n = 2 the
 monomials, up to a phase, are the nonion units, and
@@ -32,8 +36,10 @@ through it, three cells folded by phase per coefficient.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import mul
 from typing import Iterable, Mapping
 
@@ -151,8 +157,18 @@ def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
         b.append((e1 + later) % 3)
         later += e0 + e1
         c += 2 * (e1 == 1)  # (j^2 X Z)^e = j^(2e - e(e-1)/2) X^e Z^e
+    rows = _shifted_rows(tuple(reversed(a)))
     phases = _clock_phases(tuple(reversed(b)))
-    return [(row, (c + p) % 3) for row, p in zip(_shifted_rows(tuple(reversed(a))), phases)]
+    entries = _entries(len(rows))
+    return [entries[3 * row + (c + p) % 3] for row, p in zip(rows, phases)]
+
+
+@lru_cache(maxsize=16)
+def _entries(d: int) -> tuple[tuple[int, int], ...]:
+    """Every (row, j-exponent) pair, (row, e) at 3 * row + e.  The column
+    actions of all 3^n monomials, which a dense product holds at once,
+    share these pairs instead of holding d tuples each."""
+    return tuple((row, e) for row in range(d) for e in range(3))
 
 
 @lru_cache(maxsize=1024)
@@ -177,7 +193,12 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     """Cost model: ta*tb term pairs against one d x d product (d = 3^ceil(n/2))
     plus the conversions, about (ta + tb + 3^n) * d cell updates.  A term
     pair (normal ordering, a dict lookup and a cell update) costs about
-    two cell updates."""
+    two cell updates.
+
+    d^3 is the cost of the per-cell product, which wide operands still
+    take; the packed-row product that narrow operands take is never
+    slower, so for them d^3 is an upper bound and every product the model
+    sends to the matrix kernel still belongs there."""
     d = 3 ** ((n + 1) // 2)
     return 2 * ta * tb > d**3 + (ta + tb + 3**n) * d
 
@@ -185,25 +206,85 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
 def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     """The product through the faithful d x d clock-and-shift representation.
 
-    Both operands become matrices of sparse numerator-pair cells, one
-    product of those matrices into raw 8-int cells follows (zero cells
-    skipped), and `_read_back` gives each monomial's coefficient as
-    tr(M^dagger P) / d.
+    Both operands become d x d matrices of raw 8-int cells over one shared
+    denominator each, their product follows (`_packed_product` when its
+    slots provably fit, else `_cell_product`), and `_read_back` gives each
+    monomial's coefficient as tr(M^dagger P) / d.  Each monomial's column
+    action is computed once and serves both conversions and the readback.
     """
     d = 3 ** ((n + 1) // 2)
-    ma, da = _to_matrix(a, d)
-    mb, db = _to_matrix(b, d)
-    prod = [[[0] * 8 for _ in range(d)] for _ in range(d)]
-    for out, row in zip(prod, ma):
-        for k, x in row:
-            for col, y in mb[k]:
-                mul_accumulate(out[col], x, y)
     monos = list(product(range(3), repeat=n))
+    actions = dict(zip(monos, map(_column_action, monos)))
+    ca, da = _to_matrix(a, d, actions)
+    cb, db = _to_matrix(b, d, actions)
+    ra = _sparse_rows(ca)
+    if _bit_length(ca) + _bit_length(cb) + (36 * d).bit_length() <= 63:
+        prod = _packed_product(ra, cb, d)
+    else:
+        prod = _cell_product(ra, _sparse_rows(cb), d)
     return {
         mono: FieldElem(nums, da * db * d)
-        for mono, nums in zip(monos, _read_back(prod, map(_column_action, monos)))
+        for mono, nums in zip(monos, _read_back(prod, actions.values()))
         if any(nums)
     }
+
+
+def _cell_product(ra: list, rb: list, d: int) -> list[list[list[int]]]:
+    """The product of two matrices of sparse rows, one Z[j] pair product
+    per (row i, inner k, column) triple whose two cells are nonzero."""
+    prod = [[[0] * 8 for _ in range(d)] for _ in range(d)]
+    for out, row in zip(prod, ra):
+        for k, x in row:
+            for col, y in rb[k]:
+                mul_accumulate(out[col], x, y)
+    return prod
+
+
+def _packed_product(ra: list, cb: list, d: int) -> list[list[tuple[int, ...]]]:
+    """The product of sparse rows ra by dense cells cb, one row at a time.
+
+    Each of the 8 numerator coordinates of a row of cb is packed into one
+    integer of d signed 64-bit slots, column c in slot c (Kronecker
+    substitution).  mul_accumulate is linear in its second operand, so one
+    call per nonzero cell (i, k) of ra adds cell (i, k) times all of row k
+    into row i; CPython's big-integer arithmetic does the d column
+    products.  The packed sums stay exact; only their unpacking needs each
+    slot to fit.
+
+    Slot bound: an output coordinate sums, over the d inner indices k, the
+    Z[j] products of the radical pairs landing on its radical, whose
+    factors m add up to at most 12 (1 + 2 + 3 + 6 on the rational part),
+    and each part x1 x2 - y1 y2 or x1 y2 + y1 x2 - y1 y2 is below
+    3 2^(bits_a + bits_b) in size.  So every slot c has
+    |c| < 36 d 2^(bits_a + bits_b) <= 2^63 whenever
+    bits_a + bits_b + bit_length(36 d) <= 63, the test in `_matrix_product`.
+
+    Signed slots pack and unpack through the offset O with bit 63 of every
+    slot set: the two's complement bytes of the slots read as an integer U
+    pack to (U ^ O) - O, and a packed value V unpacks as the slots of
+    (V + O) ^ O, since V + O holds c + 2^63 in [0, 2^64) in slot c.
+    """
+    offset = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * d, "little")
+    order = sys.byteorder
+
+    def pack(values) -> int:
+        return (int.from_bytes(array("q", values).tobytes(), order) ^ offset) - offset
+
+    packed = [numerator_pairs([pack(col) for col in zip(*row)]) for row in cb]
+    prod = []
+    for row in ra:
+        acc = [0] * 8
+        for k, x in row:
+            mul_accumulate(acc, x, packed[k])
+        slots = [((v + offset) ^ offset).to_bytes(8 * d, order) for v in acc]
+        prod.append(list(zip(*[memoryview(s).cast("q") for s in slots])))
+    return prod
+
+
+def _bit_length(cells: list[list[list[int]]]) -> int:
+    """The largest bit length of any raw numerator in the cells."""
+    flat = list(chain.from_iterable(chain.from_iterable(cells)))
+    return max(max(flat), -min(flat)).bit_length()
 
 
 def _read_back(cells: list[list], actions: Iterable[list[tuple[int, int]]]) -> list[list[int]]:
@@ -228,25 +309,34 @@ def _read_back(cells: list[list], actions: Iterable[list[tuple[int, int]]]) -> l
     return out
 
 
-def _to_matrix(terms: Terms, d: int) -> tuple[list[list[tuple[int, tuple]]], int]:
-    """Rows of sparse (column, numerator pairs) cells of the d x d matrix
-    sum c_m M_m over one shared denominator, which is returned with them."""
+def _to_matrix(
+    terms: Terms, d: int, actions: Mapping[tuple[int, ...], list[tuple[int, int]]]
+) -> tuple[list[list[list[int]]], int]:
+    """The d x d matrix sum c_m M_m as raw 8-int cells over one shared
+    denominator, which is returned with them; actions maps each monomial
+    to its column action."""
     nums, den = common_numerators(terms.values())
     cells = [[[0] * 8 for _ in range(d)] for _ in range(d)]
     for mono, x in zip(terms, nums):
         dense = [0] * 8
         add_pairs(dense, x)
         turns = [
-            numerator_pairs(fold_phases(*rot))
+            [(i, v) for i, v in enumerate(fold_phases(*rot)) if v]
             for rot in ((dense, None, None), (None, dense, None), (None, None, dense))
         ]
-        for col, (row, e) in enumerate(_column_action(mono)):
-            add_pairs(cells[row][col], turns[e])
-    sparse = [
+        for col, (row, e) in enumerate(actions[mono]):
+            cell = cells[row][col]
+            for i, v in turns[e]:
+                cell[i] += v
+    return cells, den
+
+
+def _sparse_rows(cells: list[list[list[int]]]) -> list[list[tuple[int, tuple]]]:
+    """Rows of sparse (column, numerator pairs) cells, zero cells dropped."""
+    return [
         [(col, numerator_pairs(cell)) for col, cell in enumerate(row) if any(cell)]
         for row in cells
     ]
-    return sparse, den
 
 
 class CliffElement:

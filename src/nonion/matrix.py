@@ -37,9 +37,13 @@ class SingularGramError(Exception):
 
 
 class Mat3:
-    """Immutable 3x3 matrix of FieldElem, row-major."""
+    """Immutable 3x3 matrix of FieldElem, row-major.
 
-    __slots__ = ("entries",)
+    The hash is computed on first use and kept: `decompose_in_basis` looks
+    its basis up by hash on every call.
+    """
+
+    __slots__ = ("entries", "_hash")
 
     def __init__(self, entries: Sequence[FieldElem]):
         if len(entries) != 9:
@@ -146,7 +150,12 @@ class Mat3:
         return isinstance(other, Mat3) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.entries)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __str__(self) -> str:
         rows = []

@@ -12,7 +12,7 @@ from nonion.bracket import (
     structure_row,
     structure_table,
 )
-from nonion.field import J, J2, rational
+from nonion.field import J, J2, FieldElem, rational
 from nonion.fixtures import fixture_path
 from nonion.matrix import Mat3, decompose_in_basis
 
@@ -244,6 +244,20 @@ def test_diff_against_transcribed_nonion_table(nonions):
 def test_diff_against_transcribed_tu3_table(tu3):
     diff = diff_table(structure_table(tu3), fixture_path("table_tu3_s3.json"))
     assert diff.all_match and diff.matches == 84
+
+
+def test_diff_table_parses_each_fixture_coefficient_once(monkeypatch, nonions):
+    path = fixture_path("table_nonion_s3.json")
+    with open(path, encoding="utf-8") as fh:
+        coeffs = sum(len(row["targets"]) for row in json.load(fh)["rows"])
+    rows = structure_table(nonions)
+    calls = []
+    real = FieldElem.from_json
+    monkeypatch.setattr(
+        FieldElem, "from_json", classmethod(lambda cls, data: (calls.append(1), real(data))[1])
+    )
+    diff_table(rows, path)
+    assert len(calls) == coeffs
 
 
 def test_fixture_errors(tmp_path, nonions):

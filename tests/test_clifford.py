@@ -279,6 +279,133 @@ def test_dense_product_in_oracle_representation(n):
     assert lhs == oracle.clifford_apply(actions, cab, v)
 
 
+# ---------------------------------------------------------------------------
+# the packed-row product inside the matrix path
+# ---------------------------------------------------------------------------
+
+def _spy_products(monkeypatch) -> list[str]:
+    """Record which matrix product (packed rows or per cell) each call takes."""
+    taken: list[str] = []
+    for name in ("_packed_product", "_cell_product"):
+        real = getattr(clifford, name)
+
+        def spy(*args, _real=real, _name=name):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(clifford, name, spy)
+    return taken
+
+
+def _pairwise(a: CliffElement, b: CliffElement) -> CliffElement:
+    return CliffElement(a.n, clifford._pairwise_product(a.terms, b.terms))
+
+
+def _dense_zj(rng, monos, bound=4) -> dict:
+    return {
+        m: FieldElem([rng.randint(-bound, bound) or 1, rng.randint(-bound, bound)] + [0] * 6)
+        for m in monos
+    }
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_packed_product_dense_zj(n, monkeypatch):
+    rng = random.Random(1200 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+    a = CliffElement(n, _dense_zj(rng, monos))
+    # at n = 6 the right operand has 81 terms, so the pairwise reference stays fast
+    b = CliffElement(n, _dense_zj(rng, monos if n == 5 else rng.sample(monos, 81)))
+    taken = _spy_products(monkeypatch)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert _matrix(b, a) == _pairwise(b, a)
+    assert taken == ["_packed_product"] * 2
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_packed_product_four_radicals_negative_coordinates(n, monkeypatch):
+    rng = random.Random(1300 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+    a = CliffElement(n, {m: FieldElem([rng.randint(-9, 9) for _ in range(8)]) for m in monos})
+    b = CliffElement(n, {
+        m: FieldElem([-rng.randint(0, 9) for _ in range(8)], 5)
+        for m in (monos if n == 4 else rng.sample(monos, 30))
+    })
+    taken = _spy_products(monkeypatch)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert _matrix(b, a) == _pairwise(b, a)
+    assert taken == ["_packed_product"] * 2
+
+
+def test_packed_product_zero_row_and_column(monkeypatch):
+    """An operand whose d x d image is zero in row 2 and in column 5."""
+    n, d = 4, 9
+    rng = random.Random(1400)
+    monos = list(product((0, 1, 2), repeat=n))
+    image = [
+        [[0] * 8 if row == 2 or col == 5 else [rng.randint(-6, 6) for _ in range(8)]
+         for col in range(d)]
+        for row in range(d)
+    ]
+    actions = [clifford._column_action(m) for m in monos]
+    a = CliffElement(n, {
+        m: FieldElem(nums, d) for m, nums in zip(monos, clifford._read_back(image, actions))
+    })
+    cells, den = clifford._to_matrix(a.terms, d, dict(zip(monos, actions)))
+    assert [[FieldElem(c, den) for c in row] for row in cells] == [
+        [FieldElem(c) for c in row] for row in image
+    ]
+    b = CliffElement(n, {m: FieldElem([rng.randint(-7, 7) for _ in range(8)]) for m in monos})
+    taken = _spy_products(monkeypatch)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert _matrix(b, a) == _pairwise(b, a)
+    assert taken == ["_packed_product"] * 2
+
+
+def test_packed_dense_product_makes_one_call_per_nonzero_cell(monkeypatch):
+    # the per-cell product made 19,521 calls for this pair, one per cell triple
+    rng = random.Random(1500)
+    monos = list(product((0, 1, 2), repeat=5))
+    a, b = (CliffElement(5, _dense_zj(rng, monos)) for _ in range(2))
+    expected = _pairwise(a, b)
+    calls = []
+    real = clifford.mul_accumulate
+    monkeypatch.setattr(clifford, "mul_accumulate", lambda *args: (calls.append(1), real(*args)))
+    assert a * b == expected
+    assert 0 < len(calls) <= 27 * 27
+
+
+def _flat_image_element(n: int, bits: int) -> CliffElement:
+    """The element whose image has every cell X (1 - j)(1 + sqrt2 + sqrt3 + sqrt6),
+    X = 2^bits - 1: each of the 8 coordinates has one sign in every cell.
+
+    Each shift of the clock-and-shift basis has one monomial whose column
+    phases are one constant j^c; its coefficient is the cell value over j^c.
+    """
+    x = 2**bits - 1
+    cell = FieldElem([x, -x] * 4)
+    terms = {}
+    for mono in product((0, 1, 2), repeat=n):
+        phases = {e for _, e in clifford._column_action(mono)}
+        if len(phases) == 1:
+            terms[mono] = cell * j_pow(-phases.pop())
+    return CliffElement(n, terms)
+
+
+@pytest.mark.parametrize("wider, path", [(0, "_packed_product"), (1, "_cell_product")])
+def test_packing_bound_edge(wider, path, monkeypatch):
+    n, d = 5, 27
+    a, b = _flat_image_element(n, 27), _flat_image_element(n, 26 + wider)
+    actions = {m: clifford._column_action(m) for m in product((0, 1, 2), repeat=n)}
+    bits = [clifford._bit_length(clifford._to_matrix(x.terms, d, actions)[0]) for x in (a, b)]
+    assert sum(bits) + (36 * d).bit_length() == 63 + wider
+    # the j-part of every rational slot is -36 d X_a X_b, which fits a slot only at the bound
+    slot = 36 * d * (2**27 - 1) * (2**(26 + wider) - 1)
+    assert 2**62 < slot and (slot < 2**63) == (not wider)
+    taken = _spy_products(monkeypatch)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert taken == [path]
+
+
 def test_product_cancels_across_phase_classes():
     # (q1 + q2)(q2 - j q1): the (1,1) term is q1 q2 - j q2 q1 = (1 - j j^2) q1 q2 = 0
     q1, q2 = generator(2, 0), generator(2, 1)

@@ -248,6 +248,22 @@ def test_tu3_decompose_matches_hs_projection(m):
     assert decompose_in_basis(m, t.elements, t.grams) == hs_decompose(m, t.elements, t.grams)
 
 
+def test_repeated_decomposition_hashes_no_entry(monkeypatch, nonions):
+    # the projection plan is looked up by the basis tuple's hash; each Mat3
+    # keeps its hash, so a second lookup reaches no FieldElem.__hash__
+    calls = []
+    real = FieldElem.__hash__
+    monkeypatch.setattr(FieldElem, "__hash__", lambda self: (calls.append(1), real(self))[1])
+    basis = tuple(Mat3(b.entries) for b in nonions.elements)
+    m = Mat3([rational(k - 4, k + 1) * J for k in range(9)])
+    first = decompose_in_basis(m, basis, nonions.grams)
+    assert calls
+    calls.clear()
+    assert decompose_in_basis(m, basis, nonions.grams) == first
+    assert calls == []
+    assert hash(basis[1]) == hash(basis[1].entries)
+
+
 def test_decompose_reads_back_only_phase_monomial_bases(monkeypatch, nonions, tu3):
     calls = []
     real = matrix.hs_inner
@@ -279,7 +295,7 @@ def test_decompose_reads_back_only_phase_monomial_bases(monkeypatch, nonions, tu
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_dense_clifford_matrix_product_matches_pairwise_kernel(n):
+def test_dense_clifford_matrix_product_matches_pairwise_kernel(n, monkeypatch):
     rng = random.Random(900 + n)
     monos = list(product((0, 1, 2), repeat=n))
 
@@ -287,6 +303,11 @@ def test_dense_clifford_matrix_product_matches_pairwise_kernel(n):
         return {m: random_field_elem(rng, density=0.4, bound=30) or ONE for m in monos}
 
     a, b = dense(), dense()
+    # unrelated denominators make wide numerators: too wide for packed rows
+    taken = []
+    real = clifford._cell_product
+    monkeypatch.setattr(clifford, "_cell_product", lambda *args: (taken.append(1), real(*args))[1])
     assert clifford._matrix_product(n, a, b) == {
         m: c for m, c in clifford._pairwise_product(a, b).items() if c
     }
+    assert taken == [1]
