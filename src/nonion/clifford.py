@@ -22,11 +22,16 @@ counts: the pairwise kernel sums the normal-ordered product of every
 term pair, and the matrix kernel multiplies the two d x d images
 (d = 3^ceil(n/2)) and reads each coefficient back as tr(M^dagger P)/d.
 Sparse products, such as generator words, take the first; dense ones
-the second.  The matrix kernel packs each row of the right image into
+the second.  Both conversions work along the shift diagonals: monomial
+j^c X^a Z^b fills diagonal a, with a phase that depends on the column
+only through its clock pattern b.v.  So the forward map adds each
+coefficient, times one column mask per phase class, into integers packed
+with one slot per column, and the readback sums each phase class of a
+diagonal at C level.  The product packs each row of the right image into
 big integers of d 64-bit slots (Kronecker substitution), so one raw
 product per nonzero cell of the left image does a whole output row; it
-falls back to one raw product per cell triple when the operands'
-numerators are too wide for the slots.
+falls back to one raw product per cell triple when the cells are too
+wide for the slots.
 
 One readback (`_read_back`) serves both graded algebras: at n = 2 the
 monomials, up to a phase, are the nonion units, and
@@ -36,18 +41,18 @@ through it, three cells folded by phase per coefficient.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, permutations, product
-from operator import mul
-from typing import Iterable, Mapping
+from itertools import permutations, product
+from operator import itemgetter, mul
+from typing import Iterable, Mapping, Sequence
 
 from .field import (
     ONE,
     ZERO,
     FieldElem,
-    add_pairs,
     common_numerators,
     fold_phases,
     j_pow,
@@ -71,6 +76,7 @@ __all__ = [
 ]
 
 MAX_GENERATORS = 12
+_ORDER = sys.byteorder
 
 
 class LengthMismatchError(Exception):
@@ -159,16 +165,7 @@ def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
         c += 2 * (e1 == 1)  # (j^2 X Z)^e = j^(2e - e(e-1)/2) X^e Z^e
     rows = _shifted_rows(tuple(reversed(a)))
     phases = _clock_phases(tuple(reversed(b)))
-    entries = _entries(len(rows))
-    return [entries[3 * row + (c + p) % 3] for row, p in zip(rows, phases)]
-
-
-@lru_cache(maxsize=16)
-def _entries(d: int) -> tuple[tuple[int, int], ...]:
-    """Every (row, j-exponent) pair, (row, e) at 3 * row + e.  The column
-    actions of all 3^n monomials, which a dense product holds at once,
-    share these pairs instead of holding d tuples each."""
-    return tuple((row, e) for row in range(d) for e in range(3))
+    return [(row, (c + p) % 3) for row, p in zip(rows, phases)]
 
 
 @lru_cache(maxsize=1024)
@@ -189,67 +186,211 @@ def _clock_phases(b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(phases)
 
 
-def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
-    """Cost model: ta*tb term pairs against one d x d product (d = 3^ceil(n/2))
-    plus the conversions, about (ta + tb + 3^n) * d cell updates.  A term
-    pair (normal ordering, a dict lookup and a cell update) costs about
-    two cell updates.
+def _diagonals(actions: Iterable[list[tuple[int, int]]], d: int) -> tuple:
+    """Column actions on d x d cells grouped by the cells they read, the
+    plan of `_read_back`: per group, the flat row-major positions of its d
+    cells and, per action k in it, (k, pattern, c), with c the j-exponent
+    in column 0 and pattern the class (e - c) % 3 of each column.  For a
+    monomial j^c X^a Z^b the cells are the shift diagonal a and the
+    pattern is the clock pattern b.v."""
+    groups: dict = {}
+    patterns: dict = {}  # one tuple per distinct pattern
+    for k, action in enumerate(actions):
+        rows, phases = zip(*action)
+        c = phases[0]
+        pattern = tuple((e - c) % 3 for e in phases)
+        groups.setdefault(rows, []).append((k, patterns.setdefault(pattern, pattern), c))
+    return tuple(
+        (tuple(row * d + col for col, row in enumerate(rows)), entries)
+        for rows, entries in groups.items()
+    )
 
-    d^3 is the cost of the per-cell product, which wide operands still
-    take; the packed-row product that narrow operands take is never
-    slower, so for them d^3 is an upper bound and every product the model
-    sends to the matrix kernel still belongs there."""
+
+@lru_cache(maxsize=256)
+def _class_getters(pattern: tuple[int, ...]) -> tuple:
+    """An itemgetter of the columns in each pattern class, None for an empty
+    class; a one-column class reads a one-item slice, so every getter
+    gives a tuple."""
+    cols = [[v for v, s in enumerate(pattern) if s == t] for t in range(3)]
+    return tuple(
+        itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)) if c else None
+        for c in cols
+    )
+
+
+@lru_cache(maxsize=4)
+def _clifford_plan(n: int) -> tuple:
+    """The 3^n monomials; their readback plan (`_diagonals`); for the
+    forward map, each monomial's (diagonal index, clock pattern, c) and the
+    itemgetter that puts d slots per diagonal, diagonal by diagonal, in
+    row-major order."""
     d = 3 ** ((n + 1) // 2)
-    return 2 * ta * tb > d**3 + (ta + tb + 3**n) * d
+    monos = list(product(range(3), repeat=n))
+    plan = _diagonals(map(_column_action, monos), d)
+    forward = {
+        monos[k]: (i, pattern, c) for i, (_, entries) in enumerate(plan) for k, pattern, c in entries
+    }
+    cells = [p for positions, _ in plan for p in positions]
+    return monos, plan, forward, itemgetter(*sorted(range(d * d), key=cells.__getitem__))
+
+
+@lru_cache(maxsize=256)
+def _clock_masks(pattern: tuple[int, ...], width: int) -> list[int]:
+    """masks[s] has a 1 in the slot (of `width` bits) of each column in
+    pattern class s."""
+    return _pack([int(s == t) for t in range(3) for s in pattern], len(pattern), width)
+
+
+@lru_cache(maxsize=16)
+def _offset(d: int, width: int) -> int:
+    """The integer with bit width - 1 of each of d slots of `width` bits set."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, _ORDER) * d, _ORDER)
+
+
+def _pack(values: Sequence[int], d: int, width: int) -> list[int]:
+    """Each run of d signed values packed into one integer, value k of the
+    run in slot k of `width` bits.
+
+    The two's complement bytes of a run read as an integer U pack to
+    (U ^ O) - O, with O the `_offset`; a packed value V unpacks as the
+    slots of (V + O) ^ O, since V + O holds value + 2^(width - 1), in
+    [0, 2^width), in each slot."""
+    if width == 64:
+        raw = array("q", values).tobytes()
+    else:
+        raw = b"".join(v.to_bytes(width // 8, _ORDER, signed=True) for v in values)
+    offset = _offset(d, width)
+    size = width // 8 * d
+    return [
+        (int.from_bytes(raw[k : k + size], _ORDER) ^ offset) - offset
+        for k in range(0, len(raw), size)
+    ]
+
+
+def _unpack(packed: Iterable[int], d: int, width: int) -> Sequence[int]:
+    """The d slots of each packed integer, one after another; every slot
+    must fit `width` signed bits."""
+    offset = _offset(d, width)
+    size = width // 8
+    raw = b"".join([((v + offset) ^ offset).to_bytes(size * d, _ORDER) for v in packed])
+    if width == 64:
+        return memoryview(raw).cast("q")
+    return [int.from_bytes(raw[k : k + size], _ORDER, signed=True) for k in range(0, len(raw), size)]
+
+
+def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
+    """Cost model, in cell products: ta*tb term pairs against one d x d
+    product (d = 3^ceil(n/2)) plus the conversions.  A term pair (normal
+    ordering, a dict lookup and a Z[j] product) costs about two cell
+    products.  The conversions cost about 8 per monomial of either operand
+    and of the readback, whatever d: the forward map makes a few big-integer
+    operations per monomial and phase class, the readback a few C-level
+    sums.
+
+    d^3 is the per-cell product, which operands too wide for the packed
+    rows take, so every product the model sends to the matrix kernel
+    belongs there at any width.  The packed rows cost about d^2, so narrow
+    operands would gain from fewer terms (dense Z[j] operands of t terms
+    each, alternating medians: the matrix kernel wins from about t = 20 at
+    n = 4, t = 40 at n = 5 and t = 55 at n = 6, where the model switches at
+    31, 109 and 118); the term counts cannot tell the two apart.
+    """
+    d = 3 ** ((n + 1) // 2)
+    return 2 * ta * tb > d**3 + 8 * (ta + tb + 3**n)
 
 
 def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     """The product through the faithful d x d clock-and-shift representation.
 
-    Both operands become d x d matrices of raw 8-int cells over one shared
-    denominator each, their product follows (`_packed_product` when its
-    slots provably fit, else `_cell_product`), and `_read_back` gives each
-    monomial's coefficient as tr(M^dagger P) / d.  Each monomial's column
-    action is computed once and serves both conversions and the readback.
+    Both operands become d x d matrices (`_to_vectors`: 8 flat row-major
+    vectors of raw numerators over one shared denominator each), their
+    product follows (`_packed_product` when its slots provably fit, else
+    `_cell_product`), and `_read_back` gives each monomial's coefficient as
+    tr(M^dagger P) / d, one shift diagonal at a time.
     """
     d = 3 ** ((n + 1) // 2)
-    monos = list(product(range(3), repeat=n))
-    actions = dict(zip(monos, map(_column_action, monos)))
-    ca, da = _to_matrix(a, d, actions)
-    cb, db = _to_matrix(b, d, actions)
-    ra = _sparse_rows(ca)
-    if _bit_length(ca) + _bit_length(cb) + (36 * d).bit_length() <= 63:
-        prod = _packed_product(ra, cb, d)
+    va, da = _to_vectors(n, a)
+    vb, db = _to_vectors(n, b)
+    ra = _sparse_rows(va, d)
+    bits = sum(max(max(map(max, v)), -min(map(min, v))).bit_length() for v in (va, vb))
+    if bits + (36 * d).bit_length() <= 63:
+        prod = _packed_product(ra, vb, d)
     else:
-        prod = _cell_product(ra, _sparse_rows(cb), d)
-    return {
-        mono: FieldElem(nums, da * db * d)
-        for mono, nums in zip(monos, _read_back(prod, actions.values()))
-        if any(nums)
-    }
+        prod = _cell_product(ra, _sparse_rows(vb, d), d)
+    monos, plan, _, _ = _clifford_plan(n)
+    den = da * db * d
+    return {mono: FieldElem(nums, den) for mono, nums in zip(monos, _read_back(prod, plan)) if any(nums)}
 
 
-def _cell_product(ra: list, rb: list, d: int) -> list[list[list[int]]]:
+def _to_vectors(n: int, terms: Terms) -> tuple[list[Sequence[int]], int]:
+    """The d x d matrix sum c_m M_m as 8 flat row-major vectors of raw
+    numerators, one per coordinate, over one shared denominator, which is
+    returned with them.
+
+    Monomial j^c X^a Z^b puts its numerators x, times j^(c + b.v), in
+    column v of shift diagonal a.  So each diagonal keeps three phase
+    classes of 8 integers packed with one slot per column: the monomial
+    adds x times mask[(t - c) % 3] to class t, where mask[s] marks the
+    columns with b.v = s.  fold_phases, which is linear, then makes each
+    diagonal's 8 packed coordinates exactly, and each coordinate unpacks
+    once and is permuted into row-major order.
+
+    Slot bound: each of the 3^n / d monomials on a diagonal adds x to one
+    class of each slot, and folding adds or subtracts at most two class
+    coordinates into a coordinate, so every slot holds
+    |cell| <= 2 (3^n / d) max|x| < 2^(bits + bit_length(2 3^n / d - 1))
+    with bits the bit length of max|x|.  The slots take the least multiple
+    of 64 bits that holds this signed.
+    """
+    d = 3 ** ((n + 1) // 2)
+    den = math.lcm(*[e.den for e in terms.values()])
+    nums = [[(k, v * (den // e.den)) for k, v in enumerate(e.nums) if v] for e in terms.values()]
+    top = max((abs(v) for x in nums for _, v in x), default=0)
+    width = 64 * ((top.bit_length() + (2 * 3**n // d - 1).bit_length()) // 64 + 1)
+    _, _, plan, to_rows = _clifford_plan(n)
+    classes = [[[0] * 8 for _ in range(3)] for _ in range(d)]
+    for mono, x in zip(terms, nums):
+        i, pattern, c = plan[mono]
+        masks = _clock_masks(pattern, width)
+        for t, acc in enumerate(classes[i]):
+            mask = masks[(t - c) % 3]
+            for k, v in x:
+                acc[k] += v * mask
+    diagonals = [fold_phases(*acc) for acc in classes]
+    return [to_rows(_unpack(coord, d, width)) for coord in zip(*diagonals)], den
+
+
+def _sparse_rows(vecs: Sequence[Sequence[int]], d: int) -> list[list[tuple[int, tuple]]]:
+    """Rows of sparse (column, numerator pairs) cells, zero cells dropped."""
+    cells = list(zip(*vecs))
+    return [
+        [(col, numerator_pairs(cell)) for col, cell in enumerate(cells[i : i + d]) if any(cell)]
+        for i in range(0, d * d, d)
+    ]
+
+
+def _cell_product(ra: list, rb: list, d: int) -> list[tuple[int, ...]]:
     """The product of two matrices of sparse rows, one Z[j] pair product
-    per (row i, inner k, column) triple whose two cells are nonzero."""
-    prod = [[[0] * 8 for _ in range(d)] for _ in range(d)]
-    for out, row in zip(prod, ra):
+    per (row i, inner k, column) triple whose two cells are nonzero, as 8
+    flat row-major vectors."""
+    prod = [[0] * 8 for _ in range(d * d)]
+    for i, row in enumerate(ra):
         for k, x in row:
             for col, y in rb[k]:
-                mul_accumulate(out[col], x, y)
-    return prod
+                mul_accumulate(prod[i * d + col], x, y)
+    return list(zip(*prod))
 
 
-def _packed_product(ra: list, cb: list, d: int) -> list[list[tuple[int, ...]]]:
-    """The product of sparse rows ra by dense cells cb, one row at a time.
+def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int) -> list[Sequence[int]]:
+    """The product of sparse rows ra by the flat vectors vb, one row at a time.
 
-    Each of the 8 numerator coordinates of a row of cb is packed into one
+    Each of the 8 numerator coordinates of a row of vb is packed into one
     integer of d signed 64-bit slots, column c in slot c (Kronecker
     substitution).  mul_accumulate is linear in its second operand, so one
     call per nonzero cell (i, k) of ra adds cell (i, k) times all of row k
     into row i; CPython's big-integer arithmetic does the d column
     products.  The packed sums stay exact; only their unpacking needs each
-    slot to fit.
+    slot to fit.  The output rows unpack into 8 flat row-major vectors.
 
     Slot bound: an output coordinate sums, over the d inner indices k, the
     Z[j] products of the radical pairs landing on its radical, whose
@@ -258,85 +399,42 @@ def _packed_product(ra: list, cb: list, d: int) -> list[list[tuple[int, ...]]]:
     3 2^(bits_a + bits_b) in size.  So every slot c has
     |c| < 36 d 2^(bits_a + bits_b) <= 2^63 whenever
     bits_a + bits_b + bit_length(36 d) <= 63, the test in `_matrix_product`.
-
-    Signed slots pack and unpack through the offset O with bit 63 of every
-    slot set: the two's complement bytes of the slots read as an integer U
-    pack to (U ^ O) - O, and a packed value V unpacks as the slots of
-    (V + O) ^ O, since V + O holds c + 2^63 in [0, 2^64) in slot c.
     """
-    offset = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * d, "little")
-    order = sys.byteorder
-
-    def pack(values) -> int:
-        return (int.from_bytes(array("q", values).tobytes(), order) ^ offset) - offset
-
-    packed = [numerator_pairs([pack(col) for col in zip(*row)]) for row in cb]
-    prod = []
+    packed = [numerator_pairs(row) for row in zip(*[_pack(v, d, 64) for v in vb])]
+    rows = []
     for row in ra:
         acc = [0] * 8
         for k, x in row:
             mul_accumulate(acc, x, packed[k])
-        slots = [((v + offset) ^ offset).to_bytes(8 * d, order) for v in acc]
-        prod.append(list(zip(*[memoryview(s).cast("q") for s in slots])))
-    return prod
+        rows.append(acc)
+    return [_unpack(coord, d, 64) for coord in zip(*rows)]
 
 
-def _bit_length(cells: list[list[list[int]]]) -> int:
-    """The largest bit length of any raw numerator in the cells."""
-    flat = list(chain.from_iterable(chain.from_iterable(cells)))
-    return max(max(flat), -min(flat)).bit_length()
+def _read_back(vecs: Sequence[Sequence[int]], plan: tuple) -> list[list[int]]:
+    """tr(M^dagger P) for each phase-monomial matrix M of the plan, on raw
+    numerators (`_diagonals`; the values come in the order of its
+    actions).
 
-
-def _read_back(cells: list[list], actions: Iterable[list[tuple[int, int]]]) -> list[list[int]]:
-    """tr(M^dagger P) for each phase-monomial matrix M, on raw numerators.
-
-    P is d x d cells of 8 raw numerators over one shared denominator (a
-    zero cell may be None), and each M is given by its column action,
-    the (row, j-exponent) of its one nonzero entry in each column.  The
-    trace picks one cell of P per column, and the conjugated phase
-    j^-e sorts it into a phase class; the three class sums fold into one
+    P is 8 flat row-major vectors of raw numerators over one shared
+    denominator.  The trace picks one cell of P per column, and the
+    conjugated phase j^-(c + s) of a column in pattern class s sorts it
+    into a phase class, so each diagonal is read once, each class is one
+    C-level sum per coordinate, and the three class sums fold into one
     value.  For a clock-and-shift monomial, dividing by d and by the
     cells' denominator gives its coefficient in P.
     """
-    out = []
-    for action in actions:
-        classes: list[list] = [[], [], []]
-        for col, (row, e) in enumerate(action):
-            cell = cells[row][col]
-            if cell is not None:
-                classes[-e % 3].append(cell)
-        out.append(fold_phases(*[[sum(z) for z in zip(*c)] if c else None for c in classes]))
+    live = [any(v) for v in vecs]
+    out: list = [None] * sum(len(entries) for _, entries in plan)
+    for positions, entries in plan:
+        diagonal = itemgetter(*positions)
+        diag = [diagonal(v) if z else None for v, z in zip(vecs, live)]
+        for k, pattern, c in entries:
+            sums = [
+                [sum(g(x)) if x else 0 for x in diag] if g else None
+                for g in _class_getters(pattern)
+            ]
+            out[k] = fold_phases(sums[-c % 3], sums[(2 - c) % 3], sums[(1 - c) % 3])
     return out
-
-
-def _to_matrix(
-    terms: Terms, d: int, actions: Mapping[tuple[int, ...], list[tuple[int, int]]]
-) -> tuple[list[list[list[int]]], int]:
-    """The d x d matrix sum c_m M_m as raw 8-int cells over one shared
-    denominator, which is returned with them; actions maps each monomial
-    to its column action."""
-    nums, den = common_numerators(terms.values())
-    cells = [[[0] * 8 for _ in range(d)] for _ in range(d)]
-    for mono, x in zip(terms, nums):
-        dense = [0] * 8
-        add_pairs(dense, x)
-        turns = [
-            [(i, v) for i, v in enumerate(fold_phases(*rot)) if v]
-            for rot in ((dense, None, None), (None, dense, None), (None, None, dense))
-        ]
-        for col, (row, e) in enumerate(actions[mono]):
-            cell = cells[row][col]
-            for i, v in turns[e]:
-                cell[i] += v
-    return cells, den
-
-
-def _sparse_rows(cells: list[list[list[int]]]) -> list[list[tuple[int, tuple]]]:
-    """Rows of sparse (column, numerator pairs) cells, zero cells dropped."""
-    return [
-        [(col, numerator_pairs(cell)) for col, cell in enumerate(row) if any(cell)]
-        for row in cells
-    ]
 
 
 class CliffElement:
@@ -356,6 +454,15 @@ class CliffElement:
                     clean[tuple(mono)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, n: int, terms: Terms) -> "CliffElement":
+        """A kernel result: its monomials are valid by construction, so only
+        zero coefficients are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CliffElement is immutable")
@@ -395,8 +502,8 @@ class CliffElement:
             return NotImplemented
         self._require_same_n(other)
         if _matrix_is_cheaper(self.n, len(self.terms), len(other.terms)):
-            return CliffElement(self.n, _matrix_product(self.n, self.terms, other.terms))
-        return CliffElement(self.n, _pairwise_product(self.terms, other.terms))
+            return CliffElement._of(self.n, _matrix_product(self.n, self.terms, other.terms))
+        return CliffElement._of(self.n, _pairwise_product(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return (

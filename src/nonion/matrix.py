@@ -21,7 +21,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .clifford import _read_back
+from .clifford import _diagonals, _read_back
 from .field import ZERO, ONE, J, J2, FieldElem, sparse_numerators, sum_of_products
 
 __all__ = [
@@ -208,15 +208,12 @@ def decompose_in_basis(
     if any(g.is_zero() for g in gram):
         raise SingularGramError("basis has a zero-norm element")
     basis = tuple(basis)
-    actions = _projection_plan(basis)
-    if actions is None:
+    plan = _projection_plan(basis)
+    if plan is None:
         return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
     den = math.lcm(*[x.den for x in m.entries])
-    cells = [
-        [[n * (den // x.den) for n in x.nums] if x else None for x in m.entries[i : i + 3]]
-        for i in (0, 3, 6)
-    ]
-    return tuple(FieldElem(nums, den) / g for nums, g in zip(_read_back(cells, actions), gram))
+    vecs = list(zip(*[[n * (den // x.den) for n in x.nums] for x in m.entries]))
+    return tuple(FieldElem(nums, den) / g for nums, g in zip(_read_back(vecs, plan), gram))
 
 
 _PHASES = {ONE: 0, J: 1, J2: 2}
@@ -224,9 +221,10 @@ _PHASES = {ONE: 0, J: 1, J2: 2}
 
 @lru_cache(maxsize=8)
 def _projection_plan(basis: tuple[Mat3, ...]) -> tuple | None:
-    """The column action of each element, read off its entries: the (row,
-    j-exponent) of the one nonzero entry in each column.  None when some
-    column has more than one nonzero entry or one that is not 1, j or j^2."""
+    """The readback plan (`clifford._diagonals`) of the elements'
+    column actions, read off their entries: the (row, j-exponent) of the
+    one nonzero entry in each column.  None when some column has more than
+    one nonzero entry or one that is not 1, j or j^2."""
     actions = []
     for b in basis:
         action = []
@@ -236,4 +234,4 @@ def _projection_plan(basis: tuple[Mat3, ...]) -> tuple | None:
                 return None
             action.append((cells[0][0], _PHASES[cells[0][1]]))
         actions.append(action)
-    return tuple(actions)
+    return _diagonals(actions, 3)

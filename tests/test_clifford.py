@@ -340,20 +340,18 @@ def test_packed_product_zero_row_and_column(monkeypatch):
     """An operand whose d x d image is zero in row 2 and in column 5."""
     n, d = 4, 9
     rng = random.Random(1400)
-    monos = list(product((0, 1, 2), repeat=n))
     image = [
-        [[0] * 8 if row == 2 or col == 5 else [rng.randint(-6, 6) for _ in range(8)]
-         for col in range(d)]
+        [0] * 8 if row == 2 or col == 5 else [rng.randint(-6, 6) for _ in range(8)]
         for row in range(d)
+        for col in range(d)
     ]
-    actions = [clifford._column_action(m) for m in monos]
+    monos, plan, _, _ = clifford._clifford_plan(n)
     a = CliffElement(n, {
-        m: FieldElem(nums, d) for m, nums in zip(monos, clifford._read_back(image, actions))
+        m: FieldElem(nums, d)
+        for m, nums in zip(monos, clifford._read_back(list(zip(*image)), plan))
     })
-    cells, den = clifford._to_matrix(a.terms, d, dict(zip(monos, actions)))
-    assert [[FieldElem(c, den) for c in row] for row in cells] == [
-        [FieldElem(c) for c in row] for row in image
-    ]
+    vecs, den = clifford._to_vectors(n, a.terms)
+    assert [FieldElem(cell, den) for cell in zip(*vecs)] == [FieldElem(c) for c in image]
     b = CliffElement(n, {m: FieldElem([rng.randint(-7, 7) for _ in range(8)]) for m in monos})
     taken = _spy_products(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
@@ -391,12 +389,16 @@ def _flat_image_element(n: int, bits: int) -> CliffElement:
     return CliffElement(n, terms)
 
 
+def _bit_length(vecs) -> int:
+    """The largest bit length of any raw numerator in the flat vectors."""
+    return max(max(map(max, vecs)), -min(map(min, vecs))).bit_length()
+
+
 @pytest.mark.parametrize("wider, path", [(0, "_packed_product"), (1, "_cell_product")])
 def test_packing_bound_edge(wider, path, monkeypatch):
     n, d = 5, 27
     a, b = _flat_image_element(n, 27), _flat_image_element(n, 26 + wider)
-    actions = {m: clifford._column_action(m) for m in product((0, 1, 2), repeat=n)}
-    bits = [clifford._bit_length(clifford._to_matrix(x.terms, d, actions)[0]) for x in (a, b)]
+    bits = [_bit_length(clifford._to_vectors(n, x.terms)[0]) for x in (a, b)]
     assert sum(bits) + (36 * d).bit_length() == 63 + wider
     # the j-part of every rational slot is -36 d X_a X_b, which fits a slot only at the bound
     slot = 36 * d * (2**27 - 1) * (2**(26 + wider) - 1)
@@ -404,6 +406,100 @@ def test_packing_bound_edge(wider, path, monkeypatch):
     taken = _spy_products(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert taken == [path]
+
+
+# ---------------------------------------------------------------------------
+# the conversions: the forward map packed along shift diagonals, the readback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_forward_image_of_each_monomial_is_its_column_action(n):
+    d = 3 ** ((n + 1) // 2)
+    x = FieldElem([3, -1, -4, 1, 5, -9, 2, -6], 7)
+    cells = {e: (x * j_pow(e)).nums for e in range(3)}
+    assert all((x * j_pow(e)).den == 7 for e in range(3))
+    for mono in product((0, 1, 2), repeat=n):
+        vecs, den = clifford._to_vectors(n, {mono: x})
+        expected = [(0,) * 8] * (d * d)
+        for col, (row, e) in enumerate(clifford._column_action(mono)):
+            expected[row * d + col] = cells[e]
+        assert den == 7
+        assert list(zip(*vecs)) == expected
+
+
+@pytest.mark.parametrize("bound", [30, 2**70])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_read_back_after_forward_is_the_identity(n, bound):
+    """Dense elements on all four radicals, with negative coordinates and
+    mixed denominators; 2^70 numerators take the wider forward slots."""
+    rng = random.Random(1600 + n)
+    d = 3 ** ((n + 1) // 2)
+    monos, plan, _, _ = clifford._clifford_plan(n)
+    terms = {
+        m: FieldElem([rng.randint(-bound, bound) for _ in range(8)], rng.choice((1, 2, 9, 35))) or ONE
+        for m in monos
+    }
+    assert any(c.nums[7] < 0 for c in terms.values())
+    vecs, den = clifford._to_vectors(n, terms)
+    back = clifford._read_back(vecs, plan)
+    assert {m: FieldElem(nums, den * d) for m, nums in zip(monos, back)} == terms
+
+
+def _slot_bound_element(bits: int) -> CliffElement:
+    """n = 2 with M = 2^bits - 1: coefficient M + M j on each monomial q1^a
+    and M - M j on the others.  In column 2 of every shift diagonal the
+    first has phase 1 and the other two have phase j, so the cell's j-part
+    is M + 2M + 2M = 5M, near the forward bound 2 (3^n / d) M = 6M."""
+    x = 2**bits - 1
+    return CliffElement(2, {
+        (e0, e1): FieldElem([x, x if e1 == 0 else -x] + [0] * 6)
+        for e0, e1 in product((0, 1, 2), repeat=2)
+    })
+
+
+@pytest.mark.parametrize("bits, width", [(60, 64), (61, 128)])
+def test_forward_slot_bound_edge(bits, width, monkeypatch):
+    # 6 = 2 (3^n / d) needs 3 bits: bits + 3 <= 63 is the 64-bit slot test
+    a = _slot_bound_element(bits)
+    b = CliffElement(2, {
+        m: FieldElem([(-1) ** k * (k + sum(m)) for k in range(8)], 3)
+        for m in product((0, 1, 2), repeat=2)
+    })
+    widths = []
+    real = clifford._clock_masks
+    monkeypatch.setattr(clifford, "_clock_masks", lambda p, w: (widths.append(w), real(p, w))[1])
+    vecs, den = clifford._to_vectors(2, a.terms)
+    assert set(widths) == {width} and den == 1
+    # the j-part 5M fits a signed 64-bit slot only at the bound
+    assert max(vecs[1]) == 5 * (2**bits - 1)
+    assert (max(vecs[1]) < 2**63) == (width == 64)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert _matrix(b, a) == _pairwise(b, a)
+    assert _matrix(a, a) == _pairwise(a, a)
+    # each product converts a and b, 9 monomials each
+    assert widths[9:] == [width] * 9 + [64] * 18 + [width] * 27
+
+
+def test_kernel_results_skip_revalidation(monkeypatch):
+    """Products build their result without re-checking each monomial, and
+    still drop the coefficients that cancel."""
+    rng = random.Random(1700)
+    monos = list(product((0, 1, 2), repeat=4))
+    dense = CliffElement(4, {m: random_field_elem(rng, bound=9) or ONE for m in monos})
+    q = generator(4, 1)
+    # (1 + q + q^2)(1 - q) = 1 - q^3 = 0
+    left, right = unit(4) + q + q * q, unit(4) - q
+    x, y = dense * left, right * dense
+    assert clifford._matrix_is_cheaper(4, len(x.terms), len(y.terms))
+    inits = []
+    real = CliffElement.__init__
+    monkeypatch.setattr(
+        CliffElement, "__init__", lambda self, *args: (inits.append(1), real(self, *args))[1]
+    )
+    assert (left * right).terms == {}
+    assert (x * y).terms == {}
+    assert (dense * dense).terms and all((dense * dense).terms.values())
+    assert inits == []
 
 
 def test_product_cancels_across_phase_classes():
