@@ -12,15 +12,20 @@ With 2m generators the algebra is the full matrix algebra M_(3^m)
 (Morris 1967), and the nonions are the case m = 1.  The faithful
 representation used here puts q_(2i) and q_(2i+1) on tensor factor i as
 the shift X and X diag(j^2, 1, j), behind a clock on every earlier
-factor; at n = 2 these are the q1, q2 of `bases.nonion_basis`.  For odd
-n the algebra is the subalgebra of the (n+1)-generator one whose
-monomials have last exponent 0.  Every monomial is a monomial matrix
-j^c X^a Z^b in closed form (`_column_action`).
+factor; at n = 2 these are the q1, q2 of `bases.nonion_basis`.  Every
+monomial is a monomial matrix j^c X^a Z^b in closed form
+(`_column_action`; odd n pad a last exponent 0).  With 2m + 1 generators
+the algebra is three copies of M_(3^m), split by the Z3 of its centre:
+the padded image of a monomial with last exponent t is M' (x) X^t, so an
+element is sum_t A_t (x) X^t, and the finite Fourier transform
+A^_k = sum_t j^(kt) A_t over t turns its products into three independent
+3^m x 3^m products.
 
 Products have two exact kernels, chosen by a cost model on the term
 counts: the pairwise kernel sums the normal-ordered product of every
-term pair, and the matrix kernel multiplies the two d x d images
-(d = 3^ceil(n/2)) and reads each coefficient back as tr(M^dagger P)/d.
+term pair, and the matrix kernel multiplies the images block by block
+(d = 3^floor(n/2); one block for even n, three for odd n) and reads
+each coefficient back as a trace tr(M^dagger P).
 Sparse products, such as generator words, take the first; dense ones
 the second.  Both conversions work along the shift diagonals: monomial
 j^c X^a Z^b fills diagonal a, with a phase that depends on the column
@@ -41,7 +46,6 @@ through it, three cells folded by phase per coefficient.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 from functools import lru_cache
@@ -186,6 +190,12 @@ def _clock_phases(b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(phases)
 
 
+def _shape(n: int) -> tuple[int, int]:
+    """(blocks, d): the image of the n-generator algebra is `blocks` d x d
+    blocks, d = 3^floor(n/2), one block for even n and three for odd n."""
+    return 3 if n % 2 else 1, 3 ** (n // 2)
+
+
 def _diagonals(actions: Iterable[list[tuple[int, int]]], d: int) -> tuple:
     """Column actions on d x d cells grouped by the cells they read, the
     plan of `_read_back`: per group, the flat row-major positions of its d
@@ -206,39 +216,61 @@ def _diagonals(actions: Iterable[list[tuple[int, int]]], d: int) -> tuple:
     )
 
 
+def _getter(items: Sequence[int]) -> itemgetter:
+    """An itemgetter of the items that gives a sequence even for one item
+    (a one-item slice)."""
+    return itemgetter(*items) if len(items) > 1 else itemgetter(slice(items[0], items[0] + 1))
+
+
 @lru_cache(maxsize=256)
 def _class_getters(pattern: tuple[int, ...]) -> tuple:
-    """An itemgetter of the columns in each pattern class, None for an empty
-    class; a one-column class reads a one-item slice, so every getter
-    gives a tuple."""
+    """A `_getter` of the columns in each pattern class, None for an empty
+    class."""
     cols = [[v for v, s in enumerate(pattern) if s == t] for t in range(3)]
-    return tuple(
-        itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)) if c else None
-        for c in cols
-    )
+    return tuple(_getter(c) if c else None for c in cols)
 
 
 @lru_cache(maxsize=4)
 def _clifford_plan(n: int) -> tuple:
-    """The 3^n monomials; their readback plan (`_diagonals`); for the
-    forward map, each monomial's (diagonal index, clock pattern, c) and the
-    itemgetter that puts d slots per diagonal, diagonal by diagonal, in
-    row-major order."""
-    d = 3 ** ((n + 1) // 2)
+    """Per block t, its monomials (last exponent t for odd n, all for even
+    n) and the readback plan (`_diagonals`) of their block actions; for
+    the forward map, each monomial's (t, diagonal index, clock pattern, c)
+    and the getter that puts d slots per diagonal, diagonal by diagonal,
+    in row-major order.
+
+    For odd n the padded image of a monomial with last exponent t is
+    M' (x) X^t, the last factor carrying no clock, so column 3v of its
+    `_column_action` is column v of M' with three times its row."""
+    blocks, d = _shape(n)
     monos = list(product(range(3), repeat=n))
-    plan = _diagonals(map(_column_action, monos), d)
+    plans = []
+    for t in range(blocks):
+        group = [m for m in monos if blocks == 1 or m[-1] == t]
+        actions = [[(row // blocks, e) for row, e in _column_action(m)[::blocks]] for m in group]
+        plans.append((group, _diagonals(actions, d)))
+    index = {positions: i for i, (positions, _) in enumerate(plans[0][1])}
     forward = {
-        monos[k]: (i, pattern, c) for i, (_, entries) in enumerate(plan) for k, pattern, c in entries
+        group[k]: (t, index[positions], pattern, c)
+        for t, (group, plan) in enumerate(plans)
+        for positions, entries in plan
+        for k, pattern, c in entries
     }
-    cells = [p for positions, _ in plan for p in positions]
-    return monos, plan, forward, itemgetter(*sorted(range(d * d), key=cells.__getitem__))
+    cells = [p for positions, _ in plans[0][1] for p in positions]
+    return plans, forward, _getter(sorted(range(d * d), key=cells.__getitem__))
 
 
 @lru_cache(maxsize=256)
-def _clock_masks(pattern: tuple[int, ...], width: int) -> list[int]:
-    """masks[s] has a 1 in the slot (of `width` bits) of each column in
-    pattern class s."""
-    return _pack([int(s == t) for t in range(3) for s in pattern], len(pattern), width)
+def _phase_masks(pattern: tuple[int, ...], width: int) -> tuple:
+    """For c = 0, 1, 2, the pair form ((0, x, y),) of the column phases
+    j^(c + s) of a clock pattern, x and y packed with one slot (of `width`
+    bits) per column: 1, j and j^2 are (1, 0), (0, 1) and (-1, -1)."""
+    masks = []
+    for c in range(3):
+        phases = [(c + s) % 3 for s in pattern]
+        values = [(1, 0, -1)[p] for p in phases] + [(0, 1, -1)[p] for p in phases]
+        x, y = _pack(values, len(pattern), width)
+        masks.append(((0, x, y),))
+    return tuple(masks)
 
 
 @lru_cache(maxsize=16)
@@ -279,85 +311,120 @@ def _unpack(packed: Iterable[int], d: int, width: int) -> Sequence[int]:
 
 
 def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
-    """Cost model, in cell products: ta*tb term pairs against one d x d
-    product (d = 3^ceil(n/2)) plus the conversions.  A term pair (normal
-    ordering, a dict lookup and a Z[j] product) costs about two cell
-    products.  The conversions cost about 8 per monomial of either operand
-    and of the readback, whatever d: the forward map makes a few big-integer
-    operations per monomial and phase class, the readback a few C-level
-    sums.
+    """Cost model, in cell products: ta*tb term pairs against the block
+    products (`_shape`: one d x d block for even n, three for odd n) plus
+    the conversions.  A term pair (normal ordering, a dict lookup and a
+    Z[j] product) costs about two cell products.  The conversions cost
+    about 8 per monomial of either operand and of the readback, whatever
+    d: the forward map makes one raw product on packed integers per
+    monomial, the readback a few C-level sums.
 
-    d^3 is the per-cell product, which operands too wide for the packed
-    rows take, so every product the model sends to the matrix kernel
-    belongs there at any width.  The packed rows cost about d^2, so narrow
-    operands would gain from fewer terms (dense Z[j] operands of t terms
-    each, alternating medians: the matrix kernel wins from about t = 20 at
-    n = 4, t = 40 at n = 5 and t = 55 at n = 6, where the model switches at
-    31, 109 and 118); the term counts cannot tell the two apart.
+    blocks d^3 is the per-cell product (3 d^3 = 2,187 at n = 5), which
+    operands too wide for the packed rows take, so every product the model
+    sends to the matrix kernel belongs there at any width.  The packed
+    rows cost about blocks d^2, so narrow operands would gain from fewer
+    terms; the term counts cannot tell the two apart.  Alternating medians
+    on t random terms per operand, with Z[j] coefficients in [-4, 4] or
+    with 12-digit ones: the matrix kernel wins from about t = 16 (either
+    width) at n = 3, t = 35 and 40 at n = 5, and t = 80 and 145 at n = 7,
+    where the model switches at 17, 50 and 200; at even n from about
+    t = 20 at n = 4 and t = 55 at n = 6 (narrow), against 31 and 118.
     """
-    d = 3 ** ((n + 1) // 2)
-    return 2 * ta * tb > d**3 + 8 * (ta + tb + 3**n)
+    blocks, d = _shape(n)
+    return 2 * ta * tb > blocks * d**3 + 8 * (ta + tb + 3**n)
+
+
+def _dft(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """sum_t j^(kt) a_t for k = 0, 1, 2, on three sequences of 8 integers.
+
+    So _dft(c)[-t % 3] is sum_k j^(-kt) c_k, three times the inverse."""
+    a0, a1, a2 = a
+    total = [x + y + z for x, y, z in zip(a0, a1, a2)]
+    return [total, fold_phases(a0, a1, a2), fold_phases(a0, a2, a1)]
 
 
 def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
-    """The product through the faithful d x d clock-and-shift representation.
+    """The product through the faithful clock-and-shift representation.
 
-    Both operands become d x d matrices (`_to_vectors`: 8 flat row-major
-    vectors of raw numerators over one shared denominator each), their
-    product follows (`_packed_product` when its slots provably fit, else
-    `_cell_product`), and `_read_back` gives each monomial's coefficient as
-    tr(M^dagger P) / d, one shift diagonal at a time.
+    Both operands become their block images A^_k (`_to_vectors`: per block
+    k, 8 flat row-major d x d vectors of raw numerators over one shared
+    denominator each), block k of the product is A^_k B^_k
+    (`_packed_product` when its slots provably fit, else `_cell_product`),
+    and the inverse transform gives 3 C_t = sum_k j^(-kt) (A^_k B^_k) on
+    the packed rows or cells, before they are unpacked.  For odd n the
+    padded product is sum_t C_t (x) X^t; `_read_back` then gives each
+    monomial M' (x) X^t its coefficient tr(M'^dagger C_t) / d, one shift
+    diagonal of block t at a time, which is tr(M'^dagger 3 C_t) / (3 d).
+
+    Slot bound: an output coordinate of 3 C_t sums, over the blocks k, the
+    d inner indices and the radical pairs landing on its radical (their
+    factors add up to at most 12: 1 + 2 + 3 + 6 on the rational part), a
+    Z[j] product times j^(-kt); each coordinate of j^r (x1 + y1 j)(x2 + y2 j)
+    is a sum of at most three products x1 x2, x1 y2, y1 x2 or y1 y2, each
+    below 2^(bits_a + bits_b) with bits the bit length of the widest
+    numerator of each operand's block images.  So every unpacked value has
+    |v| < 36 blocks d 2^(bits_a + bits_b) <= 2^63 whenever
+    bits_a + bits_b + bit_length(36 blocks d) <= 63, the test for the
+    packed rows, whose sums before unpacking are exact at any size.
     """
-    d = 3 ** ((n + 1) // 2)
+    blocks, d = _shape(n)
     va, da = _to_vectors(n, a)
     vb, db = _to_vectors(n, b)
-    ra = _sparse_rows(va, d)
-    bits = sum(max(max(map(max, v)), -min(map(min, v))).bit_length() for v in (va, vb))
-    if bits + (36 * d).bit_length() <= 63:
-        prod = _packed_product(ra, vb, d)
+    flat = [[x for block in v for x in block] for v in (va, vb)]
+    bits = sum(max(max(map(max, v)), -min(map(min, v))).bit_length() for v in flat)
+    packed = bits + (36 * blocks * d).bit_length() <= 63
+    if packed:
+        prods = [_packed_product(_sparse_rows(x, d), y, d) for x, y in zip(va, vb)]
     else:
-        prod = _cell_product(ra, _sparse_rows(vb, d), d)
-    monos, plan, _, _ = _clifford_plan(n)
-    den = da * db * d
-    return {mono: FieldElem(nums, den) for mono, nums in zip(monos, _read_back(prod, plan)) if any(nums)}
+        prods = [_cell_product(_sparse_rows(x, d), _sparse_rows(y, d), d) for x, y in zip(va, vb)]
+    if blocks == 3:
+        prods = list(zip(*map(_dft, zip(*prods))))
+    plans, _, _ = _clifford_plan(n)
+    den = da * db * blocks * d
+    out = {}
+    for t, (monos, plan) in enumerate(plans):
+        units = prods[-t % 3]
+        vecs = [_unpack(coord, d, 64) for coord in zip(*units)] if packed else list(zip(*units))
+        for mono, nums in zip(monos, _read_back(vecs, plan)):
+            if any(nums):
+                out[mono] = FieldElem(nums, den)
+    return out
 
 
-def _to_vectors(n: int, terms: Terms) -> tuple[list[Sequence[int]], int]:
-    """The d x d matrix sum c_m M_m as 8 flat row-major vectors of raw
-    numerators, one per coordinate, over one shared denominator, which is
-    returned with them.
+def _to_vectors(n: int, terms: Terms) -> tuple[list[list[Sequence[int]]], int]:
+    """The block images A^_k of sum c_m M_m, each as 8 flat row-major d x d
+    vectors of raw numerators, one per coordinate, over one shared
+    denominator, which is returned with them.
 
-    Monomial j^c X^a Z^b puts its numerators x, times j^(c + b.v), in
-    column v of shift diagonal a.  So each diagonal keeps three phase
-    classes of 8 integers packed with one slot per column: the monomial
-    adds x times mask[(t - c) % 3] to class t, where mask[s] marks the
-    columns with b.v = s.  fold_phases, which is linear, then makes each
-    diagonal's 8 packed coordinates exactly, and each coordinate unpacks
-    once and is permuted into row-major order.
+    Monomial j^c X^a Z^b of block t puts its numerators x, times
+    j^(c + b.v), in column v of shift diagonal a of A_t.  So each diagonal
+    of each block keeps 8 integers packed with one slot per column, and
+    the monomial adds x times its packed column phases there with one
+    `mul_accumulate` (linear in its second operand) by `_phase_masks`.
+    `_dft` then makes each diagonal's 8 packed coordinates of
+    A^_k = sum_t j^(kt) A_t (for even n, A^_0 = A_0), and each coordinate
+    of each block unpacks once and is permuted into row-major order.
 
-    Slot bound: each of the 3^n / d monomials on a diagonal adds x to one
-    class of each slot, and folding adds or subtracts at most two class
-    coordinates into a coordinate, so every slot holds
+    Slot bound: each of the 3^n / d monomials on a diagonal (of all blocks
+    t) adds j^p x to every slot of A^_k, and a coordinate of j^p x is
+    x, y, -y, x - y, y - x or -x of a Z[j] pair of x, so every slot holds
     |cell| <= 2 (3^n / d) max|x| < 2^(bits + bit_length(2 3^n / d - 1))
     with bits the bit length of max|x|.  The slots take the least multiple
-    of 64 bits that holds this signed.
+    of 64 bits that holds this signed; the packed sums before unpacking
+    are exact at any size.
     """
-    d = 3 ** ((n + 1) // 2)
-    den = math.lcm(*[e.den for e in terms.values()])
-    nums = [[(k, v * (den // e.den)) for k, v in enumerate(e.nums) if v] for e in terms.values()]
-    top = max((abs(v) for x in nums for _, v in x), default=0)
+    blocks, d = _shape(n)
+    nums, den = common_numerators(terms.values())
+    top = max((max(abs(x), abs(y)) for pairs in nums for _, x, y in pairs), default=0)
     width = 64 * ((top.bit_length() + (2 * 3**n // d - 1).bit_length()) // 64 + 1)
-    _, _, plan, to_rows = _clifford_plan(n)
-    classes = [[[0] * 8 for _ in range(3)] for _ in range(d)]
+    _, forward, to_rows = _clifford_plan(n)
+    diagonals = [[[0] * 8 for _ in range(d)] for _ in range(blocks)]
     for mono, x in zip(terms, nums):
-        i, pattern, c = plan[mono]
-        masks = _clock_masks(pattern, width)
-        for t, acc in enumerate(classes[i]):
-            mask = masks[(t - c) % 3]
-            for k, v in x:
-                acc[k] += v * mask
-    diagonals = [fold_phases(*acc) for acc in classes]
-    return [to_rows(_unpack(coord, d, width)) for coord in zip(*diagonals)], den
+        t, i, pattern, c = forward[mono]
+        mul_accumulate(diagonals[t][i], x, _phase_masks(pattern, width)[c])
+    if blocks == 3:
+        diagonals = list(zip(*map(_dft, zip(*diagonals))))
+    return [[to_rows(_unpack(coord, d, width)) for coord in zip(*block)] for block in diagonals], den
 
 
 def _sparse_rows(vecs: Sequence[Sequence[int]], d: int) -> list[list[tuple[int, tuple]]]:
@@ -369,36 +436,30 @@ def _sparse_rows(vecs: Sequence[Sequence[int]], d: int) -> list[list[tuple[int, 
     ]
 
 
-def _cell_product(ra: list, rb: list, d: int) -> list[tuple[int, ...]]:
+def _cell_product(ra: list, rb: list, d: int) -> list[list[int]]:
     """The product of two matrices of sparse rows, one Z[j] pair product
-    per (row i, inner k, column) triple whose two cells are nonzero, as 8
-    flat row-major vectors."""
+    per (row i, inner k, column) triple whose two cells are nonzero, as
+    d x d cells of 8 raw numerators in row-major order."""
     prod = [[0] * 8 for _ in range(d * d)]
     for i, row in enumerate(ra):
         for k, x in row:
             for col, y in rb[k]:
                 mul_accumulate(prod[i * d + col], x, y)
-    return list(zip(*prod))
+    return prod
 
 
-def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int) -> list[Sequence[int]]:
-    """The product of sparse rows ra by the flat vectors vb, one row at a time.
+def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int) -> list[list[int]]:
+    """The product of sparse rows ra by the flat vectors vb, as d rows of
+    8 packed numerator coordinates.
 
     Each of the 8 numerator coordinates of a row of vb is packed into one
     integer of d signed 64-bit slots, column c in slot c (Kronecker
     substitution).  mul_accumulate is linear in its second operand, so one
     call per nonzero cell (i, k) of ra adds cell (i, k) times all of row k
     into row i; CPython's big-integer arithmetic does the d column
-    products.  The packed sums stay exact; only their unpacking needs each
-    slot to fit.  The output rows unpack into 8 flat row-major vectors.
-
-    Slot bound: an output coordinate sums, over the d inner indices k, the
-    Z[j] products of the radical pairs landing on its radical, whose
-    factors m add up to at most 12 (1 + 2 + 3 + 6 on the rational part),
-    and each part x1 x2 - y1 y2 or x1 y2 + y1 x2 - y1 y2 is below
-    3 2^(bits_a + bits_b) in size.  So every slot c has
-    |c| < 36 d 2^(bits_a + bits_b) <= 2^63 whenever
-    bits_a + bits_b + bit_length(36 d) <= 63, the test in `_matrix_product`.
+    products.  The packed sums stay exact; only their unpacking
+    (`_unpack`, after any linear map of the rows) needs each slot to fit,
+    as bounded in `_matrix_product`.
     """
     packed = [numerator_pairs(row) for row in zip(*[_pack(v, d, 64) for v in vb])]
     rows = []
@@ -407,7 +468,7 @@ def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int) -> list[Seque
         for k, x in row:
             mul_accumulate(acc, x, packed[k])
         rows.append(acc)
-    return [_unpack(coord, d, 64) for coord in zip(*rows)]
+    return rows
 
 
 def _read_back(vecs: Sequence[Sequence[int]], plan: tuple) -> list[list[int]]:
@@ -426,7 +487,7 @@ def _read_back(vecs: Sequence[Sequence[int]], plan: tuple) -> list[list[int]]:
     live = [any(v) for v in vecs]
     out: list = [None] * sum(len(entries) for _, entries in plan)
     for positions, entries in plan:
-        diagonal = itemgetter(*positions)
+        diagonal = _getter(positions)
         diag = [diagonal(v) if z else None for v, z in zip(vecs, live)]
         for k, pattern, c in entries:
             sums = [

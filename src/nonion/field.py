@@ -372,11 +372,10 @@ def common_numerators(elems: Collection[FieldElem]) -> tuple[list[tuple], int]:
     Z[j] pairs ``(radical, x, y)`` of ``elems[t] * den``.
     """
     den = math.lcm(*[e.den for e in elems])
-    sparse = []
-    for e in elems:
-        s = den // e.den
-        sparse.append(numerator_pairs([n * s for n in e.nums]))
-    return sparse, den
+    return [
+        numerator_pairs(e.nums if e.den == den else [n * (den // e.den) for n in e.nums])
+        for e in elems
+    ], den
 
 
 def mul_accumulate(acc: list[int], a: Iterable[tuple], b: Sequence[tuple]) -> None:

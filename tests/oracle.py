@@ -14,7 +14,6 @@ library's own arithmetic.
 
 from __future__ import annotations
 
-from itertools import product as _product
 from typing import Sequence
 
 ZJ = tuple[int, int]
@@ -259,31 +258,25 @@ def clifford_monomial(mono: Sequence[int]) -> Action:
     return out
 
 
-def clifford_actions(n: int) -> dict[tuple[int, ...], Action]:
-    """The image of every normal-form monomial among n generators.
-
-    Each monomial is built from the one before it in lexicographic order
-    that has one fewer factor of its last generator.
-    """
-    gens = [clifford_generator(n, k) for k in range(n)]
-    out = {}
-    for mono in _product((0, 1, 2), repeat=n):
-        if not any(mono):
-            out[mono] = _tensor_action([IDENTITY] * n)
-            continue
-        k = max(i for i, e in enumerate(mono) if e)
-        prev = (*mono[:k], mono[k] - 1, *mono[k + 1:])
-        out[mono] = compose(out[prev], gens[k])
-    return out
-
-
 def clifford_apply(
-    actions: dict[tuple[int, ...], Action], coeffs: dict[tuple[int, ...], ZJ], v: Sequence[ZJ]
-) -> list[ZJ]:
-    """rep(x) v for x = sum of coeffs[m] q^m, with Z[j] coefficients."""
-    out = [ZERO] * len(v)
+    gens: Sequence[Action], coeffs: dict[tuple[int, ...], ZJ], v: dict[int, ZJ]
+) -> dict[int, ZJ]:
+    """rep(x) v for x = sum of coeffs[m] q^m, with Z[j] coefficients, on a
+    sparse v (state -> Z[j]), from the generator images alone: q^m acts on
+    a state as q_(n-1)^m_(n-1) first and q_0^m_0 last.
+
+    q^m shifts tensor factor k by m_k, so distinct monomials send a state
+    to distinct states, and rep(x) of one basis state holds every
+    coefficient of x.
+    """
+    out: dict[int, ZJ] = {}
     for mono, c in coeffs.items():
         turns = (c, mul(c, J), mul(c, J2))
-        for (t, e), x in zip(actions[mono], v):
-            out[t] = add(out[t], mul(turns[e], x))
-    return out
+        for state, x in v.items():
+            e = 0
+            for k in range(len(mono) - 1, -1, -1):
+                for _ in range(mono[k]):
+                    state, ek = gens[k][state]
+                    e += ek
+            out[state] = add(out.get(state, ZERO), mul(turns[e % 3], x))
+    return {t: x for t, x in out.items() if x != ZERO}

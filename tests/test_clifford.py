@@ -253,10 +253,12 @@ def test_generator_words_stay_on_the_pairwise_kernel(monkeypatch):
     assert clifford._matrix_is_cheaper(5, 243, 243)
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_dense_product_in_oracle_representation(n):
     """rep(a) rep(b) v = rep(ab) v in the tensor representation of
-    tests/oracle.py, for dense Z[j] operands on the matrix path."""
+    tests/oracle.py, for dense Z[j] operands on the matrix path (at n = 7
+    the right operand keeps 30 terms).  v holds three basis states, each
+    of which alone determines every coefficient of ab."""
     rng = random.Random(500 + n)
 
     def zj(bound):
@@ -266,17 +268,18 @@ def test_dense_product_in_oracle_representation(n):
         return x
 
     monos = list(product((0, 1, 2), repeat=n))
-    ca, cb = ({m: zj(4) for m in monos} for _ in range(2))
+    right = monos if n < 7 else rng.sample(monos, 30)
+    ca, cb = ({m: zj(4) for m in chosen} for chosen in (monos, right))
     a, b = (
         CliffElement(n, {m: FieldElem((x, y, 0, 0, 0, 0, 0, 0)) for m, (x, y) in c.items()})
         for c in (ca, cb)
     )
     assert clifford._matrix_is_cheaper(n, len(a.terms), len(b.terms))
     cab = {m: oracle.from_library_scalar(c) for m, c in (a * b).terms.items()}
-    actions = oracle.clifford_actions(n)
-    v = [zj(9) for _ in monos]
-    lhs = oracle.clifford_apply(actions, ca, oracle.clifford_apply(actions, cb, v))
-    assert lhs == oracle.clifford_apply(actions, cab, v)
+    gens = [oracle.clifford_generator(n, k) for k in range(n)]
+    v = {s: zj(9) for s in rng.sample(range(3**n), 3)}
+    lhs = oracle.clifford_apply(gens, ca, oracle.clifford_apply(gens, cb, v))
+    assert lhs == oracle.clifford_apply(gens, cab, v)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +304,11 @@ def _pairwise(a: CliffElement, b: CliffElement) -> CliffElement:
     return CliffElement(a.n, clifford._pairwise_product(a.terms, b.terms))
 
 
+def _blocks(n: int) -> int:
+    """The number of d x d blocks of the image: three for odd n, one for even n."""
+    return 3 if n % 2 else 1
+
+
 def _dense_zj(rng, monos, bound=4) -> dict:
     return {
         m: FieldElem([rng.randint(-bound, bound) or 1, rng.randint(-bound, bound)] + [0] * 6)
@@ -318,7 +326,7 @@ def test_packed_product_dense_zj(n, monkeypatch):
     taken = _spy_products(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert taken == ["_packed_product"] * 2
+    assert taken == ["_packed_product"] * 2 * _blocks(n)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -333,7 +341,7 @@ def test_packed_product_four_radicals_negative_coordinates(n, monkeypatch):
     taken = _spy_products(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert taken == ["_packed_product"] * 2
+    assert taken == ["_packed_product"] * 2 * _blocks(n)
 
 
 def test_packed_product_zero_row_and_column(monkeypatch):
@@ -345,12 +353,12 @@ def test_packed_product_zero_row_and_column(monkeypatch):
         for row in range(d)
         for col in range(d)
     ]
-    monos, plan, _, _ = clifford._clifford_plan(n)
+    [(monos, plan)], _, _ = clifford._clifford_plan(n)
     a = CliffElement(n, {
         m: FieldElem(nums, d)
         for m, nums in zip(monos, clifford._read_back(list(zip(*image)), plan))
     })
-    vecs, den = clifford._to_vectors(n, a.terms)
+    [vecs], den = clifford._to_vectors(n, a.terms)
     assert [FieldElem(cell, den) for cell in zip(*vecs)] == [FieldElem(c) for c in image]
     b = CliffElement(n, {m: FieldElem([rng.randint(-7, 7) for _ in range(8)]) for m in monos})
     taken = _spy_products(monkeypatch)
@@ -360,52 +368,70 @@ def test_packed_product_zero_row_and_column(monkeypatch):
 
 
 def test_packed_dense_product_makes_one_call_per_nonzero_cell(monkeypatch):
-    # the per-cell product made 19,521 calls for this pair, one per cell triple
+    # the per-cell product made 19,521 calls for this pair, one per cell
+    # triple, and the padded 27 x 27 image up to 27 * 27
     rng = random.Random(1500)
     monos = list(product((0, 1, 2), repeat=5))
     a, b = (CliffElement(5, _dense_zj(rng, monos)) for _ in range(2))
     expected = _pairwise(a, b)
-    calls = []
-    real = clifford.mul_accumulate
-    monkeypatch.setattr(clifford, "mul_accumulate", lambda *args: (calls.append(1), real(*args)))
+    calls, inside = [], []
+    real, real_product = clifford.mul_accumulate, clifford._packed_product
+
+    def count(*args):
+        calls.extend(inside)
+        return real(*args)
+
+    def packed_product(*args):
+        inside.append(1)
+        try:
+            return real_product(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(clifford, "mul_accumulate", count)
+    monkeypatch.setattr(clifford, "_packed_product", packed_product)
     assert a * b == expected
-    assert 0 < len(calls) <= 27 * 27
+    assert 0 < len(calls) <= 3 * 9 * 9
 
 
-def _flat_image_element(n: int, bits: int) -> CliffElement:
-    """The element whose image has every cell X (1 - j)(1 + sqrt2 + sqrt3 + sqrt6),
-    X = 2^bits - 1: each of the 8 coordinates has one sign in every cell.
+def _centre_block_element(n: int, bits: int) -> CliffElement:
+    """For odd n, the element whose padded image is V (x) 1, every cell of
+    V X (1 - j)(1 + sqrt2 + sqrt3 + sqrt6), X = 2^bits - 1: its three block
+    images are all V, each of whose 8 coordinates has one sign in every cell.
 
-    Each shift of the clock-and-shift basis has one monomial whose column
-    phases are one constant j^c; its coefficient is the cell value over j^c.
+    Each shift has one monomial of last exponent 0 whose column phases are
+    one constant j^c; its coefficient is the cell value over j^c.
     """
     x = 2**bits - 1
     cell = FieldElem([x, -x] * 4)
     terms = {}
-    for mono in product((0, 1, 2), repeat=n):
-        phases = {e for _, e in clifford._column_action(mono)}
+    for mono in product((0, 1, 2), repeat=n - 1):
+        phases = {e for _, e in clifford._column_action((*mono, 0))}
         if len(phases) == 1:
-            terms[mono] = cell * j_pow(-phases.pop())
+            terms[(*mono, 0)] = cell * j_pow(-phases.pop())
     return CliffElement(n, terms)
 
 
-def _bit_length(vecs) -> int:
-    """The largest bit length of any raw numerator in the flat vectors."""
+def _bit_length(images) -> int:
+    """The largest bit length of any raw numerator in the blocks' flat vectors."""
+    vecs = [v for block in images for v in block]
     return max(max(map(max, vecs)), -min(map(min, vecs))).bit_length()
 
 
 @pytest.mark.parametrize("wider, path", [(0, "_packed_product"), (1, "_cell_product")])
 def test_packing_bound_edge(wider, path, monkeypatch):
-    n, d = 5, 27
-    a, b = _flat_image_element(n, 27), _flat_image_element(n, 26 + wider)
+    n, blocks, d = 5, 3, 9
+    a, b = _centre_block_element(n, 27), _centre_block_element(n, 26 + wider)
     bits = [_bit_length(clifford._to_vectors(n, x.terms)[0]) for x in (a, b)]
-    assert sum(bits) + (36 * d).bit_length() == 63 + wider
-    # the j-part of every rational slot is -36 d X_a X_b, which fits a slot only at the bound
-    slot = 36 * d * (2**27 - 1) * (2**(26 + wider) - 1)
+    assert bits == [27, 26 + wider]
+    assert sum(bits) + (36 * blocks * d).bit_length() == 63 + wider
+    # 3 C_0 = 3 V W: the rational part of each cell is 3 d (-3 j)(12) X_a X_b,
+    # so its j-part is -36 blocks d X_a X_b, which fits a slot only at the bound
+    slot = 36 * blocks * d * (2**27 - 1) * (2**(26 + wider) - 1)
     assert 2**62 < slot and (slot < 2**63) == (not wider)
     taken = _spy_products(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
-    assert taken == [path]
+    assert taken == [path] * blocks
 
 
 # ---------------------------------------------------------------------------
@@ -414,35 +440,54 @@ def test_packing_bound_edge(wider, path, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_forward_image_of_each_monomial_is_its_column_action(n):
-    d = 3 ** ((n + 1) // 2)
+    """Block k of the image of q^m is j^(kt) times its block action.
+
+    For odd n the padded image is M' (x) X^t, t the last exponent: column
+    3v + u of the padded action is column 3v shifted by u on the last
+    factor, and M' is column 3v with its row divided by 3.  For even n
+    the one block is the action itself (t = 0)."""
+    blocks, d = _blocks(n), 3 ** (n // 2)
     x = FieldElem([3, -1, -4, 1, 5, -9, 2, -6], 7)
-    cells = {e: (x * j_pow(e)).nums for e in range(3)}
-    assert all((x * j_pow(e)).den == 7 for e in range(3))
     for mono in product((0, 1, 2), repeat=n):
-        vecs, den = clifford._to_vectors(n, {mono: x})
-        expected = [(0,) * 8] * (d * d)
-        for col, (row, e) in enumerate(clifford._column_action(mono)):
-            expected[row * d + col] = cells[e]
-        assert den == 7
-        assert list(zip(*vecs)) == expected
+        images, den = clifford._to_vectors(n, {mono: x})
+        action, t = clifford._column_action(mono), mono[-1] * (n % 2)
+        if n % 2:
+            assert action == [
+                (3 * (row // 3) + (u - t) % 3, e) for row, e in action[::3] for u in range(3)
+            ]
+            action = [(row // 3, e) for row, e in action[::3]]
+        assert den == 7 and len(images) == blocks
+        for k, vecs in enumerate(images):
+            expected = [(0,) * 8] * (d * d)
+            for col, (row, e) in enumerate(action):
+                expected[row * d + col] = (x * j_pow(e + k * t)).nums
+            assert list(zip(*vecs)) == expected
 
 
 @pytest.mark.parametrize("bound", [30, 2**70])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_read_back_after_forward_is_the_identity(n, bound):
     """Dense elements on all four radicals, with negative coordinates and
-    mixed denominators; 2^70 numerators take the wider forward slots."""
+    mixed denominators; 2^70 numerators take the wider forward slots.
+
+    Block t of the padded image is A_t = (1/3) sum_k j^(-kt) A^_k, here
+    summed cell by cell in the field."""
     rng = random.Random(1600 + n)
-    d = 3 ** ((n + 1) // 2)
-    monos, plan, _, _ = clifford._clifford_plan(n)
+    blocks, d = _blocks(n), 3 ** (n // 2)
+    plans, _, _ = clifford._clifford_plan(n)
     terms = {
         m: FieldElem([rng.randint(-bound, bound) for _ in range(8)], rng.choice((1, 2, 9, 35))) or ONE
-        for m in monos
+        for m in product((0, 1, 2), repeat=n)
     }
     assert any(c.nums[7] < 0 for c in terms.values())
-    vecs, den = clifford._to_vectors(n, terms)
-    back = clifford._read_back(vecs, plan)
-    assert {m: FieldElem(nums, den * d) for m, nums in zip(monos, back)} == terms
+    images, den = clifford._to_vectors(n, terms)
+    cells = [[FieldElem(cell) for cell in zip(*vecs)] for vecs in images]
+    back = {}
+    for t, (monos, plan) in enumerate(plans):
+        block = [sum((c[k] * j_pow(-k * t) for k in range(blocks)), ZERO).nums for c in zip(*cells)]
+        for m, nums in zip(monos, clifford._read_back(list(zip(*block)), plan)):
+            back[m] = FieldElem(nums, den * blocks * d)
+    assert back == terms
 
 
 def _slot_bound_element(bits: int) -> CliffElement:
@@ -457,6 +502,14 @@ def _slot_bound_element(bits: int) -> CliffElement:
     })
 
 
+def _spy_widths(monkeypatch) -> list[int]:
+    """Record the forward slot width of each monomial's phase masks."""
+    widths: list[int] = []
+    real = clifford._phase_masks
+    monkeypatch.setattr(clifford, "_phase_masks", lambda p, w: (widths.append(w), real(p, w))[1])
+    return widths
+
+
 @pytest.mark.parametrize("bits, width", [(60, 64), (61, 128)])
 def test_forward_slot_bound_edge(bits, width, monkeypatch):
     # 6 = 2 (3^n / d) needs 3 bits: bits + 3 <= 63 is the 64-bit slot test
@@ -465,10 +518,8 @@ def test_forward_slot_bound_edge(bits, width, monkeypatch):
         m: FieldElem([(-1) ** k * (k + sum(m)) for k in range(8)], 3)
         for m in product((0, 1, 2), repeat=2)
     })
-    widths = []
-    real = clifford._clock_masks
-    monkeypatch.setattr(clifford, "_clock_masks", lambda p, w: (widths.append(w), real(p, w))[1])
-    vecs, den = clifford._to_vectors(2, a.terms)
+    widths = _spy_widths(monkeypatch)
+    [vecs], den = clifford._to_vectors(2, a.terms)
     assert set(widths) == {width} and den == 1
     # the j-part 5M fits a signed 64-bit slot only at the bound
     assert max(vecs[1]) == 5 * (2**bits - 1)
@@ -478,6 +529,70 @@ def test_forward_slot_bound_edge(bits, width, monkeypatch):
     assert _matrix(a, a) == _pairwise(a, a)
     # each product converts a and b, 9 monomials each
     assert widths[9:] == [width] * 9 + [64] * 18 + [width] * 27
+
+
+def _odd_slot_bound_element(bits: int) -> CliffElement:
+    """n = 5 with M = 2^bits - 1, on the 27 monomials that put column 8 of
+    their block on row 8.  In block 2 that cell takes phase j^p, p = e + 2t,
+    from each; the coefficients M + M j, M - M j and -M + M j for p = 0, 1, 2
+    give it the j-part M, 2M and M.  Three, twelve and twelve monomials have
+    these phases, so the j-part is 39M, near the forward bound
+    2 (3^n / d) M = 54M."""
+    x = 2**bits - 1
+    coeffs = ((x, x), (x, -x), (-x, x))
+    terms = {}
+    for mono in product((0, 1, 2), repeat=5):
+        row, e = clifford._column_action(mono)[3 * 8]
+        if row // 3 == 8:
+            terms[mono] = FieldElem([*coeffs[(e + 2 * mono[-1]) % 3]] + [0] * 6)
+    return CliffElement(5, terms)
+
+
+@pytest.mark.parametrize("bits, width", [(57, 64), (58, 128)])
+def test_odd_forward_slot_bound_edge(bits, width, monkeypatch):
+    # 54 = 2 (3^5 / 9) needs 6 bits: bits + 6 <= 63 is the 64-bit slot test
+    a = _odd_slot_bound_element(bits)
+    assert len(a.terms) == 27
+    rng = random.Random(1750)
+    b = CliffElement(5, _dense_zj(rng, rng.sample(list(product((0, 1, 2), repeat=5)), 30)))
+    widths = _spy_widths(monkeypatch)
+    images, den = clifford._to_vectors(5, a.terms)
+    assert set(widths) == {width} and den == 1
+    # the j-part 39M fits a signed 64-bit slot only at the bound
+    assert images[2][1][8 * 9 + 8] == 39 * (2**bits - 1)
+    assert _bit_length(images) == (39 * (2**bits - 1)).bit_length()
+    assert (39 * (2**bits - 1) < 2**63) == (width == 64)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert _matrix(b, a) == _pairwise(b, a)
+
+
+@pytest.mark.parametrize(
+    "n, wide", [(1, False), (1, True), (3, False), (3, True), (5, False), (5, True), (7, False)]
+)
+def test_block_product_matches_pairwise(n, wide, monkeypatch):
+    """Four radicals, negative coordinates and mixed denominators, through
+    the packed block products or, with 2^40 numerators, the per-cell
+    ones; from n = 5 the right operand keeps 30 terms, so the reference
+    stays fast.  A product through the centre's generator cancels to zero."""
+    rng = random.Random(1800 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+    bound = 2**40 if wide else 9
+
+    def element(chosen):
+        return CliffElement(n, {
+            m: FieldElem([rng.randint(-bound, bound) for _ in range(8)], rng.choice((1, 2, 9, 35))) or ONE
+            for m in chosen
+        })
+
+    a, b = element(monos), element(monos if n < 5 else rng.sample(monos, 30))
+    assert any(c.nums[7] < 0 for c in b.terms.values())
+    taken = _spy_products(monkeypatch)
+    assert _matrix(a, b) == _pairwise(a, b)
+    assert _matrix(b, a) == _pairwise(b, a)
+    assert taken == ["_cell_product" if wide else "_packed_product"] * 6
+    # a (1 + q + q^2) times (1 - q) b is a (1 - q^3) b = 0 for the last generator q
+    q = generator(n, n - 1)
+    assert _matrix(_pairwise(a, unit(n) + q + q * q), _pairwise(unit(n) - q, b)).is_zero()
 
 
 def test_kernel_results_skip_revalidation(monkeypatch):
