@@ -256,18 +256,16 @@ def _cmd_lambda(args) -> int:
     return 0
 
 
+_TOKEN = re.compile(r"q([0-9]+)(?:\^(-?[0-9]+))?")
+
+
 def _parse_word(text: str, n: int) -> CliffElement:
     out = unit(n)
     for token in text.split():
-        tok = token.strip().lower()
-        if not tok.startswith("q"):
+        match = _TOKEN.fullmatch(token.lower())
+        if match is None:
             raise ValueError(f"bad generator token {token!r}")
-        body = tok[1:]
-        power = 1
-        if "^" in body:
-            body, p = body.split("^")
-            power = int(p)
-        k = int(body)
+        k, power = int(match[1]), int(match[2] or 1)
         if not 1 <= k <= n:
             raise ValueError(f"generator q{k} out of range for n={n}")
         out = out * generator(n, k - 1, power)

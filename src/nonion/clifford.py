@@ -33,15 +33,15 @@ only through its clock pattern b.v.  So the forward map adds each
 coefficient, times one column mask per phase class, into integers packed
 with one slot per column, and the readback sums each phase class of a
 diagonal at C level.  The product packs each row of the right image into
-big integers of d 64-bit slots (Kronecker substitution), so one raw
-product per nonzero cell of the left image does a whole output row; it
-falls back to one raw product per cell triple when the cells are too
-wide for the slots.
+big integers of d slots (Kronecker substitution), so one raw product per
+nonzero cell of the left image does a whole output row; the slots are 64
+bits, or a wider multiple of 64 when the operands' numerators are wide.
 
-One readback (`_read_back`) serves both graded algebras: at n = 2 the
-monomials, up to a phase, are the nonion units, and
+One plan (`_clifford_plan`) and one readback (`_read_back`) serve both
+graded algebras: at n = 2 the monomials, up to a phase, are the nonion
+units; `bases` builds the nonion matrices on the n = 2 plan, and
 `matrix.decompose_in_basis` reads a 3x3 matrix's nonion coefficients
-through it, three cells folded by phase per coefficient.
+back, three cells folded by phase per coefficient.
 """
 
 from __future__ import annotations
@@ -273,6 +273,12 @@ def _phase_masks(pattern: tuple[int, ...], width: int) -> tuple:
     return tuple(masks)
 
 
+def _slot_width(bits: int) -> int:
+    """The least multiple of 64 that holds values of magnitude below 2^bits
+    as signed slots: bits + 1 bits with the sign."""
+    return 64 * -(-(bits + 1) // 64)
+
+
 @lru_cache(maxsize=16)
 def _offset(d: int, width: int) -> int:
     """The integer with bit width - 1 of each of d slots of `width` bits set."""
@@ -319,11 +325,12 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     d: the forward map makes one raw product on packed integers per
     monomial, the readback a few C-level sums.
 
-    blocks d^3 is the per-cell product (3 d^3 = 2,187 at n = 5), which
-    operands too wide for the packed rows take, so every product the model
-    sends to the matrix kernel belongs there at any width.  The packed
-    rows cost about blocks d^2, so narrow operands would gain from fewer
-    terms; the term counts cannot tell the two apart.  Alternating medians
+    blocks d^3 (3 d^3 = 2,187 at n = 5) is only an upper bound on the
+    block products: the packed rows make at most blocks d^2 raw products,
+    each on integers of d slots of 64 bits or, for wide operands, a wider
+    multiple of 64.  So every product the model sends to the matrix kernel
+    belongs there, and narrow operands would gain from fewer terms; the
+    term counts cannot tell them apart.  Alternating medians
     on t random terms per operand, with Z[j] coefficients in [-4, 4] or
     with 12-digit ones: the matrix kernel wins from about t = 16 (either
     width) at n = 3, t = 35 and 40 at n = 5, and t = 80 and 145 at n = 7,
@@ -349,9 +356,9 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     Both operands become their block images A^_k (`_to_vectors`: per block
     k, 8 flat row-major d x d vectors of raw numerators over one shared
     denominator each), block k of the product is A^_k B^_k
-    (`_packed_product` when its slots provably fit, else `_cell_product`),
+    (`_packed_product`, with slots wide enough for every output value),
     and the inverse transform gives 3 C_t = sum_k j^(-kt) (A^_k B^_k) on
-    the packed rows or cells, before they are unpacked.  For odd n the
+    the packed rows, before they are unpacked.  For odd n the
     padded product is sum_t C_t (x) X^t; `_read_back` then gives each
     monomial M' (x) X^t its coefficient tr(M'^dagger C_t) / d, one shift
     diagonal of block t at a time, which is tr(M'^dagger 3 C_t) / (3 d).
@@ -363,28 +370,25 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     is a sum of at most three products x1 x2, x1 y2, y1 x2 or y1 y2, each
     below 2^(bits_a + bits_b) with bits the bit length of the widest
     numerator of each operand's block images.  So every unpacked value has
-    |v| < 36 blocks d 2^(bits_a + bits_b) <= 2^63 whenever
-    bits_a + bits_b + bit_length(36 blocks d) <= 63, the test for the
-    packed rows, whose sums before unpacking are exact at any size.
+    |v| < 36 blocks d 2^(bits_a + bits_b) <= 2^(bits_a + bits_b +
+    bit_length(36 blocks d)), and the slots take `_slot_width` of that
+    exponent: 64 bits while it is at most 63.  The packed sums before
+    unpacking are exact at any size.
     """
     blocks, d = _shape(n)
     va, da = _to_vectors(n, a)
     vb, db = _to_vectors(n, b)
     flat = [[x for block in v for x in block] for v in (va, vb)]
     bits = sum(max(max(map(max, v)), -min(map(min, v))).bit_length() for v in flat)
-    packed = bits + (36 * blocks * d).bit_length() <= 63
-    if packed:
-        prods = [_packed_product(_sparse_rows(x, d), y, d) for x, y in zip(va, vb)]
-    else:
-        prods = [_cell_product(_sparse_rows(x, d), _sparse_rows(y, d), d) for x, y in zip(va, vb)]
+    width = _slot_width(bits + (36 * blocks * d).bit_length())
+    prods = [_packed_product(_sparse_rows(x, d), y, d, width) for x, y in zip(va, vb)]
     if blocks == 3:
         prods = list(zip(*map(_dft, zip(*prods))))
     plans, _, _ = _clifford_plan(n)
     den = da * db * blocks * d
     out = {}
     for t, (monos, plan) in enumerate(plans):
-        units = prods[-t % 3]
-        vecs = [_unpack(coord, d, 64) for coord in zip(*units)] if packed else list(zip(*units))
+        vecs = [_unpack(coord, d, width) for coord in zip(*prods[-t % 3])]
         for mono, nums in zip(monos, _read_back(vecs, plan)):
             if any(nums):
                 out[mono] = FieldElem(nums, den)
@@ -409,14 +413,13 @@ def _to_vectors(n: int, terms: Terms) -> tuple[list[list[Sequence[int]]], int]:
     t) adds j^p x to every slot of A^_k, and a coordinate of j^p x is
     x, y, -y, x - y, y - x or -x of a Z[j] pair of x, so every slot holds
     |cell| <= 2 (3^n / d) max|x| < 2^(bits + bit_length(2 3^n / d - 1))
-    with bits the bit length of max|x|.  The slots take the least multiple
-    of 64 bits that holds this signed; the packed sums before unpacking
-    are exact at any size.
+    with bits the bit length of max|x|.  The slots take `_slot_width` of
+    this; the packed sums before unpacking are exact at any size.
     """
     blocks, d = _shape(n)
     nums, den = common_numerators(terms.values())
     top = max((max(abs(x), abs(y)) for pairs in nums for _, x, y in pairs), default=0)
-    width = 64 * ((top.bit_length() + (2 * 3**n // d - 1).bit_length()) // 64 + 1)
+    width = _slot_width(top.bit_length() + (2 * 3**n // d - 1).bit_length())
     _, forward, to_rows = _clifford_plan(n)
     diagonals = [[[0] * 8 for _ in range(d)] for _ in range(blocks)]
     for mono, x in zip(terms, nums):
@@ -436,32 +439,20 @@ def _sparse_rows(vecs: Sequence[Sequence[int]], d: int) -> list[list[tuple[int, 
     ]
 
 
-def _cell_product(ra: list, rb: list, d: int) -> list[list[int]]:
-    """The product of two matrices of sparse rows, one Z[j] pair product
-    per (row i, inner k, column) triple whose two cells are nonzero, as
-    d x d cells of 8 raw numerators in row-major order."""
-    prod = [[0] * 8 for _ in range(d * d)]
-    for i, row in enumerate(ra):
-        for k, x in row:
-            for col, y in rb[k]:
-                mul_accumulate(prod[i * d + col], x, y)
-    return prod
-
-
-def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int) -> list[list[int]]:
+def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int, width: int) -> list[list[int]]:
     """The product of sparse rows ra by the flat vectors vb, as d rows of
     8 packed numerator coordinates.
 
     Each of the 8 numerator coordinates of a row of vb is packed into one
-    integer of d signed 64-bit slots, column c in slot c (Kronecker
-    substitution).  mul_accumulate is linear in its second operand, so one
-    call per nonzero cell (i, k) of ra adds cell (i, k) times all of row k
-    into row i; CPython's big-integer arithmetic does the d column
-    products.  The packed sums stay exact; only their unpacking
-    (`_unpack`, after any linear map of the rows) needs each slot to fit,
-    as bounded in `_matrix_product`.
+    integer of d signed slots of `width` bits, column c in slot c
+    (Kronecker substitution).  mul_accumulate is linear in its second
+    operand, so one call per nonzero cell (i, k) of ra adds cell (i, k)
+    times all of row k into row i; CPython's big-integer arithmetic does
+    the d column products.  The packed sums stay exact; only their
+    unpacking (`_unpack` with the same width, after any linear map of the
+    rows) needs each slot to fit, as bounded in `_matrix_product`.
     """
-    packed = [numerator_pairs(row) for row in zip(*[_pack(v, d, 64) for v in vb])]
+    packed = [numerator_pairs(row) for row in zip(*[_pack(v, d, width) for v in vb])]
     rows = []
     for row in ra:
         acc = [0] * 8

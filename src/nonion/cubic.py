@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bases import TWIST_EXPONENTS, nonion_basis
-from .field import J, J2, ONE, FieldElem, fold_phases, j_pow, rational
+from .bases import TWIST_EXPONENTS, _nonion_cells, nonion_basis
+from .field import FieldElem, j_pow, rational
 from .matrix import Mat3
 from .poly import MPoly, NonionPoly
 
@@ -73,37 +73,12 @@ def qhat_matrix_view() -> tuple[MPoly, ...]:
     return tuple(grid)
 
 
-@lru_cache(maxsize=1)
-def _qhat_cells() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(a, k) for each term j^k x_a of each cell of qhat_matrix_view()."""
-    phases = (ONE, J, J2)
-    return tuple(
-        tuple((exp.index(1), phases.index(c)) for exp, c in g.items())
-        for g in qhat_matrix_view()
-    )
-
-
 def qhat_at(coords: Sequence[FieldElem]) -> Mat3:
-    """Numeric coordinate matrix sum_a coords[a]*q_a.
-
-    Each cell is a sum of coordinates times cube-root phases: the
-    coordinates are lifted to the lcm of their denominators and the
-    phases folded in raw numerators, one FieldElem per cell.
-    """
+    """Numeric coordinate matrix sum_a coords[a]*q_a, built on the nonion
+    plan (`bases._nonion_cells`): one FieldElem per cell."""
     if len(coords) != 9:
         raise ValueError(f"qhat_at needs 9 values, got {len(coords)}")
-    cells = []
-    for cell in _qhat_cells():
-        den = math.lcm(*[coords[a].den for a, _ in cell])
-        classes: list = [None, None, None]
-        for a, k in cell:
-            x = coords[a]
-            s = den // x.den
-            nums = [n * s for n in x.nums]
-            c = classes[k]
-            classes[k] = nums if c is None else [p + q for p, q in zip(c, nums)]
-        cells.append(FieldElem(fold_phases(*classes), den))
-    return Mat3(cells)
+    return Mat3(_nonion_cells(coords))
 
 
 @lru_cache(maxsize=1)

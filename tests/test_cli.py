@@ -291,6 +291,13 @@ def test_clifford_mul(capsys):
     ]
 
 
+@pytest.mark.parametrize("word", ["q1^2^3", "q1^"])
+def test_clifford_mul_rejects_malformed_token(word, capsys):
+    code, out, err = run(capsys, "clifford", "mul", word, "q1", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: bad generator token '{word}'\n"
+
+
 def test_clifford_mul_needs_n(capsys):
     code, _, err = run(capsys, "clifford", "mul", "q1", "q2")
     assert code == 2

@@ -286,18 +286,12 @@ def test_dense_product_in_oracle_representation(n):
 # the packed-row product inside the matrix path
 # ---------------------------------------------------------------------------
 
-def _spy_products(monkeypatch) -> list[str]:
-    """Record which matrix product (packed rows or per cell) each call takes."""
-    taken: list[str] = []
-    for name in ("_packed_product", "_cell_product"):
-        real = getattr(clifford, name)
-
-        def spy(*args, _real=real, _name=name):
-            taken.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(clifford, name, spy)
-    return taken
+def _spy_product_widths(monkeypatch) -> list[int]:
+    """Record the slot width each block product packs its rows with."""
+    widths: list[int] = []
+    real = clifford._packed_product
+    monkeypatch.setattr(clifford, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1])
+    return widths
 
 
 def _pairwise(a: CliffElement, b: CliffElement) -> CliffElement:
@@ -323,10 +317,10 @@ def test_packed_product_dense_zj(n, monkeypatch):
     a = CliffElement(n, _dense_zj(rng, monos))
     # at n = 6 the right operand has 81 terms, so the pairwise reference stays fast
     b = CliffElement(n, _dense_zj(rng, monos if n == 5 else rng.sample(monos, 81)))
-    taken = _spy_products(monkeypatch)
+    widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert taken == ["_packed_product"] * 2 * _blocks(n)
+    assert widths == [64] * 2 * _blocks(n)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -338,10 +332,10 @@ def test_packed_product_four_radicals_negative_coordinates(n, monkeypatch):
         m: FieldElem([-rng.randint(0, 9) for _ in range(8)], 5)
         for m in (monos if n == 4 else rng.sample(monos, 30))
     })
-    taken = _spy_products(monkeypatch)
+    widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert taken == ["_packed_product"] * 2 * _blocks(n)
+    assert widths == [64] * 2 * _blocks(n)
 
 
 def test_packed_product_zero_row_and_column(monkeypatch):
@@ -361,10 +355,10 @@ def test_packed_product_zero_row_and_column(monkeypatch):
     [vecs], den = clifford._to_vectors(n, a.terms)
     assert [FieldElem(cell, den) for cell in zip(*vecs)] == [FieldElem(c) for c in image]
     b = CliffElement(n, {m: FieldElem([rng.randint(-7, 7) for _ in range(8)]) for m in monos})
-    taken = _spy_products(monkeypatch)
+    widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert taken == ["_packed_product"] * 2
+    assert widths == [64] * 2
 
 
 def test_packed_dense_product_makes_one_call_per_nonzero_cell(monkeypatch):
@@ -418,20 +412,26 @@ def _bit_length(images) -> int:
     return max(max(map(max, vecs)), -min(map(min, vecs))).bit_length()
 
 
-@pytest.mark.parametrize("wider, path", [(0, "_packed_product"), (1, "_cell_product")])
-def test_packing_bound_edge(wider, path, monkeypatch):
+@pytest.mark.parametrize(
+    "bits_a, bits_b, width", [(27, 26, 64), (27, 27, 128), (59, 58, 128), (59, 59, 192)]
+)
+def test_packing_bound_edge(bits_a, bits_b, width, monkeypatch):
+    """At a slot bound (63 and 127 bits) and one bit over it."""
     n, blocks, d = 5, 3, 9
-    a, b = _centre_block_element(n, 27), _centre_block_element(n, 26 + wider)
+    a, b = _centre_block_element(n, bits_a), _centre_block_element(n, bits_b)
     bits = [_bit_length(clifford._to_vectors(n, x.terms)[0]) for x in (a, b)]
-    assert bits == [27, 26 + wider]
-    assert sum(bits) + (36 * blocks * d).bit_length() == 63 + wider
+    assert bits == [bits_a, bits_b]
+    edge = bits_a + bits_b + (36 * blocks * d).bit_length()
+    assert edge in (width - 1, width - 64)
     # 3 C_0 = 3 V W: the rational part of each cell is 3 d (-3 j)(12) X_a X_b,
-    # so its j-part is -36 blocks d X_a X_b, which fits a slot only at the bound
-    slot = 36 * blocks * d * (2**27 - 1) * (2**(26 + wider) - 1)
-    assert 2**62 < slot and (slot < 2**63) == (not wider)
-    taken = _spy_products(monkeypatch)
+    # so its j-part is -36 blocks d X_a X_b, which needs all `edge` bits: it
+    # fits the slots only at the bound, and one bit over needs 64 more
+    slot = 36 * blocks * d * (2**bits_a - 1) * (2**bits_b - 1)
+    assert slot.bit_length() == edge
+    assert 2 ** (width - 65) <= slot < 2 ** (width - 1)
+    widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
-    assert taken == [path] * blocks
+    assert widths == [width] * blocks
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +571,10 @@ def test_odd_forward_slot_bound_edge(bits, width, monkeypatch):
 )
 def test_block_product_matches_pairwise(n, wide, monkeypatch):
     """Four radicals, negative coordinates and mixed denominators, through
-    the packed block products or, with 2^40 numerators, the per-cell
-    ones; from n = 5 the right operand keeps 30 terms, so the reference
-    stays fast.  A product through the centre's generator cancels to zero."""
+    the packed block products with 64-bit slots or, with 2^40 numerators,
+    wider ones; from n = 5 the right operand keeps 30 terms, so the
+    reference stays fast.  A product through the centre's generator
+    cancels to zero."""
     rng = random.Random(1800 + n)
     monos = list(product((0, 1, 2), repeat=n))
     bound = 2**40 if wide else 9
@@ -586,10 +587,11 @@ def test_block_product_matches_pairwise(n, wide, monkeypatch):
 
     a, b = element(monos), element(monos if n < 5 else rng.sample(monos, 30))
     assert any(c.nums[7] < 0 for c in b.terms.values())
-    taken = _spy_products(monkeypatch)
+    widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert taken == ["_cell_product" if wide else "_packed_product"] * 6
+    assert len(widths) == 6 and len(set(widths)) == 1
+    assert (widths[0] > 64) == wide
     # a (1 + q + q^2) times (1 - q) b is a (1 - q^3) b = 0 for the last generator q
     q = generator(n, n - 1)
     assert _matrix(_pairwise(a, unit(n) + q + q * q), _pairwise(unit(n) - q, b)).is_zero()

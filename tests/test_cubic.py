@@ -18,7 +18,7 @@ from nonion.cubic import (
 )
 from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
 from nonion.fixtures import surface_poly_fixture
-from nonion.matrix import Mat3
+from nonion.matrix import Mat3, decompose_in_basis
 from nonion import poly
 from nonion.poly import MPoly
 
@@ -285,6 +285,30 @@ def test_qhat_at_matches_scale_and_add(nonions):
         for c, q in zip(x, nonions.elements):
             expected = expected + q.scale(c)
         assert qhat_at(x) == expected
+
+
+def test_nonion_readback_inverts_qhat_at(nonions):
+    """decompose_in_basis undoes qhat_at on wide points, with zero
+    coordinates and unrelated denominators on one shift diagonal (the
+    diagonals hold x0, x7, x8; x1, x2, x3; x4, x5, x6), and qhat_at of
+    each unit coordinate vector is that nonion."""
+    for c, q in enumerate(nonions.elements):
+        assert qhat_at([ONE if a == c else ZERO for a in range(9)]) == q
+    rng = random.Random(31)
+    lo, hi = 10**11, 10**12
+
+    def wide(den):
+        return FieldElem([rng.choice((-1, 1)) * rng.randrange(lo, hi) for _ in range(8)], den)
+
+    points = [
+        [wide(rng.randrange(lo, hi)) for _ in range(9)],
+        [ZERO if a in (0, 2, 6) else wide(rng.randrange(lo, hi)) for a in range(9)],
+        [ZERO if a in (1, 2, 3) else wide((2, 3, 35)[a % 3]) for a in range(9)],
+        [ZERO if a in (7, 8) else wide(10**11 + a) for a in range(9)],
+        [wide(1), wide(7), wide(9), wide(49), ZERO, wide(3), wide(81), wide(lo + 1), wide(1)],
+    ]
+    for x in points:
+        assert decompose_in_basis(qhat_at(x), nonions.elements, nonions.grams) == tuple(x)
 
 
 def test_det_multiplicativity_random_pairs():

@@ -303,11 +303,11 @@ def test_dense_clifford_matrix_product_matches_pairwise_kernel(n, monkeypatch):
         return {m: random_field_elem(rng, density=0.4, bound=30) or ONE for m in monos}
 
     a, b = dense(), dense()
-    # unrelated denominators make wide numerators: too wide for packed rows
-    taken = []
-    real = clifford._cell_product
-    monkeypatch.setattr(clifford, "_cell_product", lambda *args: (taken.append(1), real(*args))[1])
+    # unrelated denominators make wide numerators: too wide for 64-bit slots
+    widths = []
+    real = clifford._packed_product
+    monkeypatch.setattr(clifford, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1])
     assert clifford._matrix_product(n, a, b) == {
         m: c for m, c in clifford._pairwise_product(a, b).items() if c
     }
-    assert taken == [1] * (3 if n % 2 else 1)  # one per block
+    assert len(widths) == (3 if n % 2 else 1) and min(widths) > 64  # one per block
