@@ -19,13 +19,11 @@ silently reconciled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
 
-from .clifford import _clifford_plan, _normal_order, _suffix_sums, grade
-from .field import ONE, SQRT2, SQRT3, ZERO, FieldElem, fold_phases, j_pow, rational
+from .clifford import _column_action, _normal_order, _suffix_sums, grade
+from .field import ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
 from .matrix import Mat3, decompose_in_basis
 
 __all__ = [
@@ -105,42 +103,15 @@ LABELS = {
 
 
 @lru_cache(maxsize=1)
-def _nonion_plan() -> tuple:
-    """The n = 2 Clifford plan relabelled by `LABELS`: per shift diagonal,
-    its cell positions and, per unit q_c = j^-s q1^a q2^b on it,
-    (c, clock pattern, (e - s) % 3), e the word's j-exponent in column 0."""
-    [(words, plan)], _, _ = _clifford_plan(2)
-    labels = [LABELS[w] for w in words]
-    return tuple(
-        (positions, tuple((labels[k][1], p, (e - labels[k][0]) % 3) for k, p, e in entries))
-        for positions, entries in plan
-    )
-
-
-def _nonion_cells(coeffs: Sequence[FieldElem]) -> list[FieldElem]:
-    """The nine cells, row-major, of sum_c coeffs[c] q_c: the three
-    coefficients of a shift diagonal are lifted once to the lcm of their
-    denominators, and each cell folds them by phase into one FieldElem."""
-    cells: list = [None] * 9
-    for positions, units in _nonion_plan():
-        den = math.lcm(*[coeffs[c].den for c, _, _ in units])
-        lifted = [([x * (den // coeffs[c].den) for x in coeffs[c].nums], p, e) for c, p, e in units]
-        for v, pos in enumerate(positions):
-            classes: list = [None, None, None]
-            for nums, pattern, e in lifted:
-                k = (e + pattern[v]) % 3
-                classes[k] = nums if classes[k] is None else [x + y for x, y in zip(classes[k], nums)]
-            cells[pos] = FieldElem(fold_phases(*classes), den)
-    return cells
-
-
-@lru_cache(maxsize=1)
 def nonion_basis() -> NonionBasis:
     """q_c = j^-s q1^a q2^b with q1 the cyclic shift, q2 = q1 diag(j^2, 1, j)."""
     words = sorted((c, ab, s) for ab, (s, c) in LABELS.items())
-    elements = tuple(
-        Mat3(_nonion_cells([ONE if k == c else ZERO for k in range(9)])) for c in range(9)
-    )
+    elements = []
+    for _, ab, s in words:
+        ent = [ZERO] * 9
+        for col, (row, e) in enumerate(_column_action(ab)):
+            ent[3 * row + col] = j_pow(e - s)
+        elements.append(Mat3(ent))
 
     # q_a q_b = j^(e - s_a - s_b) (word_a word_b) with word_a word_b = j^s q_c.
     table = []
@@ -154,7 +125,7 @@ def nonion_basis() -> NonionBasis:
         table.append(tuple(row))
 
     grades = tuple(grade(ab) for _, ab, _ in words)
-    return NonionBasis(elements, grades, tuple(table), grams=(rational(3),) * 9)
+    return NonionBasis(tuple(elements), grades, tuple(table), grams=(rational(3),) * 9)
 
 
 @lru_cache(maxsize=1)

@@ -28,20 +28,22 @@ term pair, and the matrix kernel multiplies the images block by block
 each coefficient back as a trace tr(M^dagger P).
 Sparse products, such as generator words, take the first; dense ones
 the second.  Both conversions work along the shift diagonals: monomial
-j^c X^a Z^b fills diagonal a, with a phase that depends on the column
-only through its clock pattern b.v.  So the forward map adds each
-coefficient, times one column mask per phase class, into integers packed
-with one slot per column, and the readback sums each phase class of a
-diagonal at C level.  The product packs each row of the right image into
-big integers of d slots (Kronecker substitution), so one raw product per
-nonzero cell of the left image does a whole output row; the slots are 64
-bits, or a wider multiple of 64 when the operands' numerators are wide.
+j^c X^a Z^b fills diagonal a, with phase j^(c + b.v) in column v.  So the
+forward map adds each coefficient, times one column mask per clock
+pattern, into integers packed with one slot per column, and the
+readback, the finite Fourier transform of each diagonal over the column
+digits (Schwinger 1960), runs one radix-3 stage per digit on integers
+packed with one slot per diagonal.  The product packs each row of the
+right image into big integers of d slots (Kronecker substitution), so
+one raw product per nonzero cell of the left image does a whole output
+row; the slots are 64 bits, or a wider multiple of 64 when the
+operands' numerators are wide.
 
-One plan (`_clifford_plan`) and one readback (`_read_back`) serve both
-graded algebras: at n = 2 the monomials, up to a phase, are the nonion
-units; `bases` builds the nonion matrices on the n = 2 plan, and
-`matrix.decompose_in_basis` reads a 3x3 matrix's nonion coefficients
-back, three cells folded by phase per coefficient.
+The radix-3 stage `_dft` serves both graded algebras: besides the odd-n
+block split and the dense readback, at n = 2, where the monomials are up
+to a phase the nonion units, it reads nonion coefficients back
+(`matrix.decompose_in_basis`) and builds nonion matrices
+(`cubic.qhat_at`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -148,15 +150,16 @@ def _pairwise_product(a: Terms, b: Terms) -> dict:
     }
 
 
-def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(row, j-exponent) of the one nonzero entry of each column of the
-    clock-and-shift matrix of the monomial q^mono (odd lengths padded with 0).
+def _image(mono: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(a, b, c) of the clock-and-shift matrix j^c X^a Z^b of the monomial
+    q^mono (odd lengths padded with 0): the digits of a and b, one per
+    tensor factor, and c mod 3.
 
-    The monomial is j^c X^a Z^b on m = ceil(n/2) tensor factors, with
-    X e_v = e_(v-1) and Z e_v = j^v e_v on each factor, so column v holds
-    j^(c + b.v) in row v - a.  Generator q_(2i) is X on factor i and
-    q_(2i+1) is X diag(j^2, 1, j) = j^2 X Z there; both carry Z on every
-    earlier factor, so X^a Z^b collects the exponents in closed form.
+    The matrix acts on m = ceil(n/2) tensor factors, with X e_v = e_(v-1)
+    and Z e_v = j^v e_v on each, so column v holds j^(c + b.v) in row
+    v - a.  Generator q_(2i) is X on factor i and q_(2i+1) is
+    X diag(j^2, 1, j) = j^2 X Z there; both carry Z on every earlier
+    factor, so X^a Z^b collects the exponents in closed form.
     """
     if len(mono) % 2:
         mono = (*mono, 0)
@@ -167,9 +170,14 @@ def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
         b.append((e1 + later) % 3)
         later += e0 + e1
         c += 2 * (e1 == 1)  # (j^2 X Z)^e = j^(2e - e(e-1)/2) X^e Z^e
-    rows = _shifted_rows(tuple(reversed(a)))
-    phases = _clock_phases(tuple(reversed(b)))
-    return [(row, (c + p) % 3) for row, p in zip(rows, phases)]
+    return tuple(reversed(a)), tuple(reversed(b)), c % 3
+
+
+def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(row, j-exponent) of the one nonzero entry of each column of the
+    matrix of q^mono (`_image`)."""
+    a, b, c = _image(mono)
+    return [(row, (c + p) % 3) for row, p in zip(_shifted_rows(a), _clock_phases(b))]
 
 
 @lru_cache(maxsize=1024)
@@ -196,67 +204,38 @@ def _shape(n: int) -> tuple[int, int]:
     return 3 if n % 2 else 1, 3 ** (n // 2)
 
 
-def _diagonals(actions: Iterable[list[tuple[int, int]]], d: int) -> tuple:
-    """Column actions on d x d cells grouped by the cells they read, the
-    plan of `_read_back`: per group, the flat row-major positions of its d
-    cells and, per action k in it, (k, pattern, c), with c the j-exponent
-    in column 0 and pattern the class (e - c) % 3 of each column.  For a
-    monomial j^c X^a Z^b the cells are the shift diagonal a and the
-    pattern is the clock pattern b.v."""
-    groups: dict = {}
-    patterns: dict = {}  # one tuple per distinct pattern
-    for k, action in enumerate(actions):
-        rows, phases = zip(*action)
-        c = phases[0]
-        pattern = tuple((e - c) % 3 for e in phases)
-        groups.setdefault(rows, []).append((k, patterns.setdefault(pattern, pattern), c))
-    return tuple(
-        (tuple(row * d + col for col, row in enumerate(rows)), entries)
-        for rows, entries in groups.items()
-    )
-
-
 def _getter(items: Sequence[int]) -> itemgetter:
     """An itemgetter of the items that gives a sequence even for one item
     (a one-item slice)."""
     return itemgetter(*items) if len(items) > 1 else itemgetter(slice(items[0], items[0] + 1))
 
 
-@lru_cache(maxsize=256)
-def _class_getters(pattern: tuple[int, ...]) -> tuple:
-    """A `_getter` of the columns in each pattern class, None for an empty
-    class."""
-    cols = [[v for v, s in enumerate(pattern) if s == t] for t in range(3)]
-    return tuple(_getter(c) if c else None for c in cols)
-
-
 @lru_cache(maxsize=4)
 def _clifford_plan(n: int) -> tuple:
-    """Per block t, its monomials (last exponent t for odd n, all for even
-    n) and the readback plan (`_diagonals`) of their block actions; for
-    the forward map, each monomial's (t, diagonal index, clock pattern, c)
-    and the getter that puts d slots per diagonal, diagonal by diagonal,
-    in row-major order.
-
-    For odd n the padded image of a monomial with last exponent t is
-    M' (x) X^t, the last factor carrying no clock, so column 3v of its
-    `_column_action` is column v of M' with three times its row."""
+    """Each monomial's `_image` j^c X^a Z^b on the d x d blocks, with a and
+    b indexed by their position in product(range(3), repeat=n // 2); for
+    odd n its last digits (a = t, b = 0) are dropped, the image being
+    M' (x) X^t.  Returns, per block t, its monomials (last exponent t for
+    odd n, all for even n) as (monomial, readback slot k d + a with k the
+    index of -b, c); for the forward map, each monomial's (t, index of a,
+    clock pattern b.v, c); and the getters that put a vector of d slots
+    per diagonal in row-major order and a row-major vector in
+    column-major order, one slot per diagonal.
+    """
     blocks, d = _shape(n)
-    monos = list(product(range(3), repeat=n))
-    plans = []
-    for t in range(blocks):
-        group = [m for m in monos if blocks == 1 or m[-1] == t]
-        actions = [[(row // blocks, e) for row, e in _column_action(m)[::blocks]] for m in group]
-        plans.append((group, _diagonals(actions, d)))
-    index = {positions: i for i, (positions, _) in enumerate(plans[0][1])}
-    forward = {
-        group[k]: (t, index[positions], pattern, c)
-        for t, (group, plan) in enumerate(plans)
-        for positions, entries in plan
-        for k, pattern, c in entries
-    }
-    cells = [p for positions, _ in plans[0][1] for p in positions]
-    return plans, forward, _getter(sorted(range(d * d), key=cells.__getitem__))
+    m = n // 2
+    digits = list(product(range(3), repeat=m))
+    index = {v: i for i, v in enumerate(digits)}
+    plans: list = [[] for _ in range(blocks)]
+    forward = {}
+    for mono in product(range(3), repeat=n):
+        a, b, c = _image(mono)
+        a, b, t = a[:m], b[:m], mono[-1] % blocks
+        plans[t].append((mono, index[tuple([-x % 3 for x in b])] * d + index[a], c))
+        forward[mono] = (t, index[a], _clock_phases(b), c)
+    cells = [row * d + v for a in digits for v, row in enumerate(_shifted_rows(a))]
+    to_rows = _getter(sorted(range(d * d), key=cells.__getitem__))
+    return plans, forward, to_rows, _getter([cells[i * d + v] for v in range(d) for i in range(d)])
 
 
 @lru_cache(maxsize=256)
@@ -285,7 +264,7 @@ def _offset(d: int, width: int) -> int:
     return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, _ORDER) * d, _ORDER)
 
 
-def _pack(values: Sequence[int], d: int, width: int) -> list[int]:
+def _pack(values: Iterable[int], d: int, width: int) -> list[int]:
     """Each run of d signed values packed into one integer, value k of the
     run in slot k of `width` bits.
 
@@ -323,7 +302,7 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     Z[j] product) costs about two cell products.  The conversions cost
     about 8 per monomial of either operand and of the readback, whatever
     d: the forward map makes one raw product on packed integers per
-    monomial, the readback a few C-level sums.
+    monomial, the readback a slot lookup and a phase rotation.
 
     blocks d^3 (3 d^3 = 2,187 at n = 5) is only an upper bound on the
     block products: the packed rows make at most blocks d^2 raw products,
@@ -360,8 +339,8 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     and the inverse transform gives 3 C_t = sum_k j^(-kt) (A^_k B^_k) on
     the packed rows, before they are unpacked.  For odd n the
     padded product is sum_t C_t (x) X^t; `_read_back` then gives each
-    monomial M' (x) X^t its coefficient tr(M'^dagger C_t) / d, one shift
-    diagonal of block t at a time, which is tr(M'^dagger 3 C_t) / (3 d).
+    monomial M' (x) X^t its coefficient tr(M'^dagger C_t) / d, all of
+    block t in floor(n/2) packed stages, as tr(M'^dagger 3 C_t) / (3 d).
 
     Slot bound: an output coordinate of 3 C_t sums, over the blocks k, the
     d inner indices and the radical pairs landing on its radical (their
@@ -384,14 +363,12 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     prods = [_packed_product(_sparse_rows(x, d), y, d, width) for x, y in zip(va, vb)]
     if blocks == 3:
         prods = list(zip(*map(_dft, zip(*prods))))
-    plans, _, _ = _clifford_plan(n)
     den = da * db * blocks * d
     out = {}
-    for t, (monos, plan) in enumerate(plans):
+    for t in range(blocks):
         vecs = [_unpack(coord, d, width) for coord in zip(*prods[-t % 3])]
-        for mono, nums in zip(monos, _read_back(vecs, plan)):
-            if any(nums):
-                out[mono] = FieldElem(nums, den)
+        for mono, nums in _read_back(n, t, vecs):
+            out[mono] = FieldElem(nums, den)
     return out
 
 
@@ -420,7 +397,7 @@ def _to_vectors(n: int, terms: Terms) -> tuple[list[list[Sequence[int]]], int]:
     nums, den = common_numerators(terms.values())
     top = max((max(abs(x), abs(y)) for pairs in nums for _, x, y in pairs), default=0)
     width = _slot_width(top.bit_length() + (2 * 3**n // d - 1).bit_length())
-    _, forward, to_rows = _clifford_plan(n)
+    _, forward, to_rows, _ = _clifford_plan(n)
     diagonals = [[[0] * 8 for _ in range(d)] for _ in range(blocks)]
     for mono, x in zip(terms, nums):
         t, i, pattern, c = forward[mono]
@@ -462,31 +439,44 @@ def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int, width: int) -
     return rows
 
 
-def _read_back(vecs: Sequence[Sequence[int]], plan: tuple) -> list[list[int]]:
-    """tr(M^dagger P) for each phase-monomial matrix M of the plan, on raw
-    numerators (`_diagonals`; the values come in the order of its
-    actions).
+def _rotate(nums: Sequence[int], e: int) -> list[int]:
+    """j^e times 8 raw numerators."""
+    return fold_phases(*[nums if k == e % 3 else None for k in range(3)])
 
-    P is 8 flat row-major vectors of raw numerators over one shared
-    denominator.  The trace picks one cell of P per column, and the
-    conjugated phase j^-(c + s) of a column in pattern class s sorts it
-    into a phase class, so each diagonal is read once, each class is one
-    C-level sum per coordinate, and the three class sums fold into one
-    value.  For a clock-and-shift monomial, dividing by d and by the
-    cells' denominator gives its coefficient in P.
+
+def _read_back(n: int, t: int, vecs: Sequence[Sequence[int]]) -> list[tuple]:
+    """(monomial, tr(M^dagger P)) on raw numerators for each monomial M of
+    block t whose value is nonzero, P given as 8 flat row-major d x d
+    vectors of raw numerators.
+
+    The trace takes cell (v - a, v) of each column v times the conjugate
+    phase j^-(c + b.v), so it is j^-c F_a[-b], with
+    F_a[k] = sum_v j^(k.v) P[v - a, v].  Each coordinate is packed into
+    one integer per column, diagonal a in slot a, so m = floor(n/2) `_dft`
+    stages, one per column digit, transform every diagonal at once
+    (`fold_phases` is linear), and one unpack puts F_a[k] in slot k d + a.
+
+    Slot bound: a coordinate of j^r (x + y j) is x, y, -y, x - y, y - x or
+    -x, at most 2 max(|x|, |y|), so every slot holds at most
+    2 d max|cell| < 2^(bits + bit_length(2 d)), bits the bit length of
+    max|cell|: the slots take `_slot_width` of that.
     """
-    live = [any(v) for v in vecs]
-    out: list = [None] * sum(len(entries) for _, entries in plan)
-    for positions, entries in plan:
-        diagonal = _getter(positions)
-        diag = [diagonal(v) if z else None for v, z in zip(vecs, live)]
-        for k, pattern, c in entries:
-            sums = [
-                [sum(g(x)) if x else 0 for x in diag] if g else None
-                for g in _class_getters(pattern)
-            ]
-            out[k] = fold_phases(sums[-c % 3], sums[(2 - c) % 3], sums[(1 - c) % 3])
-    return out
+    plans, _, _, to_cols = _clifford_plan(n)
+    d = 3 ** (n // 2)
+    top = max(max(map(max, vecs)), -min(map(min, vecs)))
+    width = _slot_width(top.bit_length() + (2 * d).bit_length())
+    packed = _pack(chain.from_iterable(map(to_cols, vecs)), d, width)
+    cols = list(zip(*[packed[s : s + d] for s in range(0, 8 * d, d)]))
+    stride = 1
+    while stride < d:
+        for base in range(d):
+            if base // stride % 3 == 0:
+                span = slice(base, base + 3 * stride, stride)
+                cols[span] = _dft(cols[span])
+        stride *= 3
+    flat = _unpack([x for coord in zip(*cols) for x in coord], d, width)
+    cells = list(zip(*[flat[s : s + d * d] for s in range(0, 8 * d * d, d * d)]))
+    return [(mono, _rotate(cells[slot], -c)) for mono, slot, c in plans[t] if any(cells[slot])]
 
 
 class CliffElement:

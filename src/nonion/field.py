@@ -132,11 +132,6 @@ class FieldElem:
         """True when the element lies in the real subfield Q(sqrt2, sqrt3)."""
         return not (self.nums[1] or self.nums[3] or self.nums[5] or self.nums[7])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
-
     # ------------------------------------------------------------------
     # ring operations
     # ------------------------------------------------------------------
@@ -302,6 +297,8 @@ def rational(p: int, q: int = 1) -> FieldElem:
 
 def parse_rational(text: str) -> Fraction:
     """Parse exact rational text 'p/q' (or a bare integer 'p')."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -394,20 +391,14 @@ def mul_accumulate(acc: list[int], a: Iterable[tuple], b: Sequence[tuple]) -> No
             acc[i + 1] += m * (x1 * y2 + y1 * x2 - yy)
 
 
-def sparse_numerators(e: FieldElem) -> tuple[tuple, int]:
-    """``(sparse, den)`` of one element: its nonzero Z[j] pairs
-    ``(radical, x, y)`` over its own denominator, the factor form of
-    sum_of_products."""
-    return numerator_pairs(e.nums), e.den
-
-
 def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
     """Sum over rows of the product of each row's factors, as one FieldElem.
 
-    A factor is ``(sparse, den)`` as from sparse_numerators; a row with a
-    zero factor (empty sparse) adds nothing.  Each product stays in raw
-    numerators over the product of its factors' denominators; the
-    products are lifted once to the lcm of those denominators and summed.
+    A factor is ``(sparse, den)``, an element's numerator_pairs over its
+    own denominator; a row with a zero factor (empty sparse) adds
+    nothing.  Each product stays in raw numerators over the product of
+    its factors' denominators; the products are lifted once to the lcm of
+    those denominators and summed.
     """
     prods = []
     for row in rows:

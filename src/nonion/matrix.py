@@ -21,8 +21,8 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .clifford import _diagonals, _read_back
-from .field import ZERO, ONE, J, J2, FieldElem, sparse_numerators, sum_of_products
+from .clifford import _dft, _rotate
+from .field import ZERO, ONE, J, J2, FieldElem, numerator_pairs, sum_of_products
 
 __all__ = [
     "Mat3",
@@ -94,8 +94,8 @@ class Mat3:
     def __mul__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        a = [sparse_numerators(x) for x in self.entries]
-        b = [sparse_numerators(y) for y in other.entries]
+        a = [(numerator_pairs(x.nums), x.den) for x in self.entries]
+        b = [(numerator_pairs(y.nums), y.den) for y in other.entries]
         return Mat3([
             sum_of_products(((a[i], b[j]), (a[i + 1], b[3 + j]), (a[i + 2], b[6 + j])))
             for i in (0, 3, 6)
@@ -128,15 +128,16 @@ class Mat3:
 
     def det(self) -> FieldElem:
         """Exact determinant by cofactor expansion along the first row."""
-        e = [sparse_numerators(x) for x in self.entries]
-        n1, n4, n5 = (sparse_numerators(-self.entries[k]) for k in (1, 4, 5))
+        entries = self.entries
+        e = [(numerator_pairs(x.nums), x.den) for x in entries]
+        n1, n4, n5 = ((numerator_pairs((-entries[k]).nums), entries[k].den) for k in (1, 4, 5))
         minors = (
             sum_of_products(((e[4], e[8]), (n5, e[7]))),
             sum_of_products(((e[3], e[8]), (n5, e[6]))),
             sum_of_products(((e[3], e[7]), (n4, e[6]))),
         )
         return sum_of_products(
-            (f, sparse_numerators(m)) for f, m in zip((e[0], n1, e[2]), minors)
+            (f, (numerator_pairs(m.nums), m.den)) for f, m in zip((e[0], n1, e[2]), minors)
         )
 
     def is_zero(self) -> bool:
@@ -183,7 +184,7 @@ _ID3 = Mat3([ONE, ZERO, ZERO, ZERO, ONE, ZERO, ZERO, ZERO, ONE])
 def hs_inner(a: Mat3, b: Mat3) -> FieldElem:
     """Hilbert-Schmidt pairing tr(a^dagger * b), exact."""
     return sum_of_products(
-        (sparse_numerators(x.conjugate_j()), sparse_numerators(y))
+        ((numerator_pairs(x.conjugate_j().nums), x.den), (numerator_pairs(y.nums), y.den))
         for x, y in zip(a.entries, b.entries)
         if x and y
     )
@@ -199,11 +200,12 @@ def decompose_in_basis(
     exactly.  Raises SingularGramError on a zero gram entry.
 
     Each coefficient is tr(b^dagger m) divided by its gram value.  When
-    every basis element has one nonzero entry per column and that entry
-    is 1, j or j^2 (the nonion basis), the pairings are
-    `clifford._read_back` on m lifted to the lcm of its denominators:
-    three cells folded by phase per coefficient.  Any other basis (TU3)
-    pairs with `hs_inner`.
+    the basis is the nine clock-and-shift matrices j^e X^a Z^k, one per
+    (a, k), as the nonion basis is, the pairing with j^e X^a Z^k is
+    j^-e F_a[-k], F_a the finite Fourier transform `clifford._dft` of
+    shift diagonal a of m lifted to the lcm of its denominators: one
+    radix-3 stage per diagonal.  Any other basis (TU3) pairs with
+    `hs_inner`.
     """
     if any(g.is_zero() for g in gram):
         raise SingularGramError("basis has a zero-norm element")
@@ -212,8 +214,28 @@ def decompose_in_basis(
     if plan is None:
         return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
     den = math.lcm(*[x.den for x in m.entries])
-    vecs = list(zip(*[[n * (den // x.den) for n in x.nums] for x in m.entries]))
-    return tuple(FieldElem(nums, den) / g for nums, g in zip(_read_back(vecs, plan), gram))
+    cells = [[n * (den // x.den) for n in x.nums] for x in m.entries]
+    out: list = [None] * 9
+    for positions, units in plan:
+        for (i, e), nums in zip(units, _dft([cells[p] for p in positions])):
+            out[i] = FieldElem(_rotate(nums, -e), den) / gram[i]
+    return tuple(out)
+
+
+def _compose(plan: tuple, coeffs: Sequence[FieldElem]) -> list[FieldElem]:
+    """The nine cells, row-major, of sum_i coeffs[i] b_i over the basis of
+    a `_projection_plan`: per shift diagonal, cell (v - a, v) is
+    sum_k j^(k v) j^e c with c the coefficient of j^e X^a Z^k, so the
+    three coefficients, lifted to the lcm of their denominators and
+    rotated by their phases, take one `_dft`."""
+    cells: list = [None] * 9
+    for positions, units in plan:
+        den = math.lcm(*[coeffs[i].den for i, _ in units])
+        lifted = [_rotate([x * (den // coeffs[i].den) for x in coeffs[i].nums], e) for i, e in units]
+        # units come by -k, and _dft(c)[-v] is sum_k j^(-kv) c_k
+        for k, nums in enumerate(_dft(lifted)):
+            cells[positions[-k % 3]] = FieldElem(nums, den)
+    return cells
 
 
 _PHASES = {ONE: 0, J: 1, J2: 2}
@@ -221,17 +243,27 @@ _PHASES = {ONE: 0, J: 1, J2: 2}
 
 @lru_cache(maxsize=8)
 def _projection_plan(basis: tuple[Mat3, ...]) -> tuple | None:
-    """The readback plan (`clifford._diagonals`) of the elements'
-    column actions, read off their entries: the (row, j-exponent) of the
-    one nonzero entry in each column.  None when some column has more than
-    one nonzero entry or one that is not 1, j or j^2."""
-    actions = []
-    for b in basis:
+    """Per shift diagonal a, the row-major positions of its cells
+    (v - a, v) and, per clock k' = -k, the (element index, e) of the
+    element j^e X^a Z^k, read off the entries: the (row, j-exponent) of the
+    one nonzero entry in each column.  None unless the nine elements are
+    exactly the nine j^e X^a Z^k, one per (a, k)."""
+    units = {}
+    for i, b in enumerate(basis):
         action = []
         for col in range(3):
             cells = [(row, b[row, col]) for row in range(3) if b[row, col]]
             if len(cells) != 1 or cells[0][1] not in _PHASES:
                 return None
             action.append((cells[0][0], _PHASES[cells[0][1]]))
-        actions.append(action)
-    return _diagonals(actions, 3)
+        (row, e), (_, e1) = action[:2]
+        a, k = -row % 3, (e1 - e) % 3
+        if action != [((v - a) % 3, (e + k * v) % 3) for v in range(3)]:
+            return None
+        units[a, -k % 3] = (i, e)
+    if not len(basis) == len(units) == 9:
+        return None
+    return tuple(
+        (tuple((v - a) % 3 * 3 + v for v in range(3)), tuple(units[a, k] for k in range(3)))
+        for a in range(3)
+    )

@@ -93,10 +93,16 @@ def _target_without_index(data):
     return data
 
 
+def _coeff_not_a_string(data):
+    row = next(r for r in data["rows"] if r["targets"])
+    row["targets"][0]["coeff"][0] = 3
+    return data
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_rows_not_a_list, _triple_not_int, _target_without_index],
-    ids=["rows-not-a-list", "triple-not-int", "target-without-index"],
+    [_rows_not_a_list, _triple_not_int, _target_without_index, _coeff_not_a_string],
+    ids=["rows-not-a-list", "triple-not-int", "target-without-index", "coeff-not-a-string"],
 )
 def test_diff_table_malformed_fixture(tmp_path, capsys, corrupt):
     data = json.loads(fixture_path("table_tu3_s3.json").read_text(encoding="utf-8"))

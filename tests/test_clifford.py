@@ -347,13 +347,12 @@ def test_packed_product_zero_row_and_column(monkeypatch):
         for row in range(d)
         for col in range(d)
     ]
-    [(monos, plan)], _, _ = clifford._clifford_plan(n)
     a = CliffElement(n, {
-        m: FieldElem(nums, d)
-        for m, nums in zip(monos, clifford._read_back(list(zip(*image)), plan))
+        m: FieldElem(nums, d) for m, nums in clifford._read_back(n, 0, list(zip(*image)))
     })
     [vecs], den = clifford._to_vectors(n, a.terms)
     assert [FieldElem(cell, den) for cell in zip(*vecs)] == [FieldElem(c) for c in image]
+    monos = list(product((0, 1, 2), repeat=n))
     b = CliffElement(n, {m: FieldElem([rng.randint(-7, 7) for _ in range(8)]) for m in monos})
     widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
@@ -474,7 +473,6 @@ def test_read_back_after_forward_is_the_identity(n, bound):
     summed cell by cell in the field."""
     rng = random.Random(1600 + n)
     blocks, d = _blocks(n), 3 ** (n // 2)
-    plans, _, _ = clifford._clifford_plan(n)
     terms = {
         m: FieldElem([rng.randint(-bound, bound) for _ in range(8)], rng.choice((1, 2, 9, 35))) or ONE
         for m in product((0, 1, 2), repeat=n)
@@ -483,11 +481,49 @@ def test_read_back_after_forward_is_the_identity(n, bound):
     images, den = clifford._to_vectors(n, terms)
     cells = [[FieldElem(cell) for cell in zip(*vecs)] for vecs in images]
     back = {}
-    for t, (monos, plan) in enumerate(plans):
+    for t in range(blocks):
         block = [sum((c[k] * j_pow(-k * t) for k in range(blocks)), ZERO).nums for c in zip(*cells)]
-        for m, nums in zip(monos, clifford._read_back(list(zip(*block)), plan)):
+        for m, nums in clifford._read_back(n, t, list(zip(*block))):
             back[m] = FieldElem(nums, den * blocks * d)
     assert back == terms
+
+
+def _diagonal_element(n: int, cells: list[FieldElem]) -> CliffElement:
+    """The even-n element whose d x d image is diag(cells): each monomial M
+    on shift diagonal 0 takes tr(M^dagger P) / d, here summed in the field."""
+    terms = {}
+    for mono in product((0, 1, 2), repeat=n):
+        action = clifford._column_action(mono)
+        if all(row == v for v, (row, _) in enumerate(action)):
+            trace = sum((x * j_pow(-e) for x, (_, e) in zip(cells, action)), ZERO)
+            terms[mono] = trace * rational(1, len(cells))
+    return CliffElement(n, terms)
+
+
+@pytest.mark.parametrize("bits, width", [(57, 64), (58, 128)])
+def test_read_back_slot_bound_edge(bits, width, monkeypatch):
+    """n = 6, d = 27: 1 b and b 1 keep the image P of b, whose diagonal
+    holds X + X j, X - X j and -X + X j in the columns with last digit
+    0, 1 and 2, X = 3 floor((2^bits - 1) / 3).  Its transform at the clock
+    k = (0, 0, 1) is 9 ((X + X j) + j (X - X j) + j^2 (-X + X j)) =
+    36 X + 36 X j, which fits a 64-bit signed slot at the slot bound
+    bits + bit_length(2 d) = 63 and needs 128 bits one bit over it."""
+    n, d = 6, 27
+    x = 3 * ((2**bits - 1) // 3)
+    pattern = ((x, x), (x, -x), (-x, x))
+    b = _diagonal_element(n, [FieldElem([*pattern[v % 3]] + [0] * 6) for v in range(d)])
+    [vecs], den = clifford._to_vectors(n, b.terms)
+    assert den == 1 and _bit_length([vecs]) == x.bit_length() == bits
+    assert (36 * x).bit_length() == bits + (2 * d).bit_length() in (width - 1, width - 64)
+    one = {(0,) * n: ONE}
+    widths: list[int] = []
+    real = clifford._unpack
+    monkeypatch.setattr(clifford, "_unpack", lambda *args: (widths.append(args[2]), real(*args))[1])
+    for left, right in ((one, b.terms), (b.terms, one)):
+        widths.clear()
+        # the readback's one unpack is the last
+        assert clifford._matrix_product(n, left, right) == clifford._pairwise_product(left, right)
+        assert widths[-1] == width
 
 
 def _slot_bound_element(bits: int) -> CliffElement:
@@ -567,14 +603,18 @@ def test_odd_forward_slot_bound_edge(bits, width, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, wide", [(1, False), (1, True), (3, False), (3, True), (5, False), (5, True), (7, False)]
+    "n, wide",
+    [
+        (1, False), (1, True), (3, False), (3, True), (5, False), (5, True), (7, False),
+        (2, False), (2, True), (4, False), (4, True), (6, False), (6, True), (7, True),
+    ],
 )
 def test_block_product_matches_pairwise(n, wide, monkeypatch):
     """Four radicals, negative coordinates and mixed denominators, through
-    the packed block products with 64-bit slots or, with 2^40 numerators,
-    wider ones; from n = 5 the right operand keeps 30 terms, so the
-    reference stays fast.  A product through the centre's generator
-    cancels to zero."""
+    the packed block products and the readback with 64-bit slots or, with
+    2^40 numerators, wider ones; from n = 5 the right operand keeps 30
+    terms, so the reference stays fast.  A product through the last
+    generator (for odd n, the centre's) cancels to zero."""
     rng = random.Random(1800 + n)
     monos = list(product((0, 1, 2), repeat=n))
     bound = 2**40 if wide else 9
@@ -590,7 +630,7 @@ def test_block_product_matches_pairwise(n, wide, monkeypatch):
     widths = _spy_product_widths(monkeypatch)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
-    assert len(widths) == 6 and len(set(widths)) == 1
+    assert len(widths) == 2 * _blocks(n) and len(set(widths)) == 1
     assert (widths[0] > 64) == wide
     # a (1 + q + q^2) times (1 - q) b is a (1 - q^3) b = 0 for the last generator q
     q = generator(n, n - 1)

@@ -91,6 +91,8 @@ def test_parse_rational():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+    with pytest.raises(ValueError):
+        parse_rational(3)  # a JSON number in place of a "p/q" string
 
 
 # ---------------------------------------------------------------------------

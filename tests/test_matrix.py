@@ -202,7 +202,7 @@ def test_mul_and_det_against_zj_oracle(a, b):
 
 # ---------------------------------------------------------------------------
 # the clock-and-shift readback: nonion decompositions and dense Clifford
-# products share clifford._read_back
+# products share the radix-3 stage clifford._dft
 # ---------------------------------------------------------------------------
 
 def hs_decompose(m: Mat3, basis, grams) -> tuple:
@@ -278,20 +278,28 @@ def test_decompose_reads_back_only_phase_monomial_bases(monkeypatch, nonions, tu
     # a phase times a nonion element still reads back; any other multiple pairs
     phased = (nonions.elements[0].scale(J2), *nonions.elements[1:])
     assert decompose_in_basis(m, phased, nonions.grams) == hs_decompose(m, phased, nonions.grams)
-    # so does any matrix with one entry 1, j or j^2 per column, clock-and-shift or not
+    # a matrix with one entry 1, j or j^2 per column that is not clock-and-shift pairs
     swap = Mat3([ZERO, J, ZERO, ONE, ZERO, ZERO, ZERO, ZERO, J2])
     swapped = (swap, *nonions.elements[1:])
     assert decompose_in_basis(m, swapped, nonions.grams) == hs_decompose(m, swapped, nonions.grams)
-    assert len(calls) == 9
+    assert len(calls) == 18
+    # so does one that is the identity in its first two columns only
+    clock = (Mat3.diag(ONE, ONE, J), *nonions.elements[1:])
+    assert decompose_in_basis(m, clock, nonions.grams) == hs_decompose(m, clock, nonions.grams)
+    assert len(calls) == 27
+    # and a basis that repeats a clock-and-shift element
+    repeated = (nonions.elements[1], *nonions.elements[1:])
+    assert decompose_in_basis(m, repeated, nonions.grams) == hs_decompose(m, repeated, nonions.grams)
+    assert len(calls) == 36
     scaled = (nonions.elements[0].scale(rational(2)), *nonions.elements[1:])
     grams = (rational(12), *nonions.grams[1:])
     assert decompose_in_basis(m, scaled, grams) == hs_decompose(m, scaled, grams)
-    assert len(calls) == 18
+    assert len(calls) == 45
     # as does an element with a zero column
     corner = (Mat3([ONE] + [ZERO] * 8), *nonions.elements[1:])
     grams = (ONE, *nonions.grams[1:])
     assert decompose_in_basis(m, corner, grams) == hs_decompose(m, corner, grams)
-    assert len(calls) == 27
+    assert len(calls) == 54
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
