@@ -25,37 +25,36 @@ Products have two exact kernels, chosen by a cost model on the term
 counts: the pairwise kernel sums the normal-ordered product of every
 term pair, and the matrix kernel multiplies the images block by block
 (d = 3^floor(n/2); one block for even n, three for odd n) and reads
-each coefficient back as a trace tr(M^dagger P).
-Sparse products, such as generator words, take the first; dense ones
-the second.  Both conversions work along the shift diagonals: monomial
-j^c X^a Z^b fills diagonal a, with phase j^(c + b.v) in column v.  So the
-forward map adds each coefficient, times one column mask per clock
-pattern, into integers packed with one slot per column, and the
-readback, the finite Fourier transform of each diagonal over the column
-digits (Schwinger 1960), runs one radix-3 stage per digit on integers
-packed with one slot per diagonal.  The product packs each row of the
-right image into big integers of d slots (Kronecker substitution), so
-one raw product per nonzero cell of the left image does a whole output
-row; the slots are 64 bits, or a wider multiple of 64 when the
-operands' numerators are wide.
+each coefficient back as a trace tr(M^dagger P).  Sparse products, such
+as generator words, take the first; dense ones the second.  Monomial
+j^c X^a Z^b fills shift diagonal a with j^(c + b.v) in column v, so both
+conversions are finite Fourier transforms over the digits (Schwinger
+1960): the same radix-3 stages, on integers packed with one slot per
+diagonal, run over the clock digits (and the block, for odd n) forward
+and over the column digits back, on the coordinates of the radicals the
+operands use only.  The product packs each row of the right image into
+big integers of d slots (Kronecker substitution), so one raw product
+per nonzero cell of the left image does a whole output row; the slots
+are 64 bits, or a wider multiple of 64 when the numerators are wide.
 
-The radix-3 stage `_dft` serves both graded algebras: besides the odd-n
-block split and the dense readback, at n = 2, where the monomials are up
-to a phase the nonion units, it reads nonion coefficients back
-(`matrix.decompose_in_basis`) and builds nonion matrices
-(`cubic.qhat_at`).
+The radix-3 stage `_dft` serves both graded algebras: besides the dense
+conversions, at n = 2, where the monomials are up to a phase the nonion
+units, it reads nonion coefficients back (`matrix.decompose_in_basis`)
+and builds nonion matrices (`cubic.qhat_at`).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, permutations, product
-from operator import itemgetter, mul
+from itertools import chain, compress, permutations, product, repeat
+from operator import getitem, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .field import (
+    _RAD,
     ONE,
     ZERO,
     FieldElem,
@@ -63,7 +62,6 @@ from .field import (
     fold_phases,
     j_pow,
     mul_accumulate,
-    numerator_pairs,
     sum_terms,
 )
 
@@ -175,27 +173,13 @@ def _image(mono: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int
 
 def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
     """(row, j-exponent) of the one nonzero entry of each column of the
-    matrix of q^mono (`_image`)."""
+    matrix of q^mono (`_image`): j^(c + b.v) in row v - a (digit by digit,
+    mod 3) of column v."""
     a, b, c = _image(mono)
-    return [(row, (c + p) % 3) for row, p in zip(_shifted_rows(a), _clock_phases(b))]
-
-
-@lru_cache(maxsize=1024)
-def _shifted_rows(a: tuple[int, ...]) -> tuple[int, ...]:
-    """The row v - a (digit by digit, mod 3) of each column v."""
-    rows = [0]
-    for ai in a:
-        rows = [3 * r + (t - ai) % 3 for r in rows for t in range(3)]
-    return tuple(rows)
-
-
-@lru_cache(maxsize=1024)
-def _clock_phases(b: tuple[int, ...]) -> tuple[int, ...]:
-    """b.v mod 3 for each column v."""
-    phases = [0]
-    for bi in b:
-        phases = [(p + bi * t) % 3 for p in phases for t in range(3)]
-    return tuple(phases)
+    cols = [(0, c)]
+    for ai, bi in zip(a, b):
+        cols = [(3 * r + (t - ai) % 3, (p + bi * t) % 3) for r, p in cols for t in range(3)]
+    return cols
 
 
 def _shape(n: int) -> tuple[int, int]:
@@ -212,44 +196,33 @@ def _getter(items: Sequence[int]) -> itemgetter:
 
 @lru_cache(maxsize=4)
 def _clifford_plan(n: int) -> tuple:
-    """Each monomial's `_image` j^c X^a Z^b on the d x d blocks, with a and
-    b indexed by their position in product(range(3), repeat=n // 2); for
-    odd n its last digits (a = t, b = 0) are dropped, the image being
-    M' (x) X^t.  Returns, per block t, its monomials (last exponent t for
-    odd n, all for even n) as (monomial, readback slot k d + a with k the
-    index of -b, c); for the forward map, each monomial's (t, index of a,
-    clock pattern b.v, c); and the getters that put a vector of d slots
-    per diagonal in row-major order and a row-major vector in
-    column-major order, one slot per diagonal.
+    """The monomial and the c of each slot, and the block re-layouts.
+
+    With a and b of the `_image` j^c X^a Z^b indexed by their position in
+    product(range(3), repeat=n // 2), odd n dropping the last digits
+    (a = t, b = 0) of the image M' (x) X^t, monomial (t, b, a) has slot
+    (t d + index of -b) d + index of a, t = 0 for even n.  The getters put
+    a block held in the forward map's order, slot w d + a for column -w
+    of diagonal a, in row-major order, and a row-major block in the
+    readback's order, slot v d + a for column v of diagonal a.
     """
     blocks, d = _shape(n)
     m = n // 2
     digits = list(product(range(3), repeat=m))
     index = {v: i for i, v in enumerate(digits)}
-    plans: list = [[] for _ in range(blocks)]
-    forward = {}
+    minus = [index[tuple([-x % 3 for x in v])] for v in digits]
+    monos: list = [None] * 3**n
+    phases = [0] * 3**n
     for mono in product(range(3), repeat=n):
         a, b, c = _image(mono)
-        a, b, t = a[:m], b[:m], mono[-1] % blocks
-        plans[t].append((mono, index[tuple([-x % 3 for x in b])] * d + index[a], c))
-        forward[mono] = (t, index[a], _clock_phases(b), c)
-    cells = [row * d + v for a in digits for v, row in enumerate(_shifted_rows(a))]
-    to_rows = _getter(sorted(range(d * d), key=cells.__getitem__))
-    return plans, forward, to_rows, _getter([cells[i * d + v] for v in range(d) for i in range(d)])
-
-
-@lru_cache(maxsize=256)
-def _phase_masks(pattern: tuple[int, ...], width: int) -> tuple:
-    """For c = 0, 1, 2, the pair form ((0, x, y),) of the column phases
-    j^(c + s) of a clock pattern, x and y packed with one slot (of `width`
-    bits) per column: 1, j and j^2 are (1, 0), (0, 1) and (-1, -1)."""
-    masks = []
-    for c in range(3):
-        phases = [(c + s) % 3 for s in pattern]
-        values = [(1, 0, -1)[p] for p in phases] + [(0, 1, -1)[p] for p in phases]
-        x, y = _pack(values, len(pattern), width)
-        masks.append(((0, x, y),))
-    return tuple(masks)
+        slot = (mono[-1] % blocks * d + minus[index[b[:m]]]) * d + index[a[:m]]
+        monos[slot], phases[slot] = mono, c
+    # the row-major position of column v of diagonal a, row v - a
+    rows = [[index[tuple([(x - y) % 3 for x, y in zip(v, a)])] for v in digits] for a in digits]
+    cells = [row * d + v for shifted in rows for v, row in enumerate(shifted)]
+    forward = [cells[i * d + minus[w]] for w in range(d) for i in range(d)]
+    to_rows = _getter(sorted(range(d * d), key=forward.__getitem__))
+    return monos, phases, to_rows, _getter([cells[i * d + v] for v in range(d) for i in range(d)])
 
 
 def _slot_width(bits: int) -> int:
@@ -299,29 +272,27 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     """Cost model, in cell products: ta*tb term pairs against the block
     products (`_shape`: one d x d block for even n, three for odd n) plus
     the conversions.  A term pair (normal ordering, a dict lookup and a
-    Z[j] product) costs about two cell products.  The conversions cost
-    about 8 per monomial of either operand and of the readback, whatever
-    d: the forward map makes one raw product on packed integers per
-    monomial, the readback a slot lookup and a phase rotation.
+    Z[j] product) costs about two cell products, and the conversions 8 per
+    monomial of either operand and of the readback.
 
-    blocks d^3 (3 d^3 = 2,187 at n = 5) is only an upper bound on the
-    block products: the packed rows make at most blocks d^2 raw products,
-    each on integers of d slots of 64 bits or, for wide operands, a wider
-    multiple of 64.  So every product the model sends to the matrix kernel
-    belongs there, and narrow operands would gain from fewer terms; the
-    term counts cannot tell them apart.  Alternating medians
-    on t random terms per operand, with Z[j] coefficients in [-4, 4] or
-    with 12-digit ones: the matrix kernel wins from about t = 16 (either
-    width) at n = 3, t = 35 and 40 at n = 5, and t = 80 and 145 at n = 7,
-    where the model switches at 17, 50 and 200; at even n from about
-    t = 20 at n = 4 and t = 55 at n = 6 (narrow), against 31 and 118.
+    The 8 was set for conversions on all 8 coordinates; they now make one
+    rotation per monomial and live Z[j] pair, on whole coordinate lists,
+    and packed radix-3 stages, so it overstates them, and blocks d^3
+    (2,187 at n = 5) overstates the block products, at most blocks d^2
+    raw products on packed integers.  The model is unchanged, so every
+    product it sends to the matrix kernel belongs there.
+    Alternating medians on t random terms per operand, Z[j] coefficients
+    in [-4, 4] or of 12 digits, put the crossovers at t = 14 at n = 3,
+    16 at n = 4, 24 and 28 at n = 5, 36 and 42 at n = 6 and 70 and 80 at
+    n = 7, where the model switches at 17, 31, 50, 118 and 200.
     """
     blocks, d = _shape(n)
     return 2 * ta * tb > blocks * d**3 + 8 * (ta + tb + 3**n)
 
 
 def _dft(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """sum_t j^(kt) a_t for k = 0, 1, 2, on three sequences of 8 integers.
+    """sum_t j^(kt) a_t for k = 0, 1, 2, on three equal runs of Z[j] pairs
+    of raw numerators, or of packed integers (8 for a field element).
 
     So _dft(c)[-t % 3] is sum_k j^(-kt) c_k, three times the inverse."""
     a0, a1, a2 = a
@@ -332,15 +303,12 @@ def _dft(a: Sequence[Sequence[int]]) -> list[list[int]]:
 def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     """The product through the faithful clock-and-shift representation.
 
-    Both operands become their block images A^_k (`_to_vectors`: per block
-    k, 8 flat row-major d x d vectors of raw numerators over one shared
-    denominator each), block k of the product is A^_k B^_k
-    (`_packed_product`, with slots wide enough for every output value),
-    and the inverse transform gives 3 C_t = sum_k j^(-kt) (A^_k B^_k) on
-    the packed rows, before they are unpacked.  For odd n the
-    padded product is sum_t C_t (x) X^t; `_read_back` then gives each
-    monomial M' (x) X^t its coefficient tr(M'^dagger C_t) / d, all of
-    block t in floor(n/2) packed stages, as tr(M'^dagger 3 C_t) / (3 d).
+    Block k of the product is A^_k B^_k (`_to_vectors`, `_packed_product`)
+    on the radicals _RAD[r1][r2] of the operands' live radicals, and the
+    inverse transform 3 C_t = sum_k j^(-kt) (A^_k B^_k) runs on the packed
+    rows.  For odd n the padded product is sum_t C_t (x) X^t, and
+    `_read_back` gives monomial M' (x) X^t its coefficient
+    tr(M'^dagger C_t) / d as tr(M'^dagger 3 C_t) / (3 d).
 
     Slot bound: an output coordinate of 3 C_t sums, over the blocks k, the
     d inner indices and the radical pairs landing on its radical (their
@@ -351,91 +319,97 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     numerator of each operand's block images.  So every unpacked value has
     |v| < 36 blocks d 2^(bits_a + bits_b) <= 2^(bits_a + bits_b +
     bit_length(36 blocks d)), and the slots take `_slot_width` of that
-    exponent: 64 bits while it is at most 63.  The packed sums before
-    unpacking are exact at any size.
+    exponent: 64 bits while it is at most 63.
     """
     blocks, d = _shape(n)
-    va, da = _to_vectors(n, a)
-    vb, db = _to_vectors(n, b)
-    flat = [[x for block in v for x in block] for v in (va, vb)]
-    bits = sum(max(max(map(max, v)), -min(map(min, v))).bit_length() for v in flat)
+    live_a, va, da = _to_vectors(n, a)
+    live_b, vb, db = _to_vectors(n, b)
+    live = sorted({_RAD[r][s][1] // 2 for r in live_a for s in live_b})
+    if not live:
+        return {}
+    bits = sum(max(max(max(v), -min(v)) for k in x for v in k).bit_length() for x in (va, vb))
     width = _slot_width(bits + (36 * blocks * d).bit_length())
-    prods = [_packed_product(_sparse_rows(x, d), y, d, width) for x, y in zip(va, vb)]
+    pick = _getter([i for r in live for i in (2 * r, 2 * r + 1)])
+    prods = [_packed_product(x, y, d, width, live_a, live_b, pick) for x, y in zip(va, vb)]
     if blocks == 3:
         prods = list(zip(*map(_dft, zip(*prods))))
+    images = [[_unpack(coord, d, width) for coord in zip(*prods[-t % 3])] for t in range(blocks)]
     den = da * db * blocks * d
-    out = {}
-    for t in range(blocks):
-        vecs = [_unpack(coord, d, width) for coord in zip(*prods[-t % 3])]
-        for mono, nums in _read_back(n, t, vecs):
-            out[mono] = FieldElem(nums, den)
-    return out
+    return {mono: FieldElem(nums, den) for mono, nums in _read_back(n, live, images)}
 
 
-def _to_vectors(n: int, terms: Terms) -> tuple[list[list[Sequence[int]]], int]:
-    """The block images A^_k of sum c_m M_m, each as 8 flat row-major d x d
-    vectors of raw numerators, one per coordinate, over one shared
-    denominator, which is returned with them.
+def _to_vectors(n: int, terms: Terms) -> tuple[list[int], list[list[Sequence[int]]], int]:
+    """(live, images, den): the radicals on which some coefficient of
+    sum c_m M_m has a nonzero coordinate, in order; per block k the image
+    A^_k as flat row-major d x d vectors of raw numerators, x and y of
+    each live radical in turn; and their one shared denominator.
 
-    Monomial j^c X^a Z^b of block t puts its numerators x, times
-    j^(c + b.v), in column v of shift diagonal a of A_t.  So each diagonal
-    of each block keeps 8 integers packed with one slot per column, and
-    the monomial adds x times its packed column phases there with one
-    `mul_accumulate` (linear in its second operand) by `_phase_masks`.
-    `_dft` then makes each diagonal's 8 packed coordinates of
-    A^_k = sum_t j^(kt) A_t (for even n, A^_0 = A_0), and each coordinate
-    of each block unpacks once and is permuted into row-major order.
+    Column v of shift diagonal a of A_t is sum_b j^(c + b.v) x over the
+    monomials j^c X^a Z^b of block t: an inverse Fourier transform over
+    the clock digits b.  So each live coordinate, each Z[j] pair rotated
+    by j^c, goes in `_clifford_plan` slot order to `_transform`, whose
+    stages on the digits of b put column -w of each diagonal at index w,
+    and for odd n one more on t gives A^_k = sum_t j^(kt) A_t.
 
     Slot bound: each of the 3^n / d monomials on a diagonal (of all blocks
     t) adds j^p x to every slot of A^_k, and a coordinate of j^p x is
-    x, y, -y, x - y, y - x or -x of a Z[j] pair of x, so every slot holds
-    |cell| <= 2 (3^n / d) max|x| < 2^(bits + bit_length(2 3^n / d - 1))
-    with bits the bit length of max|x|.  The slots take `_slot_width` of
-    this; the packed sums before unpacking are exact at any size.
+    x, y, -y, x - y, y - x or -x of a Z[j] pair of x, so every unpacked
+    slot holds |cell| <= 2 (3^n / d) max|x| < 2^(bits + bit_length(2 3^n
+    / d - 1)) with bits the bit length of max|x|: the slots take
+    `_slot_width` of this.
     """
     blocks, d = _shape(n)
-    nums, den = common_numerators(terms.values())
-    top = max((max(abs(x), abs(y)) for pairs in nums for _, x, y in pairs), default=0)
+    monos, phases, to_rows, _ = _clifford_plan(n)
+    den = math.lcm(*[x.den for x in terms.values()])
+    coords = list(zip(*[
+        (0,) * 8 if x is None else x.nums if x.den == den else [v * (den // x.den) for v in x.nums]
+        for x in map(terms.get, monos)
+    ]))
+    live = [r for r in range(4) if any(coords[2 * r]) or any(coords[2 * r + 1])]
+    top = max(max(max(v), -min(v)) for v in coords)
     width = _slot_width(top.bit_length() + (2 * 3**n // d - 1).bit_length())
-    _, forward, to_rows, _ = _clifford_plan(n)
-    diagonals = [[[0] * 8 for _ in range(d)] for _ in range(blocks)]
-    for mono, x in zip(terms, nums):
-        t, i, pattern, c = forward[mono]
-        mul_accumulate(diagonals[t][i], x, _phase_masks(pattern, width)[c])
-    if blocks == 3:
-        diagonals = list(zip(*map(_dft, zip(*diagonals))))
-    return [[to_rows(_unpack(coord, d, width)) for coord in zip(*block)] for block in diagonals], den
+    values: list[int] = []
+    for r in live:
+        x, y = coords[2 * r], coords[2 * r + 1]
+        # j (x + y j) = -y + (x - y) j and j^2 (x + y j) = (y - x) - x j
+        values += map(getitem, zip(x, map(neg, y), map(sub, y, x)), phases)
+        values += map(getitem, zip(y, map(sub, x, y), map(neg, x)), phases)
+    flat = _transform(values, n, width, blocks * d)
+    starts = range(0, len(flat), d * d)
+    images = [[to_rows(flat[s : s + d * d]) for s in starts[k::blocks]] for k in range(blocks)]
+    return live, images, den
 
 
-def _sparse_rows(vecs: Sequence[Sequence[int]], d: int) -> list[list[tuple[int, tuple]]]:
-    """Rows of sparse (column, numerator pairs) cells, zero cells dropped."""
-    cells = list(zip(*vecs))
-    return [
-        [(col, numerator_pairs(cell)) for col, cell in enumerate(cells[i : i + d]) if any(cell)]
-        for i in range(0, d * d, d)
-    ]
+def _pair_cells(live: Sequence[int], vecs: Sequence[Sequence[int]]) -> list[tuple]:
+    """Per position of vectors of the live coordinates, x and y of each
+    live radical in turn, its Z[j] pairs (radical, x, y), zeros included."""
+    return list(zip(*[zip(repeat(r), vecs[2 * k], vecs[2 * k + 1]) for k, r in enumerate(live)]))
 
 
-def _packed_product(ra: list, vb: Sequence[Sequence[int]], d: int, width: int) -> list[list[int]]:
-    """The product of sparse rows ra by the flat vectors vb, as d rows of
-    8 packed numerator coordinates.
+def _packed_product(
+    va: Sequence[Sequence[int]], vb: Sequence[Sequence[int]], d: int, width: int,
+    live_a: Sequence[int], live_b: Sequence[int], pick: itemgetter,
+) -> list[tuple[int, ...]]:
+    """The product of two d x d blocks, flat row-major vectors of the
+    coordinates of the radicals live_a and live_b, as d rows of the packed
+    coordinates `pick` takes out of 8.
 
-    Each of the 8 numerator coordinates of a row of vb is packed into one
-    integer of d signed slots of `width` bits, column c in slot c
-    (Kronecker substitution).  mul_accumulate is linear in its second
-    operand, so one call per nonzero cell (i, k) of ra adds cell (i, k)
-    times all of row k into row i; CPython's big-integer arithmetic does
-    the d column products.  The packed sums stay exact; only their
-    unpacking (`_unpack` with the same width, after any linear map of the
-    rows) needs each slot to fit, as bounded in `_matrix_product`.
+    Each coordinate of a row of vb packs into one integer of d signed
+    slots of `width` bits, column c in slot c (Kronecker substitution), so
+    one mul_accumulate (linear in its second operand) per nonzero cell
+    (i, k) of va adds it times all of row k into row i.  The packed sums
+    stay exact; only their unpacking needs each slot to fit, as bounded in
+    `_matrix_product`.
     """
-    packed = [numerator_pairs(row) for row in zip(*[_pack(v, d, width) for v in vb])]
+    left, nonzero = _pair_cells(live_a, va), list(map(any, zip(*va)))
+    packed = _pack(chain.from_iterable(vb), d, width)
+    right = _pair_cells(live_b, [packed[s : s + d] for s in range(0, len(packed), d)])
     rows = []
-    for row in ra:
+    for i in range(0, d * d, d):
         acc = [0] * 8
-        for k, x in row:
-            mul_accumulate(acc, x, packed[k])
-        rows.append(acc)
+        for k, x in compress(enumerate(left[i : i + d]), nonzero[i : i + d]):
+            mul_accumulate(acc, x, right[k])
+        rows.append(pick(acc))
     return rows
 
 
@@ -444,39 +418,61 @@ def _rotate(nums: Sequence[int], e: int) -> list[int]:
     return fold_phases(*[nums if k == e % 3 else None for k in range(3)])
 
 
-def _read_back(n: int, t: int, vecs: Sequence[Sequence[int]]) -> list[tuple]:
-    """(monomial, tr(M^dagger P)) on raw numerators for each monomial M of
-    block t whose value is nonzero, P given as 8 flat row-major d x d
-    vectors of raw numerators.
+def _transform(values: Iterable[int], n: int, width: int, span: int) -> Sequence[int]:
+    """The radix-3 stages of both conversions, on one run of 3^n values per
+    coordinate, in Z[j] pairs, returned in the same layout.
+
+    Each d values pack into one integer of d slots of `width` bits, and
+    `_dft` runs, on all coordinates at once, on each base-3 digit below
+    span of the integers' index in their run: the column digits for span
+    d, and the block too for span blocks d.  Packing is linear and so are
+    the stages (`fold_phases`), and the packed integers stay exact at any
+    size, so only the values of the one unpack need to fit the slots.
+    """
+    blocks, d = _shape(n)
+    run = blocks * d
+    packed = _pack(values, d, width)
+    cols = list(zip(*[packed[s : s + run] for s in range(0, len(packed), run)]))
+    stride = 1
+    while stride < span:
+        for base in range(len(cols)):
+            if base // stride % 3 == 0:
+                part = slice(base, base + 3 * stride, stride)
+                cols[part] = _dft(cols[part])
+        stride *= 3
+    return _unpack(chain.from_iterable(zip(*cols)), d, width)
+
+
+def _read_back(n: int, live: Sequence[int], images: Sequence[Sequence]) -> list[tuple]:
+    """(monomial, tr(M^dagger P_t) as 8 raw numerators) for each monomial
+    M whose value is nonzero, M of block t, P_t given as flat row-major
+    d x d vectors of raw numerators, x and y of each live radical in turn.
 
     The trace takes cell (v - a, v) of each column v times the conjugate
     phase j^-(c + b.v), so it is j^-c F_a[-b], with
-    F_a[k] = sum_v j^(k.v) P[v - a, v].  Each coordinate is packed into
-    one integer per column, diagonal a in slot a, so m = floor(n/2) `_dft`
-    stages, one per column digit, transform every diagonal at once
-    (`fold_phases` is linear), and one unpack puts F_a[k] in slot k d + a.
+    F_a[k] = sum_v j^(k.v) P_t[v - a, v]: `_transform`, on each diagonal
+    in slot order over the column digits, puts F_a[-b] at the monomial's
+    `_clifford_plan` slot, and each coordinate is rotated by j^-c there.
 
     Slot bound: a coordinate of j^r (x + y j) is x, y, -y, x - y, y - x or
     -x, at most 2 max(|x|, |y|), so every slot holds at most
     2 d max|cell| < 2^(bits + bit_length(2 d)), bits the bit length of
     max|cell|: the slots take `_slot_width` of that.
     """
-    plans, _, _, to_cols = _clifford_plan(n)
+    monos, phases, _, to_cols = _clifford_plan(n)
     d = 3 ** (n // 2)
-    top = max(max(map(max, vecs)), -min(map(min, vecs)))
+    top = max(max(max(v), -min(v)) for block in images for v in block)
     width = _slot_width(top.bit_length() + (2 * d).bit_length())
-    packed = _pack(chain.from_iterable(map(to_cols, vecs)), d, width)
-    cols = list(zip(*[packed[s : s + d] for s in range(0, 8 * d, d)]))
-    stride = 1
-    while stride < d:
-        for base in range(d):
-            if base // stride % 3 == 0:
-                span = slice(base, base + 3 * stride, stride)
-                cols[span] = _dft(cols[span])
-        stride *= 3
-    flat = _unpack([x for coord in zip(*cols) for x in coord], d, width)
-    cells = list(zip(*[flat[s : s + d * d] for s in range(0, 8 * d * d, d * d)]))
-    return [(mono, _rotate(cells[slot], -c)) for mono, slot, c in plans[t] if any(cells[slot])]
+    flat = _transform(chain.from_iterable(map(to_cols, chain(*zip(*images)))), n, width, d)
+    size = 3**n
+    coords: list = [(0,) * size] * 8
+    for k, r in enumerate(live):
+        x, y = (flat[i * size : (i + 1) * size] for i in (2 * k, 2 * k + 1))
+        # j^-1 (x + y j) = (y - x) - x j and j^-2 (x + y j) = -y + (x - y) j
+        coords[2 * r] = map(getitem, zip(x, map(sub, y, x), map(neg, y)), phases)
+        coords[2 * r + 1] = map(getitem, zip(y, map(neg, x), map(sub, x, y)), phases)
+    cells = list(zip(*coords))
+    return list(compress(zip(monos, cells), map(any, cells)))
 
 
 class CliffElement:

@@ -422,19 +422,22 @@ def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
 
 
 def fold_phases(c0: list[int] | None, c1: list[int] | None, c2: list[int] | None) -> list[int]:
-    """``c0 + j c1 + j^2 c2`` on 8 raw numerators; a missing class is None.
+    """``c0 + j c1 + j^2 c2`` on raw numerators, runs of Z[j] pairs of one
+    even length (8 for a field element); a missing class is None, and
+    with all three missing the sum is 8 zeros.
 
     Multiplying by j rotates each radical's pair of coordinates:
     j (x + y j) = -y + (x - y) j, and so j^2 (x + y j) = (y - x) - x j.
     """
-    out = [0] * 8 if c0 is None else list(c0)
+    given = c0 if c0 is not None else c1 if c1 is not None else c2 if c2 is not None else range(8)
+    out = [0] * len(given) if c0 is None else list(c0)
     if c1 is not None:
-        for r in range(0, 8, 2):
+        for r in range(0, len(out), 2):
             x, y = c1[r], c1[r + 1]
             out[r] -= y
             out[r + 1] += x - y
     if c2 is not None:
-        for r in range(0, 8, 2):
+        for r in range(0, len(out), 2):
             x, y = c2[r], c2[r + 1]
             out[r] += y - x
             out[r + 1] -= x

@@ -303,6 +303,16 @@ def _blocks(n: int) -> int:
     return 3 if n % 2 else 1
 
 
+def _scatter(live, vecs) -> list[tuple[int, ...]]:
+    """Each cell of flat vectors of the live coordinates (x and y of each
+    live radical in turn) as its 8 raw numerators."""
+    cells = [[0] * 8 for _ in vecs[0]]
+    for k, r in enumerate(live):
+        for cell, x, y in zip(cells, vecs[2 * k], vecs[2 * k + 1]):
+            cell[2 * r], cell[2 * r + 1] = x, y
+    return [tuple(cell) for cell in cells]
+
+
 def _dense_zj(rng, monos, bound=4) -> dict:
     return {
         m: FieldElem([rng.randint(-bound, bound) or 1, rng.randint(-bound, bound)] + [0] * 6)
@@ -348,10 +358,11 @@ def test_packed_product_zero_row_and_column(monkeypatch):
         for col in range(d)
     ]
     a = CliffElement(n, {
-        m: FieldElem(nums, d) for m, nums in clifford._read_back(n, 0, list(zip(*image)))
+        m: FieldElem(nums, d) for m, nums in clifford._read_back(n, range(4), [list(zip(*image))])
     })
-    [vecs], den = clifford._to_vectors(n, a.terms)
-    assert [FieldElem(cell, den) for cell in zip(*vecs)] == [FieldElem(c) for c in image]
+    live, [vecs], den = clifford._to_vectors(n, a.terms)
+    assert live == [0, 1, 2, 3]
+    assert [FieldElem(cell, den) for cell in _scatter(live, vecs)] == [FieldElem(c) for c in image]
     monos = list(product((0, 1, 2), repeat=n))
     b = CliffElement(n, {m: FieldElem([rng.randint(-7, 7) for _ in range(8)]) for m in monos})
     widths = _spy_product_widths(monkeypatch)
@@ -418,7 +429,7 @@ def test_packing_bound_edge(bits_a, bits_b, width, monkeypatch):
     """At a slot bound (63 and 127 bits) and one bit over it."""
     n, blocks, d = 5, 3, 9
     a, b = _centre_block_element(n, bits_a), _centre_block_element(n, bits_b)
-    bits = [_bit_length(clifford._to_vectors(n, x.terms)[0]) for x in (a, b)]
+    bits = [_bit_length(clifford._to_vectors(n, x.terms)[1]) for x in (a, b)]
     assert bits == [bits_a, bits_b]
     edge = bits_a + bits_b + (36 * blocks * d).bit_length()
     assert edge in (width - 1, width - 64)
@@ -444,23 +455,27 @@ def test_forward_image_of_each_monomial_is_its_column_action(n):
     For odd n the padded image is M' (x) X^t, t the last exponent: column
     3v + u of the padded action is column 3v shifted by u on the last
     factor, and M' is column 3v with its row divided by 3.  For even n
-    the one block is the action itself (t = 0)."""
+    the one block is the action itself (t = 0).  A coefficient on all
+    four radicals keeps all 8 coordinates; one on the j-part of sqrt6
+    only the 2 of sqrt6."""
     blocks, d = _blocks(n), 3 ** (n // 2)
     x = FieldElem([3, -1, -4, 1, 5, -9, 2, -6], 7)
     for mono in product((0, 1, 2), repeat=n):
-        images, den = clifford._to_vectors(n, {mono: x})
         action, t = clifford._column_action(mono), mono[-1] * (n % 2)
         if n % 2:
             assert action == [
                 (3 * (row // 3) + (u - t) % 3, e) for row, e in action[::3] for u in range(3)
             ]
             action = [(row // 3, e) for row, e in action[::3]]
-        assert den == 7 and len(images) == blocks
-        for k, vecs in enumerate(images):
-            expected = [(0,) * 8] * (d * d)
-            for col, (row, e) in enumerate(action):
-                expected[row * d + col] = (x * j_pow(e + k * t)).nums
-            assert list(zip(*vecs)) == expected
+        for coeff, radicals in ((x, [0, 1, 2, 3]), (FieldElem([0] * 7 + [-5], 7), [3])):
+            live, images, den = clifford._to_vectors(n, {mono: coeff})
+            assert live == radicals and den == 7 and len(images) == blocks
+            for k, vecs in enumerate(images):
+                assert len(vecs) == 2 * len(live)
+                expected = [(0,) * 8] * (d * d)
+                for col, (row, e) in enumerate(action):
+                    expected[row * d + col] = (coeff * j_pow(e + k * t)).nums
+                assert _scatter(live, vecs) == expected
 
 
 @pytest.mark.parametrize("bound", [30, 2**70])
@@ -478,13 +493,14 @@ def test_read_back_after_forward_is_the_identity(n, bound):
         for m in product((0, 1, 2), repeat=n)
     }
     assert any(c.nums[7] < 0 for c in terms.values())
-    images, den = clifford._to_vectors(n, terms)
-    cells = [[FieldElem(cell) for cell in zip(*vecs)] for vecs in images]
-    back = {}
+    live, images, den = clifford._to_vectors(n, terms)
+    assert live == [0, 1, 2, 3]
+    cells = [[FieldElem(cell) for cell in _scatter(live, vecs)] for vecs in images]
+    padded = []
     for t in range(blocks):
         block = [sum((c[k] * j_pow(-k * t) for k in range(blocks)), ZERO).nums for c in zip(*cells)]
-        for m, nums in clifford._read_back(n, t, list(zip(*block))):
-            back[m] = FieldElem(nums, den * blocks * d)
+        padded.append(list(zip(*block)))
+    back = {m: FieldElem(x, den * blocks * d) for m, x in clifford._read_back(n, live, padded)}
     assert back == terms
 
 
@@ -512,8 +528,8 @@ def test_read_back_slot_bound_edge(bits, width, monkeypatch):
     x = 3 * ((2**bits - 1) // 3)
     pattern = ((x, x), (x, -x), (-x, x))
     b = _diagonal_element(n, [FieldElem([*pattern[v % 3]] + [0] * 6) for v in range(d)])
-    [vecs], den = clifford._to_vectors(n, b.terms)
-    assert den == 1 and _bit_length([vecs]) == x.bit_length() == bits
+    live, [vecs], den = clifford._to_vectors(n, b.terms)
+    assert live == [0] and den == 1 and _bit_length([vecs]) == x.bit_length() == bits
     assert (36 * x).bit_length() == bits + (2 * d).bit_length() in (width - 1, width - 64)
     one = {(0,) * n: ONE}
     widths: list[int] = []
@@ -539,10 +555,24 @@ def _slot_bound_element(bits: int) -> CliffElement:
 
 
 def _spy_widths(monkeypatch) -> list[int]:
-    """Record the forward slot width of each monomial's phase masks."""
+    """Record the slot width of each pack and unpack the forward map makes."""
     widths: list[int] = []
-    real = clifford._phase_masks
-    monkeypatch.setattr(clifford, "_phase_masks", lambda p, w: (widths.append(w), real(p, w))[1])
+    inside: list[int] = []
+    real_forward = clifford._to_vectors
+
+    def forward(*args):
+        inside.append(1)
+        try:
+            return real_forward(*args)
+        finally:
+            inside.pop()
+
+    def spy(real):
+        return lambda *args: (inside and widths.append(args[2]), real(*args))[1]
+
+    monkeypatch.setattr(clifford, "_to_vectors", forward)
+    monkeypatch.setattr(clifford, "_pack", spy(clifford._pack))
+    monkeypatch.setattr(clifford, "_unpack", spy(clifford._unpack))
     return widths
 
 
@@ -555,16 +585,17 @@ def test_forward_slot_bound_edge(bits, width, monkeypatch):
         for m in product((0, 1, 2), repeat=2)
     })
     widths = _spy_widths(monkeypatch)
-    [vecs], den = clifford._to_vectors(2, a.terms)
-    assert set(widths) == {width} and den == 1
+    live, [vecs], den = clifford._to_vectors(2, a.terms)
+    # one pack and one unpack
+    assert widths == [width] * 2 and live == [0] and den == 1
     # the j-part 5M fits a signed 64-bit slot only at the bound
     assert max(vecs[1]) == 5 * (2**bits - 1)
     assert (max(vecs[1]) < 2**63) == (width == 64)
     assert _matrix(a, b) == _pairwise(a, b)
     assert _matrix(b, a) == _pairwise(b, a)
     assert _matrix(a, a) == _pairwise(a, a)
-    # each product converts a and b, 9 monomials each
-    assert widths[9:] == [width] * 9 + [64] * 18 + [width] * 27
+    # each product converts a and b, one pack and one unpack each
+    assert widths[2:] == [width] * 2 + [64] * 4 + [width] * 6
 
 
 def _odd_slot_bound_element(bits: int) -> CliffElement:
@@ -592,8 +623,8 @@ def test_odd_forward_slot_bound_edge(bits, width, monkeypatch):
     rng = random.Random(1750)
     b = CliffElement(5, _dense_zj(rng, rng.sample(list(product((0, 1, 2), repeat=5)), 30)))
     widths = _spy_widths(monkeypatch)
-    images, den = clifford._to_vectors(5, a.terms)
-    assert set(widths) == {width} and den == 1
+    live, images, den = clifford._to_vectors(5, a.terms)
+    assert widths == [width] * 2 and live == [0] and den == 1
     # the j-part 39M fits a signed 64-bit slot only at the bound
     assert images[2][1][8 * 9 + 8] == 39 * (2**bits - 1)
     assert _bit_length(images) == (39 * (2**bits - 1)).bit_length()
@@ -635,6 +666,67 @@ def test_block_product_matches_pairwise(n, wide, monkeypatch):
     # a (1 + q + q^2) times (1 - q) b is a (1 - q^3) b = 0 for the last generator q
     q = generator(n, n - 1)
     assert _matrix(_pairwise(a, unit(n) + q + q * q), _pairwise(unit(n) - q, b)).is_zero()
+
+
+def _radical_terms(rng, monos, radicals, j_only=False) -> dict:
+    """Coefficients x + y j in [-5, 5] on each of the given radicals, with
+    x = 0 throughout for j_only."""
+    terms = {}
+    for m in monos:
+        nums = [0] * 8
+        for r in radicals:
+            nums[2 * r] = 0 if j_only else rng.randint(-5, 5)
+            nums[2 * r + 1] = rng.randint(-5, 5)
+        if any(nums):
+            terms[m] = FieldElem(nums)
+    return terms
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_live_radicals_match_pairwise(n, monkeypatch):
+    """The matrix kernel carries only the radicals its operands use, and
+    their products _RAD[r1][r2]: sqrt2 sqrt3 lives on sqrt6 only, sqrt6
+    sqrt6 on the rational part with factor 6, and sqrt2 (sqrt3 + sqrt6) on
+    sqrt6 and sqrt3 with factors 1 and 2.  An operand with only j sqrt2
+    parts has x = 0 in every pair.  In the last case a (1 + q + q^2) sqrt2
+    + c times (1 - q) b has a sqrt2 part that cancels to zero.  From n = 5
+    the right operand keeps 30 terms, so the reference stays fast."""
+    rng = random.Random(1900 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+    right = monos if n < 5 else rng.sample(monos, 30)
+    q = generator(n, n - 1)
+    cancel_left = _pairwise(
+        CliffElement(n, _radical_terms(rng, monos, [1])), unit(n) + q + q * q
+    ) + CliffElement(n, _radical_terms(rng, monos, [0]))
+    cancel_right = _pairwise(unit(n) - q, CliffElement(n, _radical_terms(rng, right, [0])))
+    cases = [
+        (_radical_terms(rng, monos, [1]), _radical_terms(rng, right, [2]), [3]),
+        (_radical_terms(rng, monos, [3]), _radical_terms(rng, right, [3]), [0]),
+        (_radical_terms(rng, monos, [1]), _radical_terms(rng, right, [2, 3]), [2, 3]),
+        (_radical_terms(rng, monos, [1], j_only=True), _radical_terms(rng, right, [0]), [1]),
+        (cancel_left.terms, cancel_right.terms, [0, 1]),
+    ]
+    readbacks = []
+    real = clifford._read_back
+    monkeypatch.setattr(
+        clifford, "_read_back", lambda *args: (readbacks.append(list(args[1])), real(*args))[1]
+    )
+    for left, right_terms, live in cases:
+        for x, y in ((left, right_terms), (right_terms, left)):
+            a, b = CliffElement(n, x), CliffElement(n, y)
+            readbacks.clear()
+            product_ab = _matrix(a, b)
+            assert product_ab == _pairwise(a, b) and not product_ab.is_zero()
+            assert readbacks == [live]
+            dead = [i for r in range(4) if r not in live for i in (2 * r, 2 * r + 1)]
+            assert all(not c.nums[i] for c in product_ab.terms.values() for i in dead)
+    # the sqrt2 part of the last left-right product cancels, the rational part does not
+    values = _matrix(cancel_left, cancel_right).terms.values()
+    assert values and all(c.nums[2:] == (0,) * 6 for c in values)
+    # a zero operand has no live radical, and neither has the product
+    assert clifford._to_vectors(n, {})[0] == []
+    assert clifford._matrix_product(n, {}, right_terms) == {}
+    assert clifford._matrix_product(n, left, {}) == {}
 
 
 def test_kernel_results_skip_revalidation(monkeypatch):

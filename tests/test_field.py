@@ -374,14 +374,27 @@ def test_sum_of_products_against_coordinate_table(rows, cancel):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.none() | st.lists(st.integers(-(10**9), 10**9), min_size=8, max_size=8),
-                min_size=3, max_size=3))
+@given(st.sampled_from([8, 2]).flatmap(
+    lambda size: st.lists(
+        st.none() | st.lists(st.integers(-(10**9), 10**9), min_size=size, max_size=size),
+        min_size=3, max_size=3,
+    )
+))
 def test_fold_phases_against_j_powers(classes):
+    """On 8 numerators, and on the 2 of one Z[j] pair, as the first radical
+    of a field element; with every class missing the sum is 8 zeros."""
+    size = next((len(c) for c in classes if c is not None), 8)
     expected = ZERO
     for power, c in zip((ONE, J, J2), classes):
         if c is not None:
-            expected = expected + power * FieldElem(c)
-    assert FieldElem(fold_phases(*classes)) == expected
+            expected = expected + power * FieldElem([*c] + [0] * (8 - size))
+    out = fold_phases(*classes)
+    assert len(out) == size
+    assert FieldElem(out + [0] * (8 - size)) == expected
+    # (1 + 2j) + j (3 + 4j) = -3 + j, and j^2 (x + y j) = (y - x) - x j
+    assert fold_phases([1, 2], [3, 4], None) == [-3, 1]
+    assert fold_phases(None, None, [5, -7]) == [-12, -5]
+    assert fold_phases(None, None, None) == [0] * 8
 
 
 # ---------------------------------------------------------------------------
