@@ -3,8 +3,9 @@
 * The nonion basis: nine 3x3 unit matrices q0..q8 (clock/shift family)
   that pairwise commute up to a power of j and cube to the identity.
   Each is a phase times a word q1^a q2^b in the two generators, q1 the
-  cyclic shift and q2 = q1 diag(j^2, 1, j); `LABELS` names the words,
-  and the Clifford normal ordering gives the product table.
+  cyclic shift and q2 = q1 diag(j^2, 1, j); `matrix.LABELS` names the
+  words and `matrix._nonion_units` builds the matrices, and the Clifford
+  normal ordering gives the product table.
 * The real step/diagonal basis ("TU3"): six elementary step matrices
   Q1..Q6 plus the radical-normalised diagonals Q7, Q8 and
   Q0 = identity/sqrt3, orthonormal under the Hilbert-Schmidt pairing.
@@ -22,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .clifford import _column_action, _normal_order, _suffix_sums, grade
+from .clifford import _normal_order, _suffix_sums, grade
 from .field import ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
-from .matrix import Mat3, decompose_in_basis
+from .matrix import LABELS, Mat3, _nonion_units, decompose_in_basis
 
 __all__ = [
     "NonionBasis",
@@ -92,26 +93,10 @@ class TU3Basis:
         )
 
 
-# q1^a q2^b = j^s q_c, keyed (a, b) -> (s, c).  The nonions are the
-# ternary Clifford algebra on two generators (Sylvester's nonions; Morris
-# 1967), so clifford._normal_order and this table give every product.
-LABELS = {
-    (0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 5),
-    (1, 0): (0, 1), (1, 1): (2, 6), (1, 2): (1, 8),
-    (2, 0): (0, 4), (2, 1): (1, 7), (2, 2): (2, 3),
-}
-
-
 @lru_cache(maxsize=1)
 def nonion_basis() -> NonionBasis:
     """q_c = j^-s q1^a q2^b with q1 the cyclic shift, q2 = q1 diag(j^2, 1, j)."""
     words = sorted((c, ab, s) for ab, (s, c) in LABELS.items())
-    elements = []
-    for _, ab, s in words:
-        ent = [ZERO] * 9
-        for col, (row, e) in enumerate(_column_action(ab)):
-            ent[3 * row + col] = j_pow(e - s)
-        elements.append(Mat3(ent))
 
     # q_a q_b = j^(e - s_a - s_b) (word_a word_b) with word_a word_b = j^s q_c.
     table = []
@@ -125,7 +110,7 @@ def nonion_basis() -> NonionBasis:
         table.append(tuple(row))
 
     grades = tuple(grade(ab) for _, ab, _ in words)
-    return NonionBasis(tuple(elements), grades, tuple(table), grams=(rational(3),) * 9)
+    return NonionBasis(_nonion_units()[0], grades, tuple(table), grams=(rational(3),) * 9)
 
 
 @lru_cache(maxsize=1)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .bases import TWIST_EXPONENTS, nonion_basis
 from .field import FieldElem, j_pow, rational
-from .matrix import Mat3, _compose, _projection_plan
+from .matrix import Mat3, _compose
 from .poly import MPoly, NonionPoly
 
 __all__ = [
@@ -73,19 +73,13 @@ def qhat_matrix_view() -> tuple[MPoly, ...]:
     return tuple(grid)
 
 
-@lru_cache(maxsize=1)
-def _qhat_plan() -> tuple:
-    """The projection plan of the nonion basis, looked up once."""
-    return _projection_plan(nonion_basis().elements)
-
-
 def qhat_at(coords: Sequence[FieldElem]) -> Mat3:
     """Numeric coordinate matrix sum_a coords[a]*q_a: each shift diagonal
     is one radix-3 stage on its three coefficients (`matrix._compose`),
     one FieldElem per cell."""
     if len(coords) != 9:
         raise ValueError(f"qhat_at needs 9 values, got {len(coords)}")
-    return Mat3(_compose(_qhat_plan(), coords))
+    return Mat3(_compose(coords))
 
 
 @lru_cache(maxsize=1)

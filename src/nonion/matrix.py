@@ -21,8 +21,8 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .clifford import _dft, _rotate
-from .field import ZERO, ONE, J, J2, FieldElem, numerator_pairs, sum_of_products
+from .clifford import _dft, _image, _rotate
+from .field import ZERO, ONE, FieldElem, j_pow, numerator_pairs, sum_of_products
 
 __all__ = [
     "Mat3",
@@ -37,13 +37,9 @@ class SingularGramError(Exception):
 
 
 class Mat3:
-    """Immutable 3x3 matrix of FieldElem, row-major.
+    """Immutable 3x3 matrix of FieldElem, row-major."""
 
-    The hash is computed on first use and kept: `decompose_in_basis` looks
-    its basis up by hash on every call.
-    """
-
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[FieldElem]):
         if len(entries) != 9:
@@ -151,12 +147,7 @@ class Mat3:
         return isinstance(other, Mat3) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.entries)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.entries)
 
     def __str__(self) -> str:
         rows = []
@@ -197,21 +188,23 @@ def decompose_in_basis(
 
     The basis must be hs-orthogonal with nine elements, as both bases in
     `nonion.bases` are; it then spans M3 and the coefficients rebuild m
-    exactly.  Raises SingularGramError on a zero gram entry.
+    exactly.  Raises ValueError unless the basis and the grams have nine
+    entries each, and SingularGramError on a zero gram entry.
 
-    Each coefficient is tr(b^dagger m) divided by its gram value.  When
-    the basis is the nine clock-and-shift matrices j^e X^a Z^k, one per
-    (a, k), as the nonion basis is, the pairing with j^e X^a Z^k is
-    j^-e F_a[-k], F_a the finite Fourier transform `clifford._dft` of
-    shift diagonal a of m lifted to the lcm of its denominators: one
-    radix-3 stage per diagonal.  Any other basis (TU3) pairs with
-    `hs_inner`.
+    Each coefficient is tr(b^dagger m) divided by its gram value.  For the
+    nonion basis (`_nonion_units`, or an equal copy of it) the pairing
+    with q_c = j^e X^a Z^k is j^-e F_a[-k], F_a the finite Fourier
+    transform `clifford._dft` of shift diagonal a of m lifted to the lcm
+    of its denominators: one radix-3 stage per diagonal.  Any other basis
+    (TU3) pairs with `hs_inner`.
     """
+    basis = tuple(basis)
+    if len(basis) != 9 or len(gram) != 9:
+        raise ValueError(f"need 9 basis elements and 9 grams, got {len(basis)} and {len(gram)}")
     if any(g.is_zero() for g in gram):
         raise SingularGramError("basis has a zero-norm element")
-    basis = tuple(basis)
-    plan = _projection_plan(basis)
-    if plan is None:
+    elements, plan = _nonion_units()
+    if basis != elements:
         return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
     den = math.lcm(*[x.den for x in m.entries])
     cells = [[n * (den // x.den) for n in x.nums] for x in m.entries]
@@ -222,14 +215,14 @@ def decompose_in_basis(
     return tuple(out)
 
 
-def _compose(plan: tuple, coeffs: Sequence[FieldElem]) -> list[FieldElem]:
-    """The nine cells, row-major, of sum_i coeffs[i] b_i over the basis of
-    a `_projection_plan`: per shift diagonal, cell (v - a, v) is
+def _compose(coeffs: Sequence[FieldElem]) -> list[FieldElem]:
+    """The nine cells, row-major, of sum_i coeffs[i] q_i over the nonion
+    units (`_nonion_units`): per shift diagonal, cell (v - a, v) is
     sum_k j^(k v) j^e c with c the coefficient of j^e X^a Z^k, so the
     three coefficients, lifted to the lcm of their denominators and
     rotated by their phases, take one `_dft`."""
     cells: list = [None] * 9
-    for positions, units in plan:
+    for positions, units in _nonion_units()[1]:
         den = math.lcm(*[coeffs[i].den for i, _ in units])
         lifted = [_rotate([x * (den // coeffs[i].den) for x in coeffs[i].nums], e) for i, e in units]
         # units come by -k, and _dft(c)[-v] is sum_k j^(-kv) c_k
@@ -238,32 +231,36 @@ def _compose(plan: tuple, coeffs: Sequence[FieldElem]) -> list[FieldElem]:
     return cells
 
 
-_PHASES = {ONE: 0, J: 1, J2: 2}
+# q1^a q2^b = j^s q_c, keyed (a, b) -> (s, c).  The nonions are the
+# ternary Clifford algebra on two generators (Sylvester's nonions; Morris
+# 1967), so clifford._normal_order and this table give every product.
+LABELS = {
+    (0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 5),
+    (1, 0): (0, 1), (1, 1): (2, 6), (1, 2): (1, 8),
+    (2, 0): (0, 4), (2, 1): (1, 7), (2, 2): (2, 3),
+}
 
 
-@lru_cache(maxsize=8)
-def _projection_plan(basis: tuple[Mat3, ...]) -> tuple | None:
-    """Per shift diagonal a, the row-major positions of its cells
-    (v - a, v) and, per clock k' = -k, the (element index, e) of the
-    element j^e X^a Z^k, read off the entries: the (row, j-exponent) of the
-    one nonzero entry in each column.  None unless the nine elements are
-    exactly the nine j^e X^a Z^k, one per (a, k)."""
+@lru_cache(maxsize=1)
+def _nonion_units() -> tuple[tuple[Mat3, ...], tuple]:
+    """The nine nonion units q_c = j^-s q1^a q2^b (`LABELS`) and their
+    projection plan, in closed form.
+
+    `clifford._image` gives q1^a q2^b = j^e' X^a' Z^k, so q_c = j^e X^a' Z^k
+    with e = e' - s: column v holds j^(e + k v) in row v - a'.  The plan
+    holds, per shift diagonal a', the row-major positions of its cells
+    (v - a', v) and, per clock -k, the (c, e) of its unit.
+    """
+    entries = [[ZERO] * 9 for _ in range(9)]
     units = {}
-    for i, b in enumerate(basis):
-        action = []
-        for col in range(3):
-            cells = [(row, b[row, col]) for row in range(3) if b[row, col]]
-            if len(cells) != 1 or cells[0][1] not in _PHASES:
-                return None
-            action.append((cells[0][0], _PHASES[cells[0][1]]))
-        (row, e), (_, e1) = action[:2]
-        a, k = -row % 3, (e1 - e) % 3
-        if action != [((v - a) % 3, (e + k * v) % 3) for v in range(3)]:
-            return None
-        units[a, -k % 3] = (i, e)
-    if not len(basis) == len(units) == 9:
-        return None
-    return tuple(
+    for word, (s, c) in LABELS.items():
+        (a,), (k,), e = _image(word)
+        e = (e - s) % 3
+        for v in range(3):
+            entries[c][(v - a) % 3 * 3 + v] = j_pow(e + k * v)
+        units[a, -k % 3] = (c, e)
+    plan = tuple(
         (tuple((v - a) % 3 * 3 + v for v in range(3)), tuple(units[a, k] for k in range(3)))
         for a in range(3)
     )
+    return tuple(map(Mat3, entries)), plan

@@ -10,7 +10,7 @@ from nonion.bases import (
     tilde_fixture_check,
     tu3_basis,
 )
-from nonion.clifford import grade
+from nonion.clifford import _column_action, grade
 from nonion.field import J, J2, ONE, ZERO, j_pow, rational
 from nonion.matrix import Mat3, hs_inner
 
@@ -58,6 +58,11 @@ def test_labels_are_the_two_generator_clifford_words(nonions):
     for (a, b), (s, c) in LABELS.items():
         assert q[1] ** a * q[2] ** b == q[c].scale(j_pow(s))
         assert nonions.grade[c] == grade((a, b))
+        # the closed form against the word's column action, entry by entry
+        entries = [ZERO] * 9
+        for col, (row, e) in enumerate(_column_action((a, b))):
+            entries[3 * row + col] = j_pow(e - s)
+        assert q[c] == Mat3(entries)
     assert q[2] == q[1] * Mat3.diag(J2, ONE, J)
 
 

@@ -457,9 +457,14 @@ def test_forward_image_of_each_monomial_is_its_column_action(n):
     factor, and M' is column 3v with its row divided by 3.  For even n
     the one block is the action itself (t = 0).  A coefficient on all
     four radicals keeps all 8 coordinates; one on the j-part of sqrt6
-    only the 2 of sqrt6."""
+    only the 2 of sqrt6.
+
+    The monomials with the same clock b and last exponent t lie on
+    distinct shift diagonals, so one conversion of their sum checks each
+    cell of every image, and no cell is claimed twice."""
     blocks, d = _blocks(n), 3 ** (n // 2)
     x = FieldElem([3, -1, -4, 1, 5, -9, 2, -6], 7)
+    groups = {}
     for mono in product((0, 1, 2), repeat=n):
         action, t = clifford._column_action(mono), mono[-1] * (n % 2)
         if n % 2:
@@ -467,14 +472,20 @@ def test_forward_image_of_each_monomial_is_its_column_action(n):
                 (3 * (row // 3) + (u - t) % 3, e) for row, e in action[::3] for u in range(3)
             ]
             action = [(row // 3, e) for row, e in action[::3]]
+        groups.setdefault((clifford._image(mono)[1], t), []).append((mono, action))
+    assert len(groups) == blocks * d and all(len(g) == d for g in groups.values())
+    for (_, t), group in groups.items():
         for coeff, radicals in ((x, [0, 1, 2, 3]), (FieldElem([0] * 7 + [-5], 7), [3])):
-            live, images, den = clifford._to_vectors(n, {mono: coeff})
+            live, images, den = clifford._to_vectors(n, {mono: coeff for mono, _ in group})
             assert live == radicals and den == 7 and len(images) == blocks
             for k, vecs in enumerate(images):
                 assert len(vecs) == 2 * len(live)
-                expected = [(0,) * 8] * (d * d)
-                for col, (row, e) in enumerate(action):
-                    expected[row * d + col] = (coeff * j_pow(e + k * t)).nums
+                expected, claimed = [(0,) * 8] * (d * d), set()
+                for _, action in group:
+                    for col, (row, e) in enumerate(action):
+                        assert row * d + col not in claimed
+                        claimed.add(row * d + col)
+                        expected[row * d + col] = (coeff * j_pow(e + k * t)).nums
                 assert _scatter(live, vecs) == expected
 
 

@@ -124,6 +124,14 @@ def test_decompose_errors(nonions, tu3):
             decompose_in_basis(basis.elements[4], basis.elements, grams)
     with pytest.raises(SingularGramError):
         decompose_in_basis(Mat3.zero(), [Mat3.identity()] * 9, (ONE,) * 8 + (ZERO,))
+    # eight elements or eight grams cannot rebuild a 3x3 matrix; the length
+    # is checked before the zero gram
+    with pytest.raises(ValueError):
+        decompose_in_basis(q[1], tu3.elements[:8], tu3.grams)
+    with pytest.raises(ValueError):
+        decompose_in_basis(q[1], q, nonions.grams[:8])
+    with pytest.raises(ValueError):
+        decompose_in_basis(q[1], q[:8], (ZERO,) * 9)
 
 
 def test_json_round_trip(nonions):
@@ -249,57 +257,58 @@ def test_tu3_decompose_matches_hs_projection(m):
 
 
 def test_repeated_decomposition_hashes_no_entry(monkeypatch, nonions):
-    # the projection plan is looked up by the basis tuple's hash; each Mat3
-    # keeps its hash, so a second lookup reaches no FieldElem.__hash__
+    # the nonion basis is recognised by equality, not looked up by hash
     calls = []
     real = FieldElem.__hash__
     monkeypatch.setattr(FieldElem, "__hash__", lambda self: (calls.append(1), real(self))[1])
     basis = tuple(Mat3(b.entries) for b in nonions.elements)
     m = Mat3([rational(k - 4, k + 1) * J for k in range(9)])
     first = decompose_in_basis(m, basis, nonions.grams)
-    assert calls
-    calls.clear()
+    assert calls == []
     assert decompose_in_basis(m, basis, nonions.grams) == first
     assert calls == []
-    assert hash(basis[1]) == hash(basis[1].entries)
+    assert first == decompose_in_basis(m, nonions.elements, nonions.grams)
 
 
-def test_decompose_reads_back_only_phase_monomial_bases(monkeypatch, nonions, tu3):
+def test_decompose_reads_back_only_the_nonion_basis(monkeypatch, nonions, tu3):
     calls = []
     real = matrix.hs_inner
     monkeypatch.setattr(matrix, "hs_inner", lambda a, b: (calls.append(1), real(a, b))[1])
     m = Mat3([rational(k - 4, k + 1) * J for k in range(9)])
     coeffs = decompose_in_basis(m, nonions.elements, nonions.grams)
+    copy = [Mat3(b.entries) for b in nonions.elements]
+    assert decompose_in_basis(m, copy, nonions.grams) == coeffs
     halves = (rational(3, 2),) * 9
     assert decompose_in_basis(m, nonions.elements, halves) == tuple(c * rational(2) for c in coeffs)
     assert calls == []
-    decompose_in_basis(m, tu3.elements, tu3.grams)
+    assert decompose_in_basis(m, tu3.elements, tu3.grams) == hs_decompose(m, tu3.elements, tu3.grams)
     assert len(calls) == 9
-    # a phase times a nonion element still reads back; any other multiple pairs
+    # a phase times a nonion element is another clock-and-shift basis: it pairs
     phased = (nonions.elements[0].scale(J2), *nonions.elements[1:])
     assert decompose_in_basis(m, phased, nonions.grams) == hs_decompose(m, phased, nonions.grams)
-    # a matrix with one entry 1, j or j^2 per column that is not clock-and-shift pairs
+    assert len(calls) == 18
+    # so does a matrix with one entry 1, j or j^2 per column that is not clock-and-shift
     swap = Mat3([ZERO, J, ZERO, ONE, ZERO, ZERO, ZERO, ZERO, J2])
     swapped = (swap, *nonions.elements[1:])
     assert decompose_in_basis(m, swapped, nonions.grams) == hs_decompose(m, swapped, nonions.grams)
-    assert len(calls) == 18
-    # so does one that is the identity in its first two columns only
+    assert len(calls) == 27
+    # one that is the identity in its first two columns only
     clock = (Mat3.diag(ONE, ONE, J), *nonions.elements[1:])
     assert decompose_in_basis(m, clock, nonions.grams) == hs_decompose(m, clock, nonions.grams)
-    assert len(calls) == 27
-    # and a basis that repeats a clock-and-shift element
+    assert len(calls) == 36
+    # a basis that repeats a clock-and-shift element
     repeated = (nonions.elements[1], *nonions.elements[1:])
     assert decompose_in_basis(m, repeated, nonions.grams) == hs_decompose(m, repeated, nonions.grams)
-    assert len(calls) == 36
+    assert len(calls) == 45
     scaled = (nonions.elements[0].scale(rational(2)), *nonions.elements[1:])
     grams = (rational(12), *nonions.grams[1:])
     assert decompose_in_basis(m, scaled, grams) == hs_decompose(m, scaled, grams)
-    assert len(calls) == 45
-    # as does an element with a zero column
+    assert len(calls) == 54
+    # and an element with a zero column
     corner = (Mat3([ONE] + [ZERO] * 8), *nonions.elements[1:])
     grams = (ONE, *nonions.grams[1:])
     assert decompose_in_basis(m, corner, grams) == hs_decompose(m, corner, grams)
-    assert len(calls) == 54
+    assert len(calls) == 63
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
