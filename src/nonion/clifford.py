@@ -32,10 +32,10 @@ conversions are finite Fourier transforms over the digits (Schwinger
 1960): the same radix-3 stages, on integers packed with one slot per
 diagonal, run over the clock digits (and the block, for odd n) forward
 and over the column digits back, on the coordinates of the radicals the
-operands use only.  The product packs each row of the right image into
-big integers of d slots (Kronecker substitution), so one raw product
-per nonzero cell of the left image does a whole output row; the slots
-are 64 bits, or a wider multiple of 64 when the numerators are wide.
+operands use only.  Each row of the right image packs into big integers
+of d slots (Kronecker substitution), so C-level dot products with a left
+row give a whole output row.  Each trace is a multiple of blocks d,
+divided out exactly, so integer operands need no gcd normalisation.
 
 The radix-3 stage `_dft` serves both graded algebras: besides the dense
 conversions, at n = 2, where the monomials are up to a phase the nonion
@@ -50,7 +50,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import chain, compress, permutations, product, repeat
-from operator import getitem, itemgetter, mul, neg, sub
+from operator import floordiv, getitem, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .field import (
@@ -127,7 +127,7 @@ Terms = Mapping[tuple[int, ...], FieldElem]
 
 def _pairwise_product(a: Terms, b: Terms) -> dict:
     """Raw integer sums per (monomial, phase) over all term pairs, then
-    one normalised FieldElem per output monomial."""
+    one normalised FieldElem per output monomial whose sum is nonzero."""
     left, da = common_numerators(a.values())
     right, db = common_numerators(b.values())
     acc: dict[tuple[tuple[int, ...], int], list[int]] = {}
@@ -139,12 +139,11 @@ def _pairwise_product(a: Terms, b: Terms) -> dict:
             if cell is None:
                 cell = acc[key] = [0] * 8
             mul_accumulate(cell, xa, xb)
+    den = da * db
     return {
-        mono: FieldElem(
-            fold_phases(acc.get((mono, 0)), acc.get((mono, 1)), acc.get((mono, 2))),
-            da * db,
-        )
+        mono: FieldElem(nums, den, den == 1)
         for mono in {m for m, _ in acc}
+        if any(nums := fold_phases(acc.get((mono, 0)), acc.get((mono, 1)), acc.get((mono, 2))))
     }
 
 
@@ -275,16 +274,13 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     Z[j] product) costs about two cell products, and the conversions 8 per
     monomial of either operand and of the readback.
 
-    The 8 was set for conversions on all 8 coordinates; they now make one
-    rotation per monomial and live Z[j] pair, on whole coordinate lists,
-    and packed radix-3 stages, so it overstates them, and blocks d^3
-    (2,187 at n = 5) overstates the block products, at most blocks d^2
-    raw products on packed integers.  The model is unchanged, so every
-    product it sends to the matrix kernel belongs there.
-    Alternating medians on t random terms per operand, Z[j] coefficients
-    in [-4, 4] or of 12 digits, put the crossovers at t = 14 at n = 3,
-    16 at n = 4, 24 and 28 at n = 5, 36 and 42 at n = 6 and 70 and 80 at
-    n = 7, where the model switches at 17, 31, 50, 118 and 200.
+    Both terms overstate the matrix kernel (live Z[j] pairs on packed
+    radix-3 stages; four dot products per block row and radical pair), so
+    every product the model sends there belongs there.  Alternating
+    medians on t random terms per operand, Z[j] coefficients in [-4, 4] or
+    of 12 digits, put the crossovers at t = 12 at n = 3, 12 and 16 at n = 4,
+    21 and 25 at n = 5, 28 and 37 at n = 6 and 49 and 64 at n = 7, where
+    the model switches at 17, 31, 50, 118 and 200.
     """
     blocks, d = _shape(n)
     return 2 * ta * tb > blocks * d**3 + 8 * (ta + tb + 3**n)
@@ -334,8 +330,8 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     if blocks == 3:
         prods = list(zip(*map(_dft, zip(*prods))))
     images = [[_unpack(coord, d, width) for coord in zip(*prods[-t % 3])] for t in range(blocks)]
-    den = da * db * blocks * d
-    return {mono: FieldElem(nums, den) for mono, nums in _read_back(n, live, images)}
+    den = da * db
+    return {mono: FieldElem(nums, den, den == 1) for mono, nums in _read_back(n, live, images)}
 
 
 def _to_vectors(n: int, terms: Terms) -> tuple[list[int], list[list[Sequence[int]]], int]:
@@ -366,7 +362,7 @@ def _to_vectors(n: int, terms: Terms) -> tuple[list[int], list[list[Sequence[int
         for x in map(terms.get, monos)
     ]))
     live = [r for r in range(4) if any(coords[2 * r]) or any(coords[2 * r + 1])]
-    top = max(max(max(v), -min(v)) for v in coords)
+    top = max((max(max(v), -min(v)) for r in live for v in coords[2 * r : 2 * r + 2]), default=0)
     width = _slot_width(top.bit_length() + (2 * 3**n // d - 1).bit_length())
     values: list[int] = []
     for r in live:
@@ -380,12 +376,6 @@ def _to_vectors(n: int, terms: Terms) -> tuple[list[int], list[list[Sequence[int
     return live, images, den
 
 
-def _pair_cells(live: Sequence[int], vecs: Sequence[Sequence[int]]) -> list[tuple]:
-    """Per position of vectors of the live coordinates, x and y of each
-    live radical in turn, its Z[j] pairs (radical, x, y), zeros included."""
-    return list(zip(*[zip(repeat(r), vecs[2 * k], vecs[2 * k + 1]) for k, r in enumerate(live)]))
-
-
 def _packed_product(
     va: Sequence[Sequence[int]], vb: Sequence[Sequence[int]], d: int, width: int,
     live_a: Sequence[int], live_b: Sequence[int], pick: itemgetter,
@@ -396,19 +386,27 @@ def _packed_product(
 
     Each coordinate of a row of vb packs into one integer of d signed
     slots of `width` bits, column c in slot c (Kronecker substitution), so
-    one mul_accumulate (linear in its second operand) per nonzero cell
-    (i, k) of va adds it times all of row k into row i.  The packed sums
-    stay exact; only their unpacking needs each slot to fit, as bounded in
-    `_matrix_product`.
+    a coordinate of row i of va dotted with the packed rows of vb is packed
+    row i of their product.  Per pair of live radicals, four C-level dot
+    products `sum(map(mul, ...))` of x1, y1 with x2, y2 add (x1 + y1 j)
+    (x2 + y2 j) = (x1 x2 - y1 y2) + (x1 y2 + y1 x2 - y1 y2) j, times m, to
+    the row on coordinate c, (m, c) = _RAD[r1][r2].  Only the unpacking
+    needs each slot to fit, as bounded in `_matrix_product`.
     """
-    left, nonzero = _pair_cells(live_a, va), list(map(any, zip(*va)))
     packed = _pack(chain.from_iterable(vb), d, width)
-    right = _pair_cells(live_b, [packed[s : s + d] for s in range(0, len(packed), d)])
+    right = [packed[s : s + d] for s in range(0, len(packed), d)]
+    pairs = [
+        (*_RAD[r][s], 2 * p, 2 * q) for p, r in enumerate(live_a) for q, s in enumerate(live_b)
+    ]
     rows = []
     for i in range(0, d * d, d):
+        left = [v[i : i + d] for v in va]
         acc = [0] * 8
-        for k, x in compress(enumerate(left[i : i + d]), nonzero[i : i + d]):
-            mul_accumulate(acc, x, right[k])
+        for m, c, ka, kb in pairs:
+            x1, y1, x2, y2 = left[ka], left[ka + 1], right[kb], right[kb + 1]
+            yy = sum(map(mul, y1, y2))
+            acc[c] += m * (sum(map(mul, x1, x2)) - yy)
+            acc[c + 1] += m * (sum(map(mul, x1, y2)) + sum(map(mul, y1, x2)) - yy)
         rows.append(pick(acc))
     return rows
 
@@ -444,9 +442,10 @@ def _transform(values: Iterable[int], n: int, width: int, span: int) -> Sequence
 
 
 def _read_back(n: int, live: Sequence[int], images: Sequence[Sequence]) -> list[tuple]:
-    """(monomial, tr(M^dagger P_t) as 8 raw numerators) for each monomial
-    M whose value is nonzero, M of block t, P_t given as flat row-major
-    d x d vectors of raw numerators, x and y of each live radical in turn.
+    """(monomial, tr(M^dagger P_t) / (blocks d) as 8 raw numerators) for
+    each nonzero value, M of block t, P_t given as flat row-major d x d
+    vectors of raw numerators, x and y of each live radical in turn: exact
+    for a product over da db, whose coefficients have integer numerators.
 
     The trace takes cell (v - a, v) of each column v times the conjugate
     phase j^-(c + b.v), so it is j^-c F_a[-b], with
@@ -460,10 +459,11 @@ def _read_back(n: int, live: Sequence[int], images: Sequence[Sequence]) -> list[
     max|cell|: the slots take `_slot_width` of that.
     """
     monos, phases, _, to_cols = _clifford_plan(n)
-    d = 3 ** (n // 2)
+    blocks, d = _shape(n)
     top = max(max(max(v), -min(v)) for block in images for v in block)
     width = _slot_width(top.bit_length() + (2 * d).bit_length())
     flat = _transform(chain.from_iterable(map(to_cols, chain(*zip(*images)))), n, width, d)
+    flat = list(map(floordiv, flat, repeat(blocks * d)))
     size = 3**n
     coords: list = [(0,) * size] * 8
     for k, r in enumerate(live):
@@ -495,11 +495,11 @@ class CliffElement:
 
     @classmethod
     def _of(cls, n: int, terms: Terms) -> "CliffElement":
-        """A kernel result: its monomials are valid by construction, so only
-        zero coefficients are dropped."""
+        """A kernel result, kept as it is: both kernels return a fresh dict
+        of valid monomials with nonzero coefficients only."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(self, "terms", terms)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard

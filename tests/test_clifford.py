@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -349,7 +350,10 @@ def test_packed_product_four_radicals_negative_coordinates(n, monkeypatch):
 
 
 def test_packed_product_zero_row_and_column(monkeypatch):
-    """An operand whose d x d image is zero in row 2 and in column 5."""
+    """An operand whose d x d image is zero in row 2 and in column 5.
+
+    The readback of d times the image gives the traces tr(M^dagger P), d
+    times each coefficient."""
     n, d = 4, 9
     rng = random.Random(1400)
     image = [
@@ -357,8 +361,9 @@ def test_packed_product_zero_row_and_column(monkeypatch):
         for row in range(d)
         for col in range(d)
     ]
+    scaled = [[d * v for v in cell] for cell in image]
     a = CliffElement(n, {
-        m: FieldElem(nums, d) for m, nums in clifford._read_back(n, range(4), [list(zip(*image))])
+        m: FieldElem(nums, d) for m, nums in clifford._read_back(n, range(4), [list(zip(*scaled))])
     })
     live, [vecs], den = clifford._to_vectors(n, a.terms)
     assert live == [0, 1, 2, 3]
@@ -371,19 +376,31 @@ def test_packed_product_zero_row_and_column(monkeypatch):
     assert widths == [64] * 2
 
 
-def test_packed_dense_product_makes_one_call_per_nonzero_cell(monkeypatch):
-    # the per-cell product made 19,521 calls for this pair, one per cell
-    # triple, and the padded 27 x 27 image up to 27 * 27
-    rng = random.Random(1500)
-    monos = list(product((0, 1, 2), repeat=5))
-    a, b = (CliffElement(5, _dense_zj(rng, monos)) for _ in range(2))
-    expected = _pairwise(a, b)
-    calls, inside = [], []
-    real, real_product = clifford.mul_accumulate, clifford._packed_product
+def _four_radicals(rng, monos, den=1) -> dict:
+    return {m: FieldElem([rng.randint(-9, 9) for _ in range(8)], den) or ONE for m in monos}
 
-    def count(*args):
-        calls.extend(inside)
-        return real(*args)
+
+@pytest.mark.parametrize("n, radicals", [(5, 1), (4, 4)])
+def test_packed_dense_product_makes_four_dot_products_per_row_and_pair(n, radicals, monkeypatch):
+    """Each row of a block product takes four C-level dot products per
+    pair of live radicals: 4 * 27 for dense Z[j] operands at n = 5 (rows =
+    blocks * d = 27, one pair), where the per-cell product made up to one
+    call per nonzero cell, 27 * 9, and 4 * 9 * 16 at n = 4 on four
+    radicals."""
+    rng = random.Random(1500 + n)
+    monos = list(product((0, 1, 2), repeat=n))
+    if radicals == 1:
+        a, b = (CliffElement(n, _dense_zj(rng, monos)) for _ in range(2))
+    else:
+        a, b = (CliffElement(n, _four_radicals(rng, monos, 5)) for _ in range(2))
+    rows = _blocks(n) * 3 ** (n // 2)
+    expected = _pairwise(a, b)
+    dots, inside = [], []
+    real_product = clifford._packed_product
+
+    def count(items):
+        dots.extend(inside)
+        return sum(items)
 
     def packed_product(*args):
         inside.append(1)
@@ -392,10 +409,65 @@ def test_packed_dense_product_makes_one_call_per_nonzero_cell(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(clifford, "mul_accumulate", count)
+    monkeypatch.setattr(clifford, "sum", count, raising=False)
     monkeypatch.setattr(clifford, "_packed_product", packed_product)
     assert a * b == expected
-    assert 0 < len(calls) <= 3 * 9 * 9
+    assert len(dots) == 4 * rows * radicals**2
+
+
+def _kernel_operands(rng, kind: str, monos) -> dict:
+    if kind == "zj":
+        return _dense_zj(rng, monos)
+    if kind == "wide":
+        return _dense_zj(rng, monos, 10**12)
+    if kind == "radicals":
+        return _four_radicals(rng, monos, 5)
+    return {
+        m: FieldElem([rng.randint(-9, 9) for _ in range(8)], rng.choice((1, 2, 9, 35))) or ONE
+        for m in monos
+    }
+
+
+@pytest.mark.parametrize("kind", ["zj", "wide", "radicals", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_read_back_divides_exactly_to_canonical_coefficients(n, kind, monkeypatch):
+    """Every trace the readback transform gives is a multiple of blocks * d,
+    since the product's coefficients are integer Z[j]-radical numerators
+    over da * db, so the readback divides it out exactly; each coefficient
+    comes out canonical and equal to the pairwise kernel's.  From n = 5 the
+    right operand keeps 12 terms, so the reference stays fast."""
+    rng = random.Random(2000 + 10 * n + len(kind))
+    monos = list(product((0, 1, 2), repeat=n))
+    a = _kernel_operands(rng, kind, monos)
+    b = _kernel_operands(rng, kind, monos if n < 5 else rng.sample(monos, 12))
+    traces: list = []
+    real = clifford._transform
+    monkeypatch.setattr(clifford, "_transform", lambda *args: traces.append(real(*args)) or traces[-1])
+    for x, y in ((a, b), (b, a)):
+        traces.clear()
+        out = clifford._matrix_product(n, x, y)
+        # the transforms of x and y, then the readback's
+        assert len(traces) == 3
+        assert all(v % (_blocks(n) * 3 ** (n // 2)) == 0 for v in traces[-1])
+        assert out and all(c.den > 0 and math.gcd(c.den, *c.nums) == 1 for c in out.values())
+        assert out == clifford._pairwise_product(x, y)
+
+
+def test_no_zero_coefficient_reaches_the_terms():
+    """(q1 + q2)(q2 - j q1) cancels on q1 q2 in the pairwise kernel, and
+    a (1 + q + q^2) times (1 - q) b everywhere in the matrix kernel."""
+    q1, q2 = generator(2, 0), generator(2, 1)
+    a, b = q1 + q2, q2 - q1.scale(J)
+    assert (1, 1) not in clifford._pairwise_product(a.terms, b.terms)
+    assert (a * b).terms and all((a * b).terms.values())
+    rng = random.Random(2100)
+    monos = list(product((0, 1, 2), repeat=4))
+    dense = CliffElement(4, _dense_zj(rng, monos))
+    q = generator(4, 3)
+    left, right = _pairwise(dense, unit(4) + q + q * q), _pairwise(unit(4) - q, dense)
+    assert clifford._matrix_is_cheaper(4, len(left.terms), len(right.terms))
+    assert clifford._matrix_product(4, left.terms, right.terms) == {}
+    assert (left * right).terms == {}
 
 
 def _centre_block_element(n: int, bits: int) -> CliffElement:
@@ -496,9 +568,11 @@ def test_read_back_after_forward_is_the_identity(n, bound):
     mixed denominators; 2^70 numerators take the wider forward slots.
 
     Block t of the padded image is A_t = (1/3) sum_k j^(-kt) A^_k, here
-    summed cell by cell in the field."""
+    summed cell by cell in the field.  The readback divides each trace of
+    the padded blocks by blocks d, so its values are over the forward
+    map's denominator."""
     rng = random.Random(1600 + n)
-    blocks, d = _blocks(n), 3 ** (n // 2)
+    blocks = _blocks(n)
     terms = {
         m: FieldElem([rng.randint(-bound, bound) for _ in range(8)], rng.choice((1, 2, 9, 35))) or ONE
         for m in product((0, 1, 2), repeat=n)
@@ -511,7 +585,7 @@ def test_read_back_after_forward_is_the_identity(n, bound):
     for t in range(blocks):
         block = [sum((c[k] * j_pow(-k * t) for k in range(blocks)), ZERO).nums for c in zip(*cells)]
         padded.append(list(zip(*block)))
-    back = {m: FieldElem(x, den * blocks * d) for m, x in clifford._read_back(n, live, padded)}
+    back = {m: FieldElem(x, den) for m, x in clifford._read_back(n, live, padded)}
     assert back == terms
 
 
