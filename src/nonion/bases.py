@@ -20,7 +20,6 @@ silently reconciled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .clifford import _normal_order, _suffix_sums, grade
@@ -52,16 +51,28 @@ TWIST_EXPONENTS = (0, 1, 1, 1, 2, 2, 2, 1, 2)
 CLAIMED_TILDE_EXPONENTS = (0, 1, 1, 1, 2, 2, 2, 1, 2)
 
 
-@dataclass(frozen=True)
 class NonionBasis:
     """The nine unit matrices with their grading and product table."""
 
-    elements: tuple[Mat3, ...]
-    grade: tuple[int, ...]  # index -> 0|1|2
-    # product_table[a][b] = (s, c) with q_a*q_b = j^s * q_c
-    product_table: tuple[tuple[tuple[int, int], ...], ...]
-    grams: tuple[FieldElem, ...] = field(default=(), repr=False)
-    name: str = "nonion"
+    name = "nonion"
+
+    def __init__(
+        self,
+        elements: tuple[Mat3, ...],
+        grade: tuple[int, ...],  # index -> 0|1|2
+        # product_table[a][b] = (s, c) with q_a*q_b = j^s * q_c
+        product_table: tuple[tuple[tuple[int, int], ...], ...],
+        grams: tuple[FieldElem, ...] = (),
+    ):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "grade", grade)
+        object.__setattr__(self, "product_table", product_table)
+        object.__setattr__(self, "grams", grams)
+
+    # The cached `products` is stored straight into the instance __dict__,
+    # past this guard; so the bases are plain classes, not NamedTuples.
+    def __setattr__(self, name, value):
+        raise AttributeError("NonionBasis is immutable")
 
     @cached_property
     def products(self) -> tuple:
@@ -69,13 +80,17 @@ class NonionBasis:
         return tuple(tuple(((c, j_pow(s)),) for s, c in row) for row in self.product_table)
 
 
-@dataclass(frozen=True)
 class TU3Basis:
     """Step operators Q1..Q6 and diagonals Q7, Q8, Q0 (orthonormal)."""
 
-    elements: tuple[Mat3, ...]
-    grams: tuple[FieldElem, ...] = field(default=(), repr=False)
-    name: str = "tu3"
+    name = "tu3"
+
+    def __init__(self, elements: tuple[Mat3, ...], grams: tuple[FieldElem, ...] = ()):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "grams", grams)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TU3Basis is immutable")
 
     @cached_property
     def products(self) -> tuple:

@@ -9,15 +9,15 @@ reference table without ever mutating or "correcting" it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import permutations
-from pathlib import Path
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
 from .field import FieldElem, sum_terms
 from .matrix import Mat3
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "StructureRow",
@@ -54,8 +54,7 @@ def s3_bracket(a: Mat3, b: Mat3, c: Mat3) -> Mat3:
     return even - odd
 
 
-@dataclass(frozen=True)
-class StructureRow:
+class StructureRow(NamedTuple):
     """One bracket row: sorted index triple and its nonzero components."""
 
     triple: tuple[int, int, int]
@@ -96,8 +95,7 @@ def structure_table(basis: Basis) -> list[StructureRow]:
 # fixture comparison
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableDiff:
+class TableDiff(NamedTuple):
     """Per-row comparison of a computed table against a fixture."""
 
     rows: tuple[dict, ...]  # {"triple", "status", ...} ordered by triple
@@ -126,6 +124,8 @@ def load_table_fixture(path: Union[str, Path]) -> dict:
 
 def _load_table_rows(path: Union[str, Path]) -> tuple[dict, list[list[tuple[int, FieldElem]]]]:
     """The validated fixture and, row by row, its (index, coefficient) targets."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

@@ -14,9 +14,8 @@ coordinate polynomials A0..A8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bases import TWIST_EXPONENTS, nonion_basis
 from .field import FieldElem, j_pow, rational
@@ -139,8 +138,7 @@ def triple_product_components() -> tuple[MPoly, ...]:
     return factors[0].multiply(factors[1]).multiply(factors[2]).components
 
 
-@dataclass(frozen=True)
-class TermCensus:
+class TermCensus(NamedTuple):
     """Monomial bookkeeping: distinct monomials and permutation-weighted count."""
 
     distinct_monomials: int

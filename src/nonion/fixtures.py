@@ -2,19 +2,21 @@
 
 Fixtures are versioned JSON files under ``nonion/data``; they hold the
 reference tables verbatim (including suspected typos, with notes) and
-are never mutated by the verification code.
+are never mutated by the verification code.  ``json``, ``hashlib`` and
+``importlib.resources`` are imported on first fixture access, inside the
+functions that read fixtures, so ``import nonion`` does not load them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from importlib import resources
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bracket import FixtureParseError
 from .field import FieldElem
 from .poly import MPoly
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "FIXTURE_NAMES",
@@ -41,10 +43,15 @@ FIXTURE_NAMES = (
 def fixture_path(name: str) -> Path:
     if name not in FIXTURE_NAMES:
         raise FixtureParseError(f"unknown fixture {name!r}")
+    from importlib import resources
+    from pathlib import Path
+
     return Path(resources.files("nonion").joinpath("data", name))
 
 
 def load_fixture(name: str) -> dict:
+    import json
+
     path = fixture_path(name)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -57,6 +64,8 @@ def load_fixture(name: str) -> dict:
 
 def fixture_checksums() -> dict[str, str]:
     """sha256 of every bundled fixture, for report provenance."""
+    import hashlib
+
     out = {}
     for name in FIXTURE_NAMES:
         try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._version import __version__
 from .bases import nonion_basis, pair_phase_matrix, tilde_fixture_check, tu3_basis
@@ -76,8 +76,7 @@ SCOPES = (
 REPORT_SCHEMA = "verification-report/1"
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     kind: str  # "assert" | "info"
     ok: bool
@@ -90,8 +89,7 @@ class Check:
         return out
 
 
-@dataclass
-class Section:
+class Section(NamedTuple):
     name: str
     checks: list[Check]
 
@@ -102,8 +100,7 @@ class Section:
         return "Pass" if all(c.ok for c in hard) else "Fail"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     sections: list[Section]
     strict: bool
     meta: dict
