@@ -19,15 +19,7 @@ from .bases import (
     pair_phase_matrix,
     tu3_basis,
 )
-from .bracket import (
-    FixtureParseError,
-    FixtureRowCountError,
-    StructureRow,
-    TableDiff,
-    diff_table,
-    s3_bracket,
-    structure_table,
-)
+from .bracket import StructureRow, TableDiff, diff_table, s3_bracket, structure_table
 from .poly import MPoly, NonionPoly
 from .cubic import (
     TermCensus,
@@ -57,7 +49,7 @@ from .clifford import (
     s3_symmetric_sum,
     weighted_identity_check,
 )
-from .fixtures import surface_poly_fixture
+from .fixtures import FixtureParseError, FixtureRowCountError, surface_poly_fixture
 
 __all__ = [
     "__version__",

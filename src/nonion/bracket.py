@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
 from .field import FieldElem, sum_terms
+from .fixtures import _table_rows
 from .matrix import Mat3
 
 if TYPE_CHECKING:
@@ -22,25 +23,14 @@ if TYPE_CHECKING:
 __all__ = [
     "StructureRow",
     "TableDiff",
-    "FixtureParseError",
-    "FixtureRowCountError",
     "s3_bracket",
     "structure_row",
     "structure_table",
     "all_triples",
     "diff_table",
-    "load_table_fixture",
 ]
 
 Basis = Union[NonionBasis, TU3Basis]
-
-
-class FixtureParseError(Exception):
-    """A fixture file is missing, unreadable or malformed."""
-
-
-class FixtureRowCountError(FixtureParseError):
-    """A table fixture does not contain exactly 84 rows."""
 
 
 # Signs of itertools.permutations((k, l, m)) in its output order.
@@ -118,59 +108,14 @@ class TableDiff(NamedTuple):
         }
 
 
-def load_table_fixture(path: Union[str, Path]) -> dict:
-    return _load_table_rows(path)[0]
-
-
-def _load_table_rows(path: Union[str, Path]) -> tuple[dict, list[list[tuple[int, FieldElem]]]]:
-    """The validated fixture and, row by row, its (index, coefficient) targets."""
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FixtureParseError(f"cannot read fixture {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FixtureParseError(f"fixture {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "rows" not in data:
-        raise FixtureParseError(f"fixture {path} has no 'rows' key")
-    rows = data["rows"]
-    if not isinstance(rows, list):
-        raise FixtureParseError(f"fixture {path}: 'rows' is not a list")
-    if len(rows) != 84:
-        raise FixtureRowCountError(f"fixture {path} has {len(rows)} rows, expected 84")
-    seen = set()
-    parsed = []
-    for row in rows:
-        try:
-            trip = tuple(row["triple"])
-            is_sorted = trip == tuple(sorted(trip))
-            targets = []
-            for tgt in row["targets"]:
-                if not isinstance(tgt["index"], int):
-                    raise ValueError(f"target index {tgt['index']!r} is not an integer")
-                targets.append((tgt["index"], FieldElem.from_json(tgt["coeff"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FixtureParseError(f"fixture {path} row is malformed: {exc}") from exc
-        if not is_sorted or len(trip) != 3:
-            raise FixtureParseError(f"fixture {path}: triple {trip} is not sorted")
-        if trip in seen:
-            raise FixtureParseError(f"fixture {path}: duplicate triple {trip}")
-        seen.add(trip)
-        parsed.append(targets)
-    return data, parsed
-
-
 def diff_table(computed: Sequence[StructureRow], fixture_path: Union[str, Path]) -> TableDiff:
     """Exact per-row comparison; deterministic order, fixture untouched."""
-    fixture, parsed = _load_table_rows(fixture_path)
-    by_triple = {tuple(r["triple"]): (r, dict(t)) for r, t in zip(fixture["rows"], parsed)}
+    by_triple = _table_rows(fixture_path)[1]
     out = []
     matches = mismatches = missing = 0
     for row in sorted(computed, key=lambda r: r.triple):
         frow, expected = by_triple.pop(row.triple, (None, None))
-        computed_targets = {n: c for n, c in row.targets}
+        computed_targets = row.target_map()
         if frow is None:
             missing += 1
             out.append({"triple": row.triple, "status": "MissingInFixture"})

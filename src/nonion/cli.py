@@ -14,13 +14,7 @@ import re
 import sys
 
 from .bases import nonion_basis, pair_phase_matrix, tu3_basis
-from .bracket import (
-    FixtureParseError,
-    StructureRow,
-    diff_table,
-    structure_row,
-    structure_table,
-)
+from .bracket import StructureRow, diff_table, structure_row, structure_table
 from .clifford import (
     MAX_GENERATORS,
     CliffElement,
@@ -33,7 +27,7 @@ from .clifford import (
 )
 from .cubic import det_poly, qhat_at, term_census, triple_product_components
 from .field import FieldElem, parse_rational
-from .fixtures import fixture_path, surface_poly_fixture
+from .fixtures import FixtureParseError, fixture_path, surface_poly_fixture
 from .report import SCOPES, emit_report, lambda_claims, run_verify
 from .roots import (
     extract_alpha_root,
@@ -105,10 +99,8 @@ def _cmd_bases(args) -> int:
 
 def _cmd_bracket(args) -> int:
     basis = _basis(args.basis)
-    for idx in (args.k, args.l, args.m):
-        if not 0 <= idx <= 8:
-            print("error: indices must be 0..8", file=sys.stderr)
-            return 2
+    if not all(0 <= idx <= 8 for idx in (args.k, args.l, args.m)):
+        raise ValueError("indices must be 0..8")
     row = structure_row(basis, (args.k, args.l, args.m))
     if args.format == "json":
         print(json.dumps(_row_json(row), indent=2))
@@ -137,8 +129,7 @@ def _cmd_diff_table(args) -> int:
 def _cmd_norm(args) -> int:
     parts = args.coords.split(",")
     if len(parts) != 9:
-        print("error: --coords needs 9 comma-separated rationals", file=sys.stderr)
-        return 2
+        raise ValueError("--coords needs 9 comma-separated rationals")
     coords = [FieldElem.from_fraction(parse_rational(t)) for t in parts]
     value = qhat_at(coords).det()
     approx = value.approx_complex()
@@ -195,16 +186,12 @@ def _cmd_census(args) -> int:
 def _cmd_roots(args) -> int:
     if args.action == "rotate":
         if args.alpha or args.beta or args.format != "json":
-            print("error: --alpha, --beta and --format md do not apply to roots rotate",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--alpha, --beta and --format md do not apply to roots rotate")
         if not args.vector:
-            print("error: --vector is required for rotate", file=sys.stderr)
-            return 2
+            raise ValueError("--vector is required for rotate")
         match = re.fullmatch(r"(alpha|beta)([1-6])", args.vector)
         if match is None:
-            print("error: --vector must look like alpha1 or beta3", file=sys.stderr)
-            return 2
+            raise ValueError("--vector must look like alpha1 or beta3")
         idx = int(match[2])
         vec = extract_alpha_root(idx) if match[1] == "alpha" else extract_beta_root(idx)[1]
         power = 1 if args.power is None else args.power
@@ -213,8 +200,7 @@ def _cmd_roots(args) -> int:
                           "result": [_fe_json(c) for c in out]}, indent=2))
         return 0
     if args.vector is not None or args.power is not None:
-        print("error: --vector and --power need roots rotate", file=sys.stderr)
-        return 2
+        raise ValueError("--vector and --power need roots rotate")
 
     payload = {}
     if args.alpha or not args.beta:
@@ -284,22 +270,18 @@ def _cmd_clifford(args) -> int:
     n = args.n_opt
     if args.action == "mul":
         if n is None or len(args.rest) != 2:
-            print("error: clifford mul needs two words and --n", file=sys.stderr)
-            return 2
+            raise ValueError("clifford mul needs two words and --n")
     elif len(args.rest) + (n is not None) > 1:
-        print(f"error: clifford {args.action} takes one generator count", file=sys.stderr)
-        return 2
+        raise ValueError(f"clifford {args.action} takes one generator count")
     elif args.rest:
         try:
             n = int(args.rest[0])
         except ValueError:
             pass
     if n is None:
-        print(f"error: clifford {args.action} needs a generator count", file=sys.stderr)
-        return 2
+        raise ValueError(f"clifford {args.action} needs a generator count")
     if not 1 <= n <= MAX_GENERATORS:
-        print(f"error: generator count must be 1..{MAX_GENERATORS}, got {n}", file=sys.stderr)
-        return 2
+        raise ValueError(f"generator count must be 1..{MAX_GENERATORS}, got {n}")
 
     if args.action == "dim":
         print(json.dumps({"n": n, "dimension": dimension(n)}))

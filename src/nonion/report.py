@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import random
 import sys
+from itertools import product
 from typing import NamedTuple
 
 from ._version import __version__
 from .bases import nonion_basis, pair_phase_matrix, tilde_fixture_check, tu3_basis
-from .bracket import StructureRow, diff_table, s3_bracket, structure_table
+from .bracket import StructureRow, TableDiff, diff_table, s3_bracket, structure_table
 from .clifford import (
     degree_census,
     dimension,
@@ -35,11 +36,13 @@ from .cubic import (
     triple_product_components,
     variant_poly,
 )
-from .field import FieldElem, J, J2, ONE, SQRT2, SQRT3, ZERO, j_pow, rational
+from .field import ONE, SQRT3, ZERO, j_pow, rational
 from .fixtures import (
+    clifford_census_fixture,
     fixture_checksums,
     fixture_path,
     lambda_combos_fixture,
+    roots_fixture,
     surface_poly_fixture,
 )
 from .matrix import Mat3
@@ -125,14 +128,27 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _spot(expected: dict[int, FieldElem], row: StructureRow) -> tuple[bool, dict]:
-    computed = row.target_map()
-    ok = computed == expected
-    return ok, {
-        "triple": list(row.triple),
-        "expected": {str(n): str(c) for n, c in sorted(expected.items())},
-        "computed": {str(n): str(c) for n, c in sorted(computed.items())},
-    }
+def _spot_checks(
+    spots: list[tuple[str, tuple[int, int, int]]],
+    table: dict[tuple[int, int, int], StructureRow],
+    diff: TableDiff,
+) -> list[Check]:
+    """One check per named triple: its row of the fixture diff is a Match.
+
+    The expected targets are the fixture row's: on a Match they equal the
+    computed ones, on a Mismatch the diff row carries them, and a triple
+    the fixture lacks has none (null).
+    """
+    rows = {r["triple"]: r for r in diff.rows}
+    checks = []
+    for name, trip in spots:
+        ok = rows[trip]["status"] == "Match"
+        computed = {str(n): str(c) for n, c in table[trip].targets}
+        printed = rows[trip].get("expected")
+        expected = computed if ok else printed and {str(n): c for n, c in printed.items()}
+        detail = {"triple": list(trip), "expected": expected, "computed": computed}
+        checks.append(Check(name, "assert", ok, detail))
+    return checks
 
 
 # ----------------------------------------------------------------------
@@ -145,28 +161,22 @@ def _section_nonion_table() -> Section:
     checks: list[Check] = []
 
     table = {r.triple: r for r in structure_table(basis)}
-    three = rational(3)
-    two = rational(2)
-
+    diff = diff_table(list(table.values()), fixture_path("table_nonion_s3.json"))
     spots = [
-        ("bracket {1,2,3} = 3(j^2-j) q0", (1, 2, 3), {0: three * (J2 - J)}),
-        ("bracket {1,2,5} = 2(j^2-j) q1", (1, 2, 5), {1: two * (J2 - J)}),
-        ("bracket {0,1,4} = 0", (0, 1, 4), {}),
+        ("bracket {1,2,3} = 3(j^2-j) q0", (1, 2, 3)),
+        ("bracket {1,2,5} = 2(j^2-j) q1", (1, 2, 5)),
+        ("bracket {0,1,4} = 0", (0, 1, 4)),
     ]
-    for name, trip, expected in spots:
-        ok, detail = _spot(expected, table[trip])
-        checks.append(Check(name, "assert", ok, detail))
+    checks.extend(_spot_checks(spots, table, diff))
 
     # binary reduction {q_a, q_b, q0} = q_a q_b - q_b q_a for all 28 pairs
-    ok = True
-    for a in range(1, 9):
-        for b in range(a + 1, 9):
-            br = s3_bracket(q[a], q[b], q[0])
-            if br != q[a] * q[b] - q[b] * q[a]:
-                ok = False
+    ok = all(
+        s3_bracket(q[a], q[b], q[0]) == q[a] * q[b] - q[b] * q[a]
+        for a in range(1, 9)
+        for b in range(a + 1, 9)
+    )
     checks.append(Check("binary reduction on all 28 pairs", "assert", ok))
 
-    diff = diff_table(list(table.values()), fixture_path("table_nonion_s3.json"))
     checks.append(
         Check(
             "diff vs transcribed table (match rate)",
@@ -199,23 +209,13 @@ def _section_tu3_table() -> Section:
 
     checks.append(Check("diagonal triple bracket vanishes", "assert", cartan_check(basis)))
 
-    sqrt3 = SQRT3
-    inv_sqrt2 = SQRT2 / rational(2)
-    inv_sqrt3 = SQRT3 / rational(3)
-    spots = [
-        ("bracket {1,2,3} = sqrt3 Q0", (1, 2, 3), {0: sqrt3}),
-        ("bracket {4,5,6} = -sqrt3 Q0", (4, 5, 6), {0: -sqrt3}),
-        (
-            "bracket {2,5,7} = (3/sqrt2) Q0 - Q7 - (2/sqrt3) Q8",
-            (2, 5, 7),
-            {0: rational(3) * inv_sqrt2, 7: -ONE, 8: -(rational(2) * inv_sqrt3)},
-        ),
-    ]
-    for name, trip, expected in spots:
-        ok, detail = _spot(expected, table[trip])
-        checks.append(Check(name, "assert", ok, detail))
-
     diff = diff_table(list(table.values()), fixture_path("table_tu3_s3.json"))
+    spots = [
+        ("bracket {1,2,3} = sqrt3 Q0", (1, 2, 3)),
+        ("bracket {4,5,6} = -sqrt3 Q0", (4, 5, 6)),
+        ("bracket {2,5,7} = (3/sqrt2) Q0 - Q7 - (2/sqrt3) Q8", (2, 5, 7)),
+    ]
+    checks.extend(_spot_checks(spots, table, diff))
     checks.append(
         Check("diff vs transcribed table (match rate)", "info", diff.all_match, diff.summary())
     )
@@ -225,14 +225,13 @@ def _section_tu3_table() -> Section:
 def _section_roots() -> Section:
     checks: list[Check] = []
     alphas = {i: extract_alpha_root(i) for i in range(1, 7)}
-    inv_sqrt3 = SQRT3 / rational(3)
-    sqrt_2_3 = SQRT2 * SQRT3 / rational(3)
+    printed_alphas = {r["index"]: r["components"] for r in roots_fixture("alpha")}
 
     checks.append(
         Check(
             "alpha_1 = (1/sqrt3, 0, -sqrt(2/3))",
             "assert",
-            alphas[1] == (inv_sqrt3, ZERO, -sqrt_2_3),
+            alphas[1] == printed_alphas.get(1),
             [str(c) for c in alphas[1]],
         )
     )
@@ -270,14 +269,11 @@ def _section_roots() -> Section:
         )
     )
 
-    betas = {}
-    ok_targets = True
-    expected_targets = {1: 6, 2: 4, 3: 5, 4: 3, 5: 1, 6: 2}
+    targets, betas = {}, {}
     for i in range(1, 7):
-        target, root = extract_beta_root(i)
-        betas[i] = root
-        ok_targets = ok_targets and target == expected_targets[i]
-    checks.append(Check("beta pair product targets", "assert", ok_targets))
+        targets[i], betas[i] = extract_beta_root(i)
+    printed_targets = {r["index"]: r.get("target") for r in roots_fixture("beta")}
+    checks.append(Check("beta pair product targets", "assert", targets == printed_targets))
     three = rational(3)
     checks.append(
         Check(
@@ -364,15 +360,13 @@ def _section_norm() -> Section:
     )
 
     rng = random.Random(20100625)
-    ok = True
-    for _ in range(100):
-        x = [rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
-        y = [rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
-        lhs = (qhat_at(x) * qhat_at(y)).det()
-        rhs = det.evaluate(x) * det.evaluate(y)
-        if lhs != rhs:
-            ok = False
-            break
+    pairs = (
+        [[rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)] for _ in "xy"]
+        for _ in range(100)
+    )
+    ok = all(
+        (qhat_at(x) * qhat_at(y)).det() == det.evaluate(x) * det.evaluate(y) for x, y in pairs
+    )
     checks.append(Check("determinant multiplicativity on 100 random pairs", "assert", ok))
     return Section("norm", checks)
 
@@ -382,15 +376,11 @@ def _section_triple_product() -> Section:
     comps = triple_product_components()
     a0 = comps[0]
 
-    ok_axes = True
-    for a in range(9):
-        exp = [0] * 9
-        exp[a] = 3
-        restriction = MPoly(
-            {e: c for e, c in a0.terms.items() if all(e[i] == 0 for i in range(9) if i != a)}
-        )
-        if restriction != MPoly.monomial(exp):
-            ok_axes = False
+    ok_axes = all(
+        MPoly({e: c for e, c in a0.terms.items() if sum(e) == e[a]})
+        == MPoly.monomial([3 if i == a else 0 for i in range(9)])
+        for a in range(9)
+    )
     checks.append(Check("A0 restricted to each axis is the cube", "assert", ok_axes))
 
     cyc_all = a0.permute_vars(CYCLE_ALL_GROUPS) == a0
@@ -536,7 +526,7 @@ def _section_clifford() -> Section:
         Check(
             "degree census for four generators",
             "assert",
-            cens == [1, 4, 10, 16, 19, 16, 10, 4, 1],
+            cens == clifford_census_fixture()["degree_census_4"],
             cens,
         )
     )
@@ -549,15 +539,11 @@ def _section_clifford() -> Section:
     )
 
     n = 4
-    six_unit = unit(n).scale(rational(6))
-    ok = True
-    for k in range(n):
-        for l in range(n):
-            for m in range(n):
-                s = s3_symmetric_sum(k, l, m, n)
-                expected = six_unit if k == l == m else unit(n).scale(ZERO)
-                if s != expected:
-                    ok = False
+    six_unit, zero = unit(n).scale(rational(6)), unit(n).scale(ZERO)
+    ok = all(
+        s3_symmetric_sum(k, l, m, n) == (six_unit if k == l == m else zero)
+        for k, l, m in product(range(n), repeat=3)
+    )
     checks.append(Check("symmetric sum is 6*unit iff all indexes equal (n=4)", "assert", ok))
 
     detail = {}

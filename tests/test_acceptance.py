@@ -25,7 +25,7 @@ import random
 from itertools import product
 
 from nonion.bases import nonion_basis, tu3_basis
-from nonion.bracket import diff_table, load_table_fixture, s3_bracket, structure_table
+from nonion.bracket import diff_table, s3_bracket, structure_table
 from nonion.clifford import (
     degree_census,
     dimension,
@@ -44,7 +44,7 @@ from nonion.cubic import (
     variant_poly,
 )
 from nonion.field import J, J2, ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
-from nonion.fixtures import fixture_path
+from nonion.fixtures import fixture_path, load_table_fixture
 from nonion.matrix import Mat3
 from nonion.poly import MPoly
 from nonion.report import emit_report, run_verify

@@ -3,17 +3,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from nonion.bracket import (
-    FixtureParseError,
-    FixtureRowCountError,
-    all_triples,
-    diff_table,
-    s3_bracket,
-    structure_row,
-    structure_table,
-)
+from nonion.bracket import all_triples, diff_table, s3_bracket, structure_row, structure_table
 from nonion.field import J, J2, FieldElem, rational
-from nonion.fixtures import fixture_path
+from nonion.fixtures import FixtureParseError, FixtureRowCountError, fixture_path
 from nonion.matrix import Mat3, decompose_in_basis
 
 import oracle

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonion.bases import nonion_basis, pair_phase_matrix
+from nonion.bracket import structure_table
 from nonion.cli import main
+from nonion.cubic import det_poly, triple_product_components
+from nonion.field import FieldElem
 from nonion.fixtures import fixture_path
+from nonion.poly import MPoly
 
 
 def run(capsys, *argv):
@@ -34,6 +39,15 @@ def test_bases_show_md(capsys):
     assert "element 0" in out
 
 
+def test_bases_show_nonion_md_pair_phases(capsys):
+    code, out, _ = run(capsys, "bases", "show", "--basis", "nonion", "--format", "md")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("pair phases omega(a,b) with q_a q_b = j^omega q_b q_a:") + 1
+    phases = [[int(t) for t in line.split()] for line in lines[start:]]
+    assert phases == [list(r) for r in pair_phase_matrix(nonion_basis())]
+
+
 def test_bracket_command(capsys):
     code, out, _ = run(capsys, "bracket", "1", "2", "3")
     assert code == 0
@@ -46,6 +60,18 @@ def test_bracket_command(capsys):
 def test_bracket_rejects_bad_index(capsys):
     code, _, err = run(capsys, "bracket", "1", "2", "11")
     assert code == 2 and err == "error: indices must be 0..8\n"
+
+
+def test_table_json_rows_equal_structure_table(capsys):
+    code, out, _ = run(capsys, "table", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [
+        (tuple(r["triple"]), tuple((t["index"], FieldElem.from_json(t["coeff"]["exact"]))
+                                   for t in r["targets"]))
+        for r in rows
+    ] == [(r.triple, r.targets) for r in structure_table(nonion_basis())]
+    assert len(rows) == 84
 
 
 def test_table_md_row_count(capsys):
@@ -139,6 +165,18 @@ def test_expand_det_json(capsys):
     code, out, _ = run(capsys, "expand", "det")
     assert code == 0
     assert len(json.loads(out)["terms"]) == 21
+
+
+def test_expand_det_md_prints_the_polynomial(capsys):
+    code, out, _ = run(capsys, "expand", "det", "--format", "md")
+    assert code == 0 and out == f"{det_poly()}\n"
+
+
+def test_expand_triple_json_components(capsys):
+    code, out, _ = run(capsys, "expand", "triple")
+    assert code == 0
+    components = [MPoly.from_json(c) for c in json.loads(out)["components"]]
+    assert len(components) == 9 and components == list(triple_product_components())
 
 
 def test_expand_triple_md(capsys):

@@ -69,6 +69,19 @@ def test_rational_rejects_a_zero_denominator():
     assert rational(6, -4) == FieldElem((-3, 0, 0, 0, 0, 0, 0, 0), 2)
 
 
+def test_constructor_denominator_sign_and_zero():
+    with pytest.raises(ZeroDivisionError):
+        FieldElem((1, 0, 0, 0, 0, 0, 0, 0), 0)
+    x = FieldElem((3, 0, -4, 0, 0, 0, 0, 6), -8)
+    assert x.den == 8 and x.nums == (-3, 0, 4, 0, 0, 0, 0, -6)
+    assert x == FieldElem.from_coeffs(["-3/8", 0, "1/2", 0, 0, 0, 0, "-3/4"])
+
+
+def test_from_coeffs_rejects_a_wrong_count():
+    with pytest.raises(ValueError, match="expected 8 coordinates, got 7"):
+        FieldElem.from_coeffs([1] * 7)
+
+
 def test_json_round_trip_and_zero_encoding():
     x = rational(-3, 4) + J * rational(5) + SQRT6 * rational(1, 6)
     enc = x.to_json()

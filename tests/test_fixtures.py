@@ -1,0 +1,166 @@
+"""Fixture reading and validation: every malformed or unreadable fixture
+raises FixtureParseError with a one-line message, and every CLI path that
+reads one ends in exit 2 with one `fixture error: ` line on stderr."""
+
+import json
+
+import pytest
+
+from nonion.cli import main
+from nonion.fixtures import (
+    FIXTURE_NAMES,
+    FixtureParseError,
+    clifford_census_fixture,
+    fixture_checksums,
+    fixture_path,
+    lambda_combos_fixture,
+    load_fixture,
+    load_table_fixture,
+    roots_fixture,
+    surface_poly_fixture,
+)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_fixture_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"fixture error: {message}") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# bundled fixtures that cannot be read or do not parse
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def bundled(tmp_path, monkeypatch):
+    """Point every bundled fixture name at a copy of it in tmp_path."""
+    for name in FIXTURE_NAMES:
+        (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
+    monkeypatch.setattr("nonion.fixtures.fixture_path", lambda name: tmp_path / name)
+    return tmp_path
+
+
+def test_load_fixture_on_unreadable_file(bundled, capsys):
+    (bundled / "surface_poly.json").unlink()
+    with pytest.raises(FixtureParseError, match="^cannot read fixture surface_poly.json: "):
+        load_fixture("surface_poly.json")
+    assert_fixture_error(capsys, ["census", "surface"], "cannot read fixture surface_poly.json: ")
+
+
+def test_fixture_checksums_on_unreadable_file(bundled, capsys):
+    (bundled / "table_nonion_s3.json").unlink()
+    with pytest.raises(FixtureParseError, match="^cannot read fixture table_nonion_s3.json: "):
+        fixture_checksums()
+    assert_fixture_error(capsys, ["verify"], "cannot read fixture table_nonion_s3.json: ")
+
+
+def test_malformed_surface_fixture(bundled, capsys):
+    (bundled / "surface_poly.json").write_text('{"terms": [{"coeff": []}]}', encoding="utf-8")
+    with pytest.raises(FixtureParseError, match="^surface fixture malformed: "):
+        surface_poly_fixture()
+    assert_fixture_error(capsys, ["census", "surface"], "surface fixture malformed: ")
+
+
+def test_malformed_lambda_fixture(bundled, capsys):
+    (bundled / "lambda_combos.json").write_text('{"combos": [{"lambda": 1}]}', encoding="utf-8")
+    with pytest.raises(FixtureParseError, match="^lambda fixture malformed: "):
+        lambda_combos_fixture()
+    assert_fixture_error(capsys, ["lambda", "diff"], "lambda fixture malformed: ")
+
+
+@pytest.mark.parametrize("row", ['{"index": 1, "components": 5}', '{"components": []}'])
+def test_malformed_roots_fixture(bundled, capsys, row):
+    (bundled / "roots_alpha.json").write_text(f'{{"roots": [{row}]}}', encoding="utf-8")
+    with pytest.raises(FixtureParseError, match="^roots fixture malformed: "):
+        roots_fixture("alpha")
+    assert_fixture_error(capsys, ["verify", "roots"], "roots fixture malformed: ")
+
+
+def test_census_fixture_without_the_four_generator_census(bundled, capsys):
+    (bundled / "clifford_census.json").write_text('{"dimensions": {}}', encoding="utf-8")
+    message = "clifford census fixture has no 'degree_census_4' list"
+    with pytest.raises(FixtureParseError, match=f"^{message}$"):
+        clifford_census_fixture()
+    assert_fixture_error(capsys, ["verify", "clifford"], message + "\n")
+
+
+# ---------------------------------------------------------------------------
+# table fixtures, bundled or given by path
+# ---------------------------------------------------------------------------
+
+def _no_rows_key(data):
+    return {"schema": data["schema"]}
+
+
+def _unsorted_triple(data):
+    data["rows"][0]["triple"] = [1, 0, 2]
+    return data
+
+
+def _duplicate_triple(data):
+    data["rows"][1]["triple"] = data["rows"][0]["triple"]
+    return data
+
+
+def _text_target_index(data):
+    row = next(r for r in data["rows"] if r["targets"])
+    row["targets"][0]["index"] = str(row["targets"][0]["index"])
+    return data
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_no_rows_key, "fixture {path} has no 'rows' key"),
+        (_unsorted_triple, "fixture {path}: triple (1, 0, 2) is not sorted"),
+        (_duplicate_triple, "fixture {path}: duplicate triple (0, 1, 2)"),
+        (_text_target_index, "fixture {path} row is malformed: target index '6' is not an integer"),
+    ],
+    ids=["no-rows-key", "unsorted-triple", "duplicate-triple", "text-target-index"],
+)
+def test_malformed_table_fixture(tmp_path, capsys, corrupt, message):
+    data = json.loads(fixture_path("table_nonion_s3.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(data)), encoding="utf-8")
+    expected = message.format(path=bad)
+    with pytest.raises(FixtureParseError) as info:
+        load_table_fixture(bad)
+    assert str(info.value) == expected
+    assert_fixture_error(capsys, ["diff-table", "--fixture", str(bad)], expected + "\n")
+
+
+def test_table_fixture_read_errors_name_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FixtureParseError, match="^cannot read fixture .*missing.json: "):
+        load_table_fixture(missing)
+    assert_fixture_error(capsys, ["diff-table", "--fixture", str(missing)],
+                         f"cannot read fixture {missing}: ")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{oops", encoding="utf-8")
+    assert_fixture_error(capsys, ["diff-table", "--fixture", str(broken)],
+                         f"fixture {broken} is not valid JSON: ")
+
+
+def test_diff_table_reports_missing_and_extra_rows(tmp_path, capsys):
+    data = json.loads(fixture_path("table_tu3_s3.json").read_text(encoding="utf-8"))
+    (replaced,) = [r for r in data["rows"] if r["triple"] == [0, 1, 2]]
+    replaced["triple"] = [6, 7, 9]
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "diff-table", "--basis", "tu3", "--fixture", str(shifted))
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["summary"] == {
+        "rows": 85, "matches": 83, "mismatches": 0, "missing_in_fixture": 1, "extra_in_fixture": 1,
+    }
+    odd = [r for r in report["rows"] if r["status"] != "Match"]
+    assert odd == [
+        {"triple": [0, 1, 2], "status": "MissingInFixture"},
+        {"triple": [6, 7, 9], "status": "ExtraInFixture"},
+    ]

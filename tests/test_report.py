@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from nonion.bracket import FixtureParseError
 from nonion.fixtures import (
     FIXTURE_NAMES,
+    FixtureParseError,
     fixture_checksums,
     fixture_path,
     load_fixture,
@@ -53,6 +56,20 @@ def test_report_determinism_byte_identical():
     assert a == b
 
 
+def test_verify_bytes_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "nonion.cli", "verify", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, check=False,
+        )
+        for seed in ("0", "12345")
+    ]
+    assert [(r.returncode, r.stderr) for r in runs] == [(1, b"")] * 2
+    assert runs[0].stdout == runs[1].stdout
+
+
 def test_strict_escalates_informational():
     relaxed = run_verify("su3", strict=False)
     strict = run_verify("su3", strict=True)
@@ -98,5 +115,57 @@ def test_fixture_loader_errors(tmp_path, monkeypatch):
     broken = tmp_path / "table_nonion_s3.json"
     broken.write_text("{")
     monkeypatch.setattr("nonion.fixtures.fixture_path", lambda name: broken)
-    with pytest.raises(FixtureParseError):
+    with pytest.raises(FixtureParseError, match="^fixture table_nonion_s3.json is not valid JSON: "):
         load_fixture("table_nonion_s3.json")
+
+
+def _set(path, keys, value):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def test_expectations_are_read_from_the_fixtures(tmp_path, monkeypatch):
+    # a printed value changed in a copy of its fixture flips the check that asserts it
+    for name in FIXTURE_NAMES:
+        (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
+    monkeypatch.setattr("nonion.fixtures.fixture_path", lambda name: tmp_path / name)
+    monkeypatch.setattr("nonion.report.fixture_path", lambda name: tmp_path / name)
+    tu3 = tmp_path / "table_tu3_s3.json"
+    row_456 = [r["triple"] for r in json.loads(tu3.read_text())["rows"]].index([4, 5, 6])
+    _set(tu3, ["rows", row_456, "targets", 0, "coeff", 4], "1/1")
+    _set(tmp_path / "roots_alpha.json", ["roots", 0, "components", 1, 2], "1/2")
+    _set(tmp_path / "roots_beta.json", ["roots", 2, "target"], 4)
+    _set(tmp_path / "clifford_census.json", ["degree_census_4", 4], 18)
+
+    failed = {
+        c.name: c.detail
+        for scope in ("tu3-table", "roots", "clifford")
+        for c in run_verify(scope).sections[0].checks
+        if not c.ok
+    }
+    assert failed.pop("bracket {4,5,6} = -sqrt3 Q0") == {
+        "triple": [4, 5, 6], "expected": {"0": "√3"}, "computed": {"0": "-√3"},
+    }
+    assert set(failed) == {
+        "diff vs transcribed table (match rate)",
+        "alpha_1 = (1/sqrt3, 0, -sqrt(2/3))",
+        "beta pair product targets",
+        "degree census for four generators",
+        "weighted identity kind 2 vanishes",
+        "weighted identity kind 3 equals 3j q_k^2 q_l",
+    }
+
+
+def test_spot_check_on_a_triple_the_fixture_lacks(tmp_path, monkeypatch):
+    tu3 = tmp_path / "table_tu3_s3.json"
+    tu3.write_bytes(fixture_path("table_tu3_s3.json").read_bytes())
+    monkeypatch.setattr("nonion.report.fixture_path", lambda name: tu3)
+    row_456 = [r["triple"] for r in json.loads(tu3.read_text())["rows"]].index([4, 5, 6])
+    _set(tu3, ["rows", row_456, "triple"], [6, 7, 9])
+    (spot,) = [c for c in run_verify("tu3-table").sections[0].checks if "{4,5,6}" in c.name]
+    assert not spot.ok
+    assert spot.detail == {"triple": [4, 5, 6], "expected": None, "computed": {"0": "-√3"}}
