@@ -19,7 +19,6 @@ from .bases import (
     pair_phase_matrix,
     tu3_basis,
 )
-from .bracket import StructureRow, TableDiff, diff_table, s3_bracket, structure_table
 from .poly import MPoly, NonionPoly
 from .cubic import (
     TermCensus,
@@ -28,16 +27,6 @@ from .cubic import (
     term_census,
     triple_product_components,
     variant_poly,
-)
-from .roots import (
-    NotProportionalError,
-    cartan_check,
-    extract_alpha_root,
-    extract_beta_root,
-    gellmann_decompose,
-    root_inner,
-    su3_structure_constants,
-    z3_rotate,
 )
 from .clifford import (
     CliffElement,
@@ -49,7 +38,6 @@ from .clifford import (
     s3_symmetric_sum,
     weighted_identity_check,
 )
-from .fixtures import FixtureParseError, FixtureRowCountError, surface_poly_fixture
 
 __all__ = [
     "__version__",
@@ -68,3 +56,36 @@ __all__ = [
     "weighted_identity_check", "dimension", "degree_census", "grade",
     "surface_poly_fixture",
 ]
+
+# The report's and the CLI's layers, which set-up does not run, load on
+# first access (PEP 562): each name, and each module's own name, maps to
+# the module that defines it.
+_DEFERRED = {
+    name: module
+    for module, names in {
+        "bracket": ("StructureRow", "TableDiff", "diff_table", "s3_bracket", "structure_table"),
+        "roots": (
+            "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
+            "gellmann_decompose", "root_inner", "su3_structure_constants", "z3_rotate",
+        ),
+        "fixtures": ("FixtureParseError", "FixtureRowCountError", "surface_poly_fixture"),
+    }.items()
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,8 +25,10 @@ property exposes the coordinates as lowest-terms `Fraction`s.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FieldElem",
@@ -98,6 +100,8 @@ class FieldElem:
     @classmethod
     def from_coeffs(cls, coords: Iterable[Fraction | int | str]) -> "FieldElem":
         """Build from 8 rational coordinates in the fixed basis order."""
+        from fractions import Fraction
+
         fr = [Fraction(c) for c in coords]
         if len(fr) != 8:
             raise ValueError(f"expected 8 coordinates, got {len(fr)}")
@@ -116,6 +120,8 @@ class FieldElem:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The 8 rational coordinates, each in lowest terms."""
+        from fractions import Fraction
+
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def to_json(self) -> list[str]:
@@ -222,7 +228,7 @@ class FieldElem:
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero field element")
         if self.is_rational():
-            return FieldElem.from_fraction(Fraction(self.den, self.nums[0]))
+            return rational(self.den, self.nums[0])
         b = self.conjugate_j()
         n1 = self * b
         c = n1._conj_sqrt3()
@@ -231,8 +237,7 @@ class FieldElem:
         n3 = n2 * d
         if not n3.is_rational():  # pragma: no cover - norm is rational by construction
             raise ArithmeticError("field norm failed to reduce to a rational")
-        scale = Fraction(n3.den, n3.nums[0])
-        return b * c * d * FieldElem.from_fraction(scale)
+        return b * c * d * rational(n3.den, n3.nums[0])
 
     # ------------------------------------------------------------------
     # numeric embedding (display only; never used in verification logic)
@@ -299,6 +304,8 @@ def parse_rational(text: str) -> Fraction:
     """Parse exact rational text 'p/q' (or a bare integer 'p')."""
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
+    from fractions import Fraction
+
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonion import clifford
+from nonion import _clifford_matrix, clifford
 from nonion.bases import nonion_basis, pair_phase_matrix
 from nonion.clifford import (
     CliffElement,
@@ -162,7 +162,7 @@ def _operands(draw):
 
 
 def _matrix(a: CliffElement, b: CliffElement) -> CliffElement:
-    return CliffElement(a.n, clifford._matrix_product(a.n, a.terms, b.terms))
+    return CliffElement(a.n, _clifford_matrix._matrix_product(a.n, a.terms, b.terms))
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,7 +244,7 @@ def test_generator_words_stay_on_the_pairwise_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("a generator word reached the matrix path")
 
-    monkeypatch.setattr(clifford, "_matrix_product", refuse)
+    monkeypatch.setattr(_clifford_matrix, "_matrix_product", refuse)
     assert generator(12, 11) * generator(12, 0) == (
         generator(12, 0) * generator(12, 11)
     ).scale(J2)
@@ -290,8 +290,10 @@ def test_dense_product_in_oracle_representation(n):
 def _spy_product_widths(monkeypatch) -> list[int]:
     """Record the slot width each block product packs its rows with."""
     widths: list[int] = []
-    real = clifford._packed_product
-    monkeypatch.setattr(clifford, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1])
+    real = _clifford_matrix._packed_product
+    monkeypatch.setattr(
+        _clifford_matrix, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1]
+    )
     return widths
 
 
@@ -363,9 +365,10 @@ def test_packed_product_zero_row_and_column(monkeypatch):
     ]
     scaled = [[d * v for v in cell] for cell in image]
     a = CliffElement(n, {
-        m: FieldElem(nums, d) for m, nums in clifford._read_back(n, range(4), [list(zip(*scaled))])
+        m: FieldElem(nums, d)
+        for m, nums in _clifford_matrix._read_back(n, range(4), [list(zip(*scaled))])
     })
-    live, [vecs], den = clifford._to_vectors(n, a.terms)
+    live, [vecs], den = _clifford_matrix._to_vectors(n, a.terms)
     assert live == [0, 1, 2, 3]
     assert [FieldElem(cell, den) for cell in _scatter(live, vecs)] == [FieldElem(c) for c in image]
     monos = list(product((0, 1, 2), repeat=n))
@@ -396,7 +399,7 @@ def test_packed_dense_product_makes_four_dot_products_per_row_and_pair(n, radica
     rows = _blocks(n) * 3 ** (n // 2)
     expected = _pairwise(a, b)
     dots, inside = [], []
-    real_product = clifford._packed_product
+    real_product = _clifford_matrix._packed_product
 
     def count(items):
         dots.extend(inside)
@@ -409,8 +412,8 @@ def test_packed_dense_product_makes_four_dot_products_per_row_and_pair(n, radica
         finally:
             inside.pop()
 
-    monkeypatch.setattr(clifford, "sum", count, raising=False)
-    monkeypatch.setattr(clifford, "_packed_product", packed_product)
+    monkeypatch.setattr(_clifford_matrix, "sum", count, raising=False)
+    monkeypatch.setattr(_clifford_matrix, "_packed_product", packed_product)
     assert a * b == expected
     assert len(dots) == 4 * rows * radicals**2
 
@@ -441,11 +444,13 @@ def test_read_back_divides_exactly_to_canonical_coefficients(n, kind, monkeypatc
     a = _kernel_operands(rng, kind, monos)
     b = _kernel_operands(rng, kind, monos if n < 5 else rng.sample(monos, 12))
     traces: list = []
-    real = clifford._transform
-    monkeypatch.setattr(clifford, "_transform", lambda *args: traces.append(real(*args)) or traces[-1])
+    real = _clifford_matrix._transform
+    monkeypatch.setattr(
+        _clifford_matrix, "_transform", lambda *args: traces.append(real(*args)) or traces[-1]
+    )
     for x, y in ((a, b), (b, a)):
         traces.clear()
-        out = clifford._matrix_product(n, x, y)
+        out = _clifford_matrix._matrix_product(n, x, y)
         # the transforms of x and y, then the readback's
         assert len(traces) == 3
         assert all(v % (_blocks(n) * 3 ** (n // 2)) == 0 for v in traces[-1])
@@ -466,7 +471,7 @@ def test_no_zero_coefficient_reaches_the_terms():
     q = generator(4, 3)
     left, right = _pairwise(dense, unit(4) + q + q * q), _pairwise(unit(4) - q, dense)
     assert clifford._matrix_is_cheaper(4, len(left.terms), len(right.terms))
-    assert clifford._matrix_product(4, left.terms, right.terms) == {}
+    assert _clifford_matrix._matrix_product(4, left.terms, right.terms) == {}
     assert (left * right).terms == {}
 
 
@@ -501,7 +506,7 @@ def test_packing_bound_edge(bits_a, bits_b, width, monkeypatch):
     """At a slot bound (63 and 127 bits) and one bit over it."""
     n, blocks, d = 5, 3, 9
     a, b = _centre_block_element(n, bits_a), _centre_block_element(n, bits_b)
-    bits = [_bit_length(clifford._to_vectors(n, x.terms)[1]) for x in (a, b)]
+    bits = [_bit_length(_clifford_matrix._to_vectors(n, x.terms)[1]) for x in (a, b)]
     assert bits == [bits_a, bits_b]
     edge = bits_a + bits_b + (36 * blocks * d).bit_length()
     assert edge in (width - 1, width - 64)
@@ -548,7 +553,7 @@ def test_forward_image_of_each_monomial_is_its_column_action(n):
     assert len(groups) == blocks * d and all(len(g) == d for g in groups.values())
     for (_, t), group in groups.items():
         for coeff, radicals in ((x, [0, 1, 2, 3]), (FieldElem([0] * 7 + [-5], 7), [3])):
-            live, images, den = clifford._to_vectors(n, {mono: coeff for mono, _ in group})
+            live, images, den = _clifford_matrix._to_vectors(n, {mono: coeff for mono, _ in group})
             assert live == radicals and den == 7 and len(images) == blocks
             for k, vecs in enumerate(images):
                 assert len(vecs) == 2 * len(live)
@@ -578,14 +583,14 @@ def test_read_back_after_forward_is_the_identity(n, bound):
         for m in product((0, 1, 2), repeat=n)
     }
     assert any(c.nums[7] < 0 for c in terms.values())
-    live, images, den = clifford._to_vectors(n, terms)
+    live, images, den = _clifford_matrix._to_vectors(n, terms)
     assert live == [0, 1, 2, 3]
     cells = [[FieldElem(cell) for cell in _scatter(live, vecs)] for vecs in images]
     padded = []
     for t in range(blocks):
         block = [sum((c[k] * j_pow(-k * t) for k in range(blocks)), ZERO).nums for c in zip(*cells)]
         padded.append(list(zip(*block)))
-    back = {m: FieldElem(x, den) for m, x in clifford._read_back(n, live, padded)}
+    back = {m: FieldElem(x, den) for m, x in _clifford_matrix._read_back(n, live, padded)}
     assert back == terms
 
 
@@ -613,17 +618,20 @@ def test_read_back_slot_bound_edge(bits, width, monkeypatch):
     x = 3 * ((2**bits - 1) // 3)
     pattern = ((x, x), (x, -x), (-x, x))
     b = _diagonal_element(n, [FieldElem([*pattern[v % 3]] + [0] * 6) for v in range(d)])
-    live, [vecs], den = clifford._to_vectors(n, b.terms)
+    live, [vecs], den = _clifford_matrix._to_vectors(n, b.terms)
     assert live == [0] and den == 1 and _bit_length([vecs]) == x.bit_length() == bits
     assert (36 * x).bit_length() == bits + (2 * d).bit_length() in (width - 1, width - 64)
     one = {(0,) * n: ONE}
     widths: list[int] = []
-    real = clifford._unpack
-    monkeypatch.setattr(clifford, "_unpack", lambda *args: (widths.append(args[2]), real(*args))[1])
+    real = _clifford_matrix._unpack
+    monkeypatch.setattr(
+        _clifford_matrix, "_unpack", lambda *args: (widths.append(args[2]), real(*args))[1]
+    )
     for left, right in ((one, b.terms), (b.terms, one)):
         widths.clear()
         # the readback's one unpack is the last
-        assert clifford._matrix_product(n, left, right) == clifford._pairwise_product(left, right)
+        expected = clifford._pairwise_product(left, right)
+        assert _clifford_matrix._matrix_product(n, left, right) == expected
         assert widths[-1] == width
 
 
@@ -643,7 +651,7 @@ def _spy_widths(monkeypatch) -> list[int]:
     """Record the slot width of each pack and unpack the forward map makes."""
     widths: list[int] = []
     inside: list[int] = []
-    real_forward = clifford._to_vectors
+    real_forward = _clifford_matrix._to_vectors
 
     def forward(*args):
         inside.append(1)
@@ -655,9 +663,9 @@ def _spy_widths(monkeypatch) -> list[int]:
     def spy(real):
         return lambda *args: (inside and widths.append(args[2]), real(*args))[1]
 
-    monkeypatch.setattr(clifford, "_to_vectors", forward)
-    monkeypatch.setattr(clifford, "_pack", spy(clifford._pack))
-    monkeypatch.setattr(clifford, "_unpack", spy(clifford._unpack))
+    monkeypatch.setattr(_clifford_matrix, "_to_vectors", forward)
+    monkeypatch.setattr(_clifford_matrix, "_pack", spy(_clifford_matrix._pack))
+    monkeypatch.setattr(_clifford_matrix, "_unpack", spy(_clifford_matrix._unpack))
     return widths
 
 
@@ -670,7 +678,7 @@ def test_forward_slot_bound_edge(bits, width, monkeypatch):
         for m in product((0, 1, 2), repeat=2)
     })
     widths = _spy_widths(monkeypatch)
-    live, [vecs], den = clifford._to_vectors(2, a.terms)
+    live, [vecs], den = _clifford_matrix._to_vectors(2, a.terms)
     # one pack and one unpack
     assert widths == [width] * 2 and live == [0] and den == 1
     # the j-part 5M fits a signed 64-bit slot only at the bound
@@ -708,7 +716,7 @@ def test_odd_forward_slot_bound_edge(bits, width, monkeypatch):
     rng = random.Random(1750)
     b = CliffElement(5, _dense_zj(rng, rng.sample(list(product((0, 1, 2), repeat=5)), 30)))
     widths = _spy_widths(monkeypatch)
-    live, images, den = clifford._to_vectors(5, a.terms)
+    live, images, den = _clifford_matrix._to_vectors(5, a.terms)
     assert widths == [width] * 2 and live == [0] and den == 1
     # the j-part 39M fits a signed 64-bit slot only at the bound
     assert images[2][1][8 * 9 + 8] == 39 * (2**bits - 1)
@@ -792,9 +800,10 @@ def test_live_radicals_match_pairwise(n, monkeypatch):
         (cancel_left.terms, cancel_right.terms, [0, 1]),
     ]
     readbacks = []
-    real = clifford._read_back
+    real = _clifford_matrix._read_back
     monkeypatch.setattr(
-        clifford, "_read_back", lambda *args: (readbacks.append(list(args[1])), real(*args))[1]
+        _clifford_matrix, "_read_back",
+        lambda *args: (readbacks.append(list(args[1])), real(*args))[1],
     )
     for left, right_terms, live in cases:
         for x, y in ((left, right_terms), (right_terms, left)):
@@ -809,9 +818,9 @@ def test_live_radicals_match_pairwise(n, monkeypatch):
     values = _matrix(cancel_left, cancel_right).terms.values()
     assert values and all(c.nums[2:] == (0,) * 6 for c in values)
     # a zero operand has no live radical, and neither has the product
-    assert clifford._to_vectors(n, {})[0] == []
-    assert clifford._matrix_product(n, {}, right_terms) == {}
-    assert clifford._matrix_product(n, left, {}) == {}
+    assert _clifford_matrix._to_vectors(n, {})[0] == []
+    assert _clifford_matrix._matrix_product(n, {}, right_terms) == {}
+    assert _clifford_matrix._matrix_product(n, left, {}) == {}
 
 
 def test_kernel_results_skip_revalidation(monkeypatch):
@@ -950,6 +959,22 @@ def test_dimension_values():
         dimension(0)
     with pytest.raises(ValueError):
         dimension(13)
+
+
+def test_bad_monomials_generators_and_counts_are_rejected():
+    cases = [
+        (lambda: CliffElement(3, {(0, 1): ONE}), LengthMismatchError,
+         "monomial (0, 1) is not length 3"),
+        (lambda: CliffElement(3, {(0, 3, 0): ONE}), ValueError,
+         "exponents must be in 0..2: (0, 3, 0)"),
+        (lambda: generator(3, 3), IndexError, "generator index 3 out of range for n=3"),
+        (lambda: s3_symmetric_sum(0, 1, 4, 3), IndexError, "index 4 out of range for n=3"),
+        (lambda: degree_census(0), ValueError, "generator count must be >= 1"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_census_small_n():

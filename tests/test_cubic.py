@@ -194,6 +194,21 @@ def test_poly_json_round_trip():
     assert MPoly.from_json(p.to_json()) == p
 
 
+def test_malformed_polys_are_rejected():
+    one = ["1/1"] + ["0/1"] * 7
+    twice = [{"exponents": [0] * 9, "coeff": one}, {"exponents": [0] * 9, "coeff": one}]
+    cases = [
+        (lambda: MPoly({(1,) * 8: ONE}),
+         "exponent tuple (1, 1, 1, 1, 1, 1, 1, 1) must have length 9"),
+        (lambda: MPoly.from_json(twice), "duplicate monomial (0, 0, 0, 0, 0, 0, 0, 0, 0)"),
+        (lambda: poly.NonionPoly([MPoly()] * 8), "NonionPoly needs 9 components"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the coordinate matrix
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonion import clifford, matrix
+from nonion import _clifford_matrix, clifford, matrix
 from nonion.bases import nonion_basis, tu3_basis
 from nonion.field import J, J2, ONE, SQRT2, ZERO, FieldElem, rational
 from nonion.matrix import (
@@ -322,9 +322,11 @@ def test_dense_clifford_matrix_product_matches_pairwise_kernel(n, monkeypatch):
     a, b = dense(), dense()
     # unrelated denominators make wide numerators: too wide for 64-bit slots
     widths = []
-    real = clifford._packed_product
-    monkeypatch.setattr(clifford, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1])
-    assert clifford._matrix_product(n, a, b) == {
+    real = _clifford_matrix._packed_product
+    monkeypatch.setattr(
+        _clifford_matrix, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1]
+    )
+    assert _clifford_matrix._matrix_product(n, a, b) == {
         m: c for m, c in clifford._pairwise_product(a, b).items() if c
     }
     assert len(widths) == (3 if n % 2 else 1) and min(widths) > 64  # one per block

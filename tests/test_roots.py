@@ -87,6 +87,13 @@ def test_extract_alpha_rejects_bad_index():
         extract_alpha_root(0)
 
 
+@pytest.mark.parametrize("index", [0, 7])
+def test_extract_beta_rejects_bad_index(index):
+    with pytest.raises(ValueError) as exc:
+        extract_beta_root(index)
+    assert type(exc.value) is ValueError and str(exc.value) == "pair index must be 1..6"
+
+
 def test_not_proportional_error():
     from nonion.roots import _row_multiple_of
 
