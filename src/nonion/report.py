@@ -3,24 +3,23 @@
 Every section is a list of named checks.  Hard checks assert exact
 recomputed identities (Pass/Fail); informational checks record
 comparisons against the transcribed reference tables without failing
-the run unless strict mode escalates them.  Output is deterministic:
-no timestamps, seeded sampling, sorted keys.
+the run unless strict mode escalates them.  An identity that holds for
+every input is proved by the tests, not restated here.  Output is
+deterministic: no timestamps, sorted keys.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 from itertools import product
 from typing import NamedTuple
 
 from ._version import __version__
-from .bases import nonion_basis, pair_phase_matrix, tilde_fixture_check, tu3_basis
-from .bracket import StructureRow, TableDiff, diff_table, s3_bracket, structure_table
+from .bases import nonion_basis, tilde_fixture_check, tu3_basis
+from .bracket import StructureRow, TableDiff, diff_table, structure_table
 from .clifford import (
     degree_census,
-    dimension,
     generator,
     s3_symmetric_sum,
     unit,
@@ -31,7 +30,6 @@ from .cubic import (
     CYCLE_FIX_DIAG,
     a0_vs_det,
     det_poly,
-    qhat_at,
     term_census,
     triple_product_components,
     variant_poly,
@@ -156,11 +154,8 @@ def _spot_checks(
 # ----------------------------------------------------------------------
 
 def _section_nonion_table() -> Section:
-    basis = nonion_basis()
-    q = basis.elements
     checks: list[Check] = []
-
-    table = {r.triple: r for r in structure_table(basis)}
+    table = {r.triple: r for r in structure_table(nonion_basis())}
     diff = diff_table(list(table.values()), fixture_path("table_nonion_s3.json"))
     spots = [
         ("bracket {1,2,3} = 3(j^2-j) q0", (1, 2, 3)),
@@ -168,15 +163,6 @@ def _section_nonion_table() -> Section:
         ("bracket {0,1,4} = 0", (0, 1, 4)),
     ]
     checks.extend(_spot_checks(spots, table, diff))
-
-    # binary reduction {q_a, q_b, q0} = q_a q_b - q_b q_a for all 28 pairs
-    ok = all(
-        s3_bracket(q[a], q[b], q[0]) == q[a] * q[b] - q[b] * q[a]
-        for a in range(1, 9)
-        for b in range(a + 1, 9)
-    )
-    checks.append(Check("binary reduction on all 28 pairs", "assert", ok))
-
     checks.append(
         Check(
             "diff vs transcribed table (match rate)",
@@ -358,16 +344,6 @@ def _section_norm() -> Section:
             surface_poly_fixture() == det,
         )
     )
-
-    rng = random.Random(20100625)
-    pairs = (
-        [[rational(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)] for _ in "xy"]
-        for _ in range(100)
-    )
-    ok = all(
-        (qhat_at(x) * qhat_at(y)).det() == det.evaluate(x) * det.evaluate(y) for x, y in pairs
-    )
-    checks.append(Check("determinant multiplicativity on 100 random pairs", "assert", ok))
     return Section("norm", checks)
 
 
@@ -383,17 +359,13 @@ def _section_triple_product() -> Section:
     )
     checks.append(Check("A0 restricted to each axis is the cube", "assert", ok_axes))
 
-    cyc_all = a0.permute_vars(CYCLE_ALL_GROUPS) == a0
+    counterexample = _cycling_counterexample(a0, CYCLE_ALL_GROUPS)
     checks.append(
         Check(
             "A0 invariant under cycling all three coordinate triples",
             "assert",
-            cyc_all,
-            {
-                "counterexample": None
-                if cyc_all
-                else "x0*x1*x4 has coefficient -3 but its image x2*x5*x7 has 0",
-            },
+            counterexample is None,
+            {"counterexample": counterexample},
         )
     )
     checks.append(
@@ -422,17 +394,29 @@ def _section_triple_product() -> Section:
             },
         )
     )
-    checks.append(Check("A0 vs determinant relation", "info", False, a0_vs_det()))
-    tc = term_census(a0)
+    relation = a0_vs_det()
     checks.append(
-        Check(
-            "A0 census",
-            "info",
-            True,
-            {"distinct": tc.distinct_monomials, "weighted": tc.weighted_terms},
-        )
+        Check("A0 vs determinant relation", "info", relation["equal_up_to_constant"], relation)
     )
     return Section("triple-product", checks)
+
+
+def _monomial_name(exp: tuple[int, ...]) -> str:
+    return "*".join(f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
+
+
+def _cycling_counterexample(a0: MPoly, cycle: dict[int, int]) -> str | None:
+    """The first monomial of A0, in lex order (x0 > x1 > ...), whose image
+    under the cycling carries another coefficient in A0; None when the
+    cycling leaves A0 unchanged."""
+    for mono in reversed(a0.monomials()):
+        (image,) = MPoly.monomial(mono).permute_vars(cycle).monomials()
+        if a0.coeff(image) != a0.coeff(mono):
+            return (
+                f"{_monomial_name(mono)} has coefficient {a0.coeff(mono)}"
+                f" but its image {_monomial_name(image)} has {a0.coeff(image)}"
+            )
+    return None
 
 
 def lambda_claims(decomposed: list[dict]) -> list[dict]:
@@ -514,13 +498,6 @@ def _section_su3() -> Section:
 
 def _section_clifford() -> Section:
     checks: list[Check] = []
-    checks.append(
-        Check(
-            "dimension 3^n by enumeration, n = 1..6",
-            "assert",
-            all(dimension(n) == 3**n for n in range(1, 7)),
-        )
-    )
     cens = degree_census(4)
     checks.append(
         Check(
@@ -528,13 +505,6 @@ def _section_clifford() -> Section:
             "assert",
             cens == clifford_census_fixture()["degree_census_4"],
             cens,
-        )
-    )
-    checks.append(
-        Check(
-            "census symmetry d <-> 2n-d, n = 1..6",
-            "assert",
-            all(degree_census(n) == degree_census(n)[::-1] for n in range(1, 7)),
         )
     )
 
@@ -564,16 +534,14 @@ def _section_clifford() -> Section:
     checks.append(Check("weighted identity kind 2 vanishes", "assert", ok2, detail))
     checks.append(Check("weighted identity kind 3 equals 3j q_k^2 q_l", "assert", ok3, detail))
 
-    # abstract pair phase matches the unit-matrix pair phase on (1, 2):
-    # q1 q2 = j * (q2 q1) in both algebras.
-    ab = generator(2, 0) * generator(2, 1)
-    ba = generator(2, 1) * generator(2, 0)
-    omega = pair_phase_matrix(nonion_basis())[1][2]
+    # q0 q_b = q_b for the nine q_b, which span M3, so this also proves q0 = I
+    mismatch = _first_product_mismatch()
     checks.append(
         Check(
-            "abstract pair phase matches the matrix pair phase on (1,2)",
+            "q_a q_b = j^s q_c on all 81 pairs, (s, c) from the Clifford normal ordering",
             "assert",
-            ab == ba.scale(j_pow(omega)) and omega == 1,
+            mismatch is None,
+            mismatch,
         )
     )
 
@@ -592,6 +560,19 @@ def _section_clifford() -> Section:
         )
     )
     return Section("clifford", checks)
+
+
+def _first_product_mismatch() -> dict | None:
+    """The first pair (a, b) whose matrix product q_a q_b is not j^s q_c,
+    (s, c) = product_table[a][b], with both sides; None when all 81 agree."""
+    basis = nonion_basis()
+    q = basis.elements
+    for a, b in product(range(9), repeat=2):
+        s, c = basis.product_table[a][b]
+        got, want = q[a] * q[b], q[c].scale(j_pow(s))
+        if got != want:
+            return {"pair": [a, b], "s": s, "c": c, "q_a q_b": str(got), "j^s q_c": str(want)}
+    return None
 
 
 _SECTION_BUILDERS = {

@@ -1,11 +1,21 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from nonion.bases import NonionBasis, nonion_basis
+from nonion.cubic import (
+    CYCLE_ALL_GROUPS,
+    CYCLE_FIX_DIAG,
+    a0_vs_det,
+    det_poly,
+    triple_product_components,
+)
+from nonion.field import j_pow, rational
 from nonion.fixtures import (
     FIXTURE_NAMES,
     FixtureParseError,
@@ -13,6 +23,7 @@ from nonion.fixtures import (
     fixture_path,
     load_fixture,
 )
+from nonion.poly import MPoly
 from nonion.report import emit_report, run_verify
 
 
@@ -169,3 +180,78 @@ def test_spot_check_on_a_triple_the_fixture_lacks(tmp_path, monkeypatch):
     (spot,) = [c for c in run_verify("tu3-table").sections[0].checks if "{4,5,6}" in c.name]
     assert not spot.ok
     assert spot.detail == {"triple": [4, 5, 6], "expected": None, "computed": {"0": "-√3"}}
+
+
+def _check(scope, name):
+    (section,) = run_verify(scope).sections
+    (check,) = [c for c in section.checks if c.name == name]
+    return section, check
+
+
+CYCLING = "A0 invariant under cycling all three coordinate triples"
+
+
+def _monomial(name):
+    exp = [0] * 9
+    for var in name.split("*"):
+        exp[int(var[1:])] += 1
+    return tuple(exp)
+
+
+# advancing every triple, and advancing only (1,2,3): neither leaves A0 unchanged
+@pytest.mark.parametrize("cycle", [CYCLE_ALL_GROUPS, {1: 2, 2: 3, 3: 1}])
+def test_cycling_counterexample_is_read_from_a0(monkeypatch, cycle):
+    monkeypatch.setattr("nonion.report.CYCLE_ALL_GROUPS", cycle)
+    a0 = triple_product_components()[0]
+    _, check = _check("triple-product", CYCLING)
+    m = re.fullmatch(r"(\S+) has coefficient (\S+) but its image (\S+) has (\S+)",
+                     check.detail["counterexample"])
+    assert not check.ok and m
+    mono, image = _monomial(m.group(1)), _monomial(m.group(3))
+    assert MPoly.monomial(mono).permute_vars(cycle) == MPoly.monomial(image)
+    assert (m.group(2), m.group(4)) == (str(a0.coeff(mono)), str(a0.coeff(image)))
+    assert a0.coeff(mono) != a0.coeff(image)
+
+
+def test_cycling_that_keeps_a0_has_no_counterexample(monkeypatch):
+    monkeypatch.setattr("nonion.report.CYCLE_ALL_GROUPS", CYCLE_FIX_DIAG)
+    _, check = _check("triple-product", CYCLING)
+    assert check.ok and check.detail == {"counterexample": None}
+
+
+def test_a0_a_multiple_of_the_determinant(monkeypatch):
+    comps = triple_product_components()
+    scaled = (det_poly().scale(rational(-2, 3)),) + comps[1:]
+    monkeypatch.setattr("nonion.cubic.triple_product_components", lambda: scaled)
+    relation = {"constant_ratio": "-2/3", "equal_up_to_constant": True}
+    assert a0_vs_det() == relation
+    _, check = _check("triple-product", "A0 vs determinant relation")
+    assert check.ok and check.detail == relation
+
+
+PRODUCTS = "q_a q_b = j^s q_c on all 81 pairs, (s, c) from the Clifford normal ordering"
+
+
+def test_product_table_check_names_the_first_failing_pair(monkeypatch):
+    _, check = _check("clifford", PRODUCTS)
+    assert check.ok and check.detail is None
+
+    basis = nonion_basis()
+    table = [list(row) for row in basis.product_table]
+    s, c = table[1][2]
+    table[1][2] = ((s + 1) % 3, c)
+    # a later pair is broken too: the detail names the first one
+    table[4][5] = ((table[4][5][0] + 1) % 3, table[4][5][1])
+    broken = NonionBasis(basis.elements, basis.grade, tuple(map(tuple, table)), basis.grams)
+    monkeypatch.setattr("nonion.report.nonion_basis", lambda: broken)
+    section, check = _check("clifford", PRODUCTS)
+    q = basis.elements
+    assert not check.ok and section.status() == "Fail"
+    assert check.detail == {
+        "pair": [1, 2],
+        "s": (s + 1) % 3,
+        "c": c,
+        "q_a q_b": str(q[1] * q[2]),
+        "j^s q_c": str(q[c].scale(j_pow(s + 1))),
+    }
+    assert check.detail["q_a q_b"] != check.detail["j^s q_c"]
