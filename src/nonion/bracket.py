@@ -112,19 +112,14 @@ def diff_table(computed: Sequence[StructureRow], fixture_path: Union[str, Path])
     """Exact per-row comparison; deterministic order, fixture untouched."""
     by_triple = _table_rows(fixture_path)[1]
     out = []
-    matches = mismatches = missing = 0
     for row in sorted(computed, key=lambda r: r.triple):
         frow, expected = by_triple.pop(row.triple, (None, None))
         computed_targets = row.target_map()
         if frow is None:
-            missing += 1
             out.append({"triple": row.triple, "status": "MissingInFixture"})
-            continue
-        if expected == computed_targets:
-            matches += 1
+        elif expected == computed_targets:
             out.append({"triple": row.triple, "status": "Match"})
         else:
-            mismatches += 1
             out.append(
                 {
                     "triple": row.triple,
@@ -134,7 +129,7 @@ def diff_table(computed: Sequence[StructureRow], fixture_path: Union[str, Path])
                     "printed_as": frow.get("printed_as"),
                 }
             )
-    extra = len(by_triple)
-    for trip in sorted(by_triple):
-        out.append({"triple": trip, "status": "ExtraInFixture"})
-    return TableDiff(tuple(out), matches, mismatches, missing, extra)
+    out.extend({"triple": trip, "status": "ExtraInFixture"} for trip in sorted(by_triple))
+    statuses = [r["status"] for r in out]
+    kinds = ("Match", "Mismatch", "MissingInFixture", "ExtraInFixture")
+    return TableDiff(tuple(out), *(statuses.count(k) for k in kinds))

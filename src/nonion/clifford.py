@@ -265,8 +265,6 @@ class CliffElement:
         return self + (-other)
 
     def scale(self, c: FieldElem) -> "CliffElement":
-        if c.is_zero():
-            return CliffElement(self.n)
         return CliffElement(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "CliffElement") -> "CliffElement":

@@ -171,13 +171,9 @@ def a0_vs_det() -> dict:
     """
     a0 = triple_product_components()[0]
     det = det_poly()
-    ratio = None
-    for exp in det.monomials():
-        c = det.coeff(exp)
-        if not c.is_zero():
-            ratio = a0.coeff(exp) / c
-            break
-    if ratio is not None and not ratio.is_zero() and a0 == det.scale(ratio):
+    exp, c = det.items()[0]  # MPoly stores no zero coefficient
+    ratio = a0.coeff(exp) / c
+    if not ratio.is_zero() and a0 == det.scale(ratio):
         return {"constant_ratio": str(ratio), "equal_up_to_constant": True}
     diff = a0 - det
     return {

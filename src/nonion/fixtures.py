@@ -14,13 +14,15 @@ functions that read fixtures, so ``import nonion`` does not load them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, TypeVar, Union
 
 from .field import FieldElem
 from .poly import MPoly
 
 if TYPE_CHECKING:
     from pathlib import Path
+
+T = TypeVar("T")
 
 __all__ = [
     "FixtureParseError",
@@ -64,14 +66,20 @@ def fixture_path(name: str) -> Path:
     return Path(resources.files("nonion").joinpath("data", name))
 
 
+def _read_bytes(path: Union[str, Path], label: Union[str, Path]) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FixtureParseError(f"cannot read fixture {label}: {exc}") from exc
+
+
 def _read_json(path: Union[str, Path], label: Union[str, Path]) -> object:
     import json
 
+    text = _read_bytes(path, label).decode("utf-8")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FixtureParseError(f"cannot read fixture {label}: {exc}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FixtureParseError(f"fixture {label} is not valid JSON: {exc}") from exc
 
@@ -84,13 +92,10 @@ def fixture_checksums() -> dict[str, str]:
     """sha256 of every bundled fixture, for report provenance."""
     import hashlib
 
-    out = {}
-    for name in FIXTURE_NAMES:
-        try:
-            out[name] = hashlib.sha256(fixture_path(name).read_bytes()).hexdigest()
-        except OSError as exc:
-            raise FixtureParseError(f"cannot read fixture {name}: {exc}") from exc
-    return out
+    return {
+        name: hashlib.sha256(_read_bytes(fixture_path(name), name)).hexdigest()
+        for name in FIXTURE_NAMES
+    }
 
 
 def load_table_fixture(path: Union[str, Path]) -> dict:
@@ -130,32 +135,36 @@ def _table_rows(
     return data, by_triple
 
 
+def _parse_fixture(name: str, label: str, parse: Callable[[object], T]) -> T:
+    """Load a bundled fixture, then parse it; a missing key or a value of the
+    wrong type or form is reported as `{label} fixture malformed`."""
+    data = load_fixture(name)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FixtureParseError(f"{label} fixture malformed: {exc}") from exc
+
+
 def surface_poly_fixture() -> MPoly:
     """The transcribed unit-surface polynomial."""
-    data = load_fixture("surface_poly.json")
-    try:
-        return MPoly.from_json(data["terms"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureParseError(f"surface fixture malformed: {exc}") from exc
+    return _parse_fixture("surface_poly.json", "surface", lambda d: MPoly.from_json(d["terms"]))
 
 
 def lambda_combos_fixture() -> list[dict]:
     """Claimed unit-basis combinations for the lambda matrices."""
-    data = load_fixture("lambda_combos.json")
-    out = []
-    try:
-        for row in data["combos"]:
-            out.append(
-                {
-                    "lambda": row["lambda"],
-                    "printed_as": row["printed_as"],
-                    "note": row.get("note"),
-                    "coeffs": [FieldElem.from_json(c) for c in row["coeffs"]],
-                }
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureParseError(f"lambda fixture malformed: {exc}") from exc
-    return out
+    return _parse_fixture(
+        "lambda_combos.json",
+        "lambda",
+        lambda data: [
+            {
+                "lambda": row["lambda"],
+                "printed_as": row["printed_as"],
+                "note": row.get("note"),
+                "coeffs": [FieldElem.from_json(c) for c in row["coeffs"]],
+            }
+            for row in data["combos"]
+        ],
+    )
 
 
 def clifford_census_fixture() -> dict:
@@ -167,15 +176,15 @@ def clifford_census_fixture() -> dict:
 
 def roots_fixture(kind: str) -> list[dict]:
     """The printed roots, each with its integer index and exact components."""
-    data = load_fixture(f"roots_{kind}.json")
-    try:
-        return [
+    return _parse_fixture(
+        f"roots_{kind}.json",
+        "roots",
+        lambda data: [
             {
                 **row,
                 "index": int(row["index"]),
                 "components": tuple(FieldElem.from_json(c) for c in row["components"]),
             }
             for row in data["roots"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FixtureParseError(f"roots fixture malformed: {exc}") from exc
+        ],
+    )

@@ -93,8 +93,6 @@ class MPoly:
         ))
 
     def scale(self, c: FieldElem) -> "MPoly":
-        if c.is_zero():
-            return MPoly()
         return MPoly({e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -257,11 +255,7 @@ class NonionPoly:
         products = nonion_basis().products
         comps = [MPoly.zero()] * 9
         for a, pa in enumerate(self.components):
-            if pa.is_zero():
-                continue
             for b, pb in enumerate(other.components):
-                if pb.is_zero():
-                    continue
                 ((c, phase),) = products[a][b]
                 comps[c] = comps[c] + (pa * pb).scale(phase)
         return NonionPoly(comps)

@@ -516,20 +516,21 @@ def _section_clifford() -> Section:
     )
     checks.append(Check("symmetric sum is 6*unit iff all indexes equal (n=4)", "assert", ok))
 
-    detail = {}
-    ok1 = ok2 = ok3 = True
-    for (k, l), (v1, v2, v3) in weighted_identities(n).items():
-        x = generator(n, k, 2) * generator(n, l)
-        ok1 = ok1 and v1.is_zero()
-        ok2 = ok2 and v2.is_zero()
-        ok3 = ok3 and v3 == x.scale(rational(3) * j_pow(1))
-        if (k, l) == (0, 1):
-            detail = {
-                "kind1": str(v1),
-                "kind2": str(v2),
-                "kind3": str(v3),
-                "expected_kind3": str(x.scale(rational(3) * j_pow(1))),
-            }
+    ids = weighted_identities(n)
+    kind3 = {
+        (k, l): (generator(n, k, 2) * generator(n, l)).scale(rational(3) * j_pow(1))
+        for k, l in ids
+    }
+    v1, v2, v3 = ids[0, 1]
+    detail = {
+        "kind1": str(v1),
+        "kind2": str(v2),
+        "kind3": str(v3),
+        "expected_kind3": str(kind3[0, 1]),
+    }
+    ok1 = all(v[0].is_zero() for v in ids.values())
+    ok2 = all(v[1].is_zero() for v in ids.values())
+    ok3 = all(v[2] == kind3[kl] for kl, v in ids.items())
     checks.append(Check("weighted identity kind 1 vanishes", "assert", ok1))
     checks.append(Check("weighted identity kind 2 vanishes", "assert", ok2, detail))
     checks.append(Check("weighted identity kind 3 equals 3j q_k^2 q_l", "assert", ok3, detail))
@@ -545,12 +546,10 @@ def _section_clifford() -> Section:
         )
     )
 
-    per_grade = {
-        str(n): [
-            sum(c for d, c in enumerate(degree_census(n)) if d % 3 == g) for g in range(3)
-        ]
-        for n in range(1, 7)
-    }
+    per_grade = {}
+    for m in range(1, 7):
+        census = degree_census(m)
+        per_grade[str(m)] = [sum(census[g::3]) for g in range(3)]
     checks.append(
         Check(
             "grade-component dimensions are 3^(n-1) each",

@@ -23,6 +23,7 @@ def test_public_names_resolve_once(name):
     module = importlib.import_module(name)
     names = module.__all__
     assert len(names) == len(set(names))
+    assert set(names) <= set(dir(module))  # deferred names too, before hasattr loads them
     assert [n for n in names if not hasattr(module, n)] == []
 
 

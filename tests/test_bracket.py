@@ -3,7 +3,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from nonion.bracket import all_triples, diff_table, s3_bracket, structure_row, structure_table
+from nonion.bracket import (
+    StructureRow,
+    all_triples,
+    diff_table,
+    s3_bracket,
+    structure_row,
+    structure_table,
+)
 from nonion.field import J, J2, FieldElem, rational
 from nonion.fixtures import FixtureParseError, FixtureRowCountError, fixture_path
 from nonion.matrix import Mat3, decompose_in_basis
@@ -214,6 +221,21 @@ def test_single_altered_coefficient_gives_one_mismatch(tmp_path, nonions):
     path.write_text(json.dumps(fixture))
     diff = diff_table(rows, path)
     assert diff.mismatches == 1 and diff.matches == 83
+
+
+def test_diff_counts_agree_with_row_statuses(tmp_path, nonions):
+    # two computed rows dropped and one triple the fixture lacks: four distinct counts
+    rows = structure_table(nonions)
+    fixture = _rows_to_fixture(rows)
+    fixture["rows"][3]["targets"][0]["coeff"] = (rational(7) + J).to_json()
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(fixture))
+    diff = diff_table(rows[:-2] + [StructureRow((6, 7, 9), ())], path)
+    assert diff.summary() == {
+        "rows": 85, "matches": 81, "mismatches": 1, "missing_in_fixture": 1, "extra_in_fixture": 2,
+    }
+    statuses = [r["status"] for r in diff.rows]
+    assert statuses[-3:] == ["MissingInFixture", "ExtraInFixture", "ExtraInFixture"]
 
 
 def test_diff_against_transcribed_nonion_table(nonions):

@@ -80,6 +80,15 @@ def test_unit_and_zero():
     assert (CliffElement(3) * a).is_zero()
 
 
+def test_element_coeff_hash_and_repr():
+    a = generator(2, 0) + generator(2, 1, 2).scale(J)
+    b = generator(2, 1, 2).scale(J) + generator(2, 0)
+    assert a.coeff((0, 2)) == J and a.coeff([1, 0]) == ONE and a.coeff((1, 1)) == ZERO
+    assert hash(a) == hash(b) and len({a, b, generator(2, 0)}) == 2
+    assert repr(a) == "CliffElement(n=2, (j) q2^2 + (1) q1)"
+    assert repr(CliffElement(3)) == "CliffElement(n=3, 0)"
+
+
 def test_mixed_n_rejected():
     with pytest.raises(LengthMismatchError):
         generator(2, 0) * generator(3, 0)
@@ -998,6 +1007,18 @@ def test_census_enumeration_matches_convolution(n):
     counts = Counter(sum(m) for m in product((0, 1, 2), repeat=n))
     assert degree_census(n) == [counts[d] for d in range(2 * n + 1)]
     assert dimension(n) == sum(counts.values())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_grade_components_have_dimension_3_pow_n_minus_1(n):
+    # each grade (total degree mod 3) holds 3^(n-1) of the 3^n monomials,
+    # counted directly and read off the census
+    from collections import Counter
+
+    grades = Counter(sum(m) % 3 for m in product(range(3), repeat=n))
+    assert [grades[g] for g in range(3)] == [3 ** (n - 1)] * 3
+    census = degree_census(n)
+    assert [sum(census[g::3]) for g in range(3)] == [3 ** (n - 1)] * 3
 
 
 def test_census_fixture():

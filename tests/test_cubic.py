@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonion.bases import nonion_basis
 from nonion.cubic import (
     CYCLE_ALL_GROUPS,
     CYCLE_FIX_DIAG,
@@ -43,6 +44,28 @@ def test_poly_mul_examples():
     x1, x2 = MPoly.var(1), MPoly.var(2)
     assert (x1 + x2) * (x1 - x2) == MPoly.monomial(mono(x1=2)) - MPoly.monomial(mono(x2=2))
     assert ((x0 + x1.scale(J)) * MPoly.zero()).is_zero()
+    assert (x0 + x1).scale(ZERO) == MPoly.zero()
+
+
+def test_poly_hash_and_repr():
+    p = MPoly.var(0) + MPoly.var(4).scale(rational(2))
+    q = MPoly.var(4).scale(rational(2)) + MPoly.var(0)
+    assert hash(p) == hash(q) and len({p, q, MPoly.var(0)}) == 2
+    assert repr(p) == "MPoly(2 terms)" and repr(MPoly.zero()) == "MPoly(0 terms)"
+    assert str(MPoly.zero()) == "0"
+
+
+def test_nonion_poly_product_with_zero_components():
+    # x0 q1 times x1 q2 is x0 x1 j^s q_c; every other component pair is zero
+    zero = MPoly.zero()
+    a = poly.NonionPoly([zero, MPoly.var(0)] + [zero] * 7)
+    b = poly.NonionPoly([zero, zero, MPoly.var(1)] + [zero] * 6)
+    s, c = nonion_basis().product_table[1][2]
+    want = [zero] * 9
+    want[c] = (MPoly.var(0) * MPoly.var(1)).scale(j_pow(s))
+    assert a.multiply(b) == poly.NonionPoly(want)
+    assert a.multiply(poly.NonionPoly([zero] * 9)) == poly.NonionPoly([zero] * 9)
+    assert a != b and a != a.components
 
 
 def test_poly_permute_and_eval():

@@ -134,6 +134,13 @@ def test_decompose_errors(nonions, tu3):
         decompose_in_basis(q[1], q[:8], (ZERO,) * 9)
 
 
+def test_construction_needs_nine_entries_and_repr():
+    with pytest.raises(ValueError) as exc:
+        Mat3([ONE] * 8)
+    assert type(exc.value) is ValueError and str(exc.value) == "Mat3 needs 9 entries"
+    assert repr(Mat3.diag(ONE, J, rational(1, 2))) == "Mat3([[1, 0, 0]; [0, j, 0]; [0, 0, 1/2]])"
+
+
 def test_json_round_trip(nonions):
     m = nonions.elements[5]
     assert Mat3.from_json(m.to_json()) == m

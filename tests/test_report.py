@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from nonion.bases import NonionBasis, nonion_basis
+from nonion.cli import main
 from nonion.cubic import (
     CYCLE_ALL_GROUPS,
     CYCLE_FIX_DIAG,
@@ -50,6 +51,7 @@ def test_report_json_round_trip(tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_all.json"
+GOLDEN_MD = GOLDEN.with_suffix(".md")
 
 
 def test_full_report_matches_golden():
@@ -57,6 +59,14 @@ def test_full_report_matches_golden():
     report = run_verify("all")
     del report.meta["python"]
     assert emit_report(report, "json") == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_markdown_report_matches_golden(capsys):
+    # the same report as Markdown, from the CLI; its interpreter line is masked
+    assert main(["verify", "--format", "md"]) == 1
+    out, count = re.subn(r'^  "python": "[^"\n]*",\n', "", capsys.readouterr().out, flags=re.M)
+    assert count == 1
+    assert out == GOLDEN_MD.read_text(encoding="utf-8")
 
 
 def test_report_determinism_byte_identical():
