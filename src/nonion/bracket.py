@@ -63,9 +63,12 @@ def structure_row(basis: Basis, triple: tuple[int, int, int]) -> StructureRow:
 
     Each permuted product (e_x e_y) e_z is read from the basis's sparse
     multiplication table `products`, and the signed terms are summed per
-    target.  The triple is taken in argument order, sorted or not.
+    target.  The triple is taken in argument order, sorted or not; an
+    index outside 0..8 is a `ValueError`.
     """
     k, l, m = triple
+    if not all(0 <= i <= 8 for i in triple):
+        raise ValueError("indices must be 0..8")
     products = basis.products
     terms = (
         (c, u * v if sign > 0 else -(u * v))

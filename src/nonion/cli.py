@@ -1,9 +1,11 @@
 """Command-line front end.
 
-All numeric input is exact-rational text "p/q"; every verification
-path stays in exact arithmetic, with float approximations shown only
-as annotations.  Exit codes: 0 success / all match, 1 verification or
-diff failure, 2 usage or fixture error.
+Each handler calls the library and hands its result to `_emit`, the one
+output path (text as it is, anything else as JSON).  All numeric input
+is exact-rational text "p/q"; every verification path stays in exact
+arithmetic, with float approximations shown only as annotations.  Exit
+codes: 0 success / all match, 1 verification or diff failure, 2 usage or
+fixture error.
 """
 
 from __future__ import annotations
@@ -44,32 +46,32 @@ def _basis(name: str):
     return nonion_basis() if name == "nonion" else tu3_basis()
 
 
-def _fe_json(c: FieldElem) -> dict:
-    approx = c.approx_complex()
-    return {"exact": c.to_json(), "text": str(c), "approx": [approx[0], approx[1]]}
+def _emit(value, indent: int | None = 2, end: str = "\n") -> None:
+    """Print text as it is, any other value as JSON."""
+    print(value if isinstance(value, str) else json.dumps(value, indent=indent), end=end)
 
 
-def _row_json(row: StructureRow) -> dict:
-    return {
-        "triple": list(row.triple),
-        "targets": [{"index": n, "coeff": _fe_json(c)} for n, c in row.targets],
-    }
+def _fe_json(c: FieldElem, key: str = "exact") -> dict:
+    return {key: c.to_json(), "text": str(c), "approx": list(c.approx_complex())}
 
 
-def _row_md(row: StructureRow) -> str:
-    trip = "{" + ",".join(map(str, row.triple)) + "}"
-    if not row.targets:
-        return f"| {trip} | - | 0 |"
-    tgt = ", ".join(str(n) for n, _ in row.targets)
-    coeff = ", ".join(str(c) for _, c in row.targets)
-    return f"| {trip} | {tgt} | {coeff} |"
-
-
-def _print_table_md(rows) -> None:
-    print("| triple | target | coefficient |")
-    print("|---|---|---|")
-    for row in rows:
-        print(_row_md(row))
+def _emit_rows(rows: list[StructureRow], fmt: str, basis: str | None = None) -> None:
+    """Bracket rows as Markdown, or as JSON: one row alone, or under `basis` its table."""
+    if fmt == "md":  # a row without targets reads "- | 0"
+        lines = ["| triple | target | coefficient |", "|---|---|---|"]
+        for row in rows:
+            trip = "{" + ",".join(map(str, row.triple)) + "}"
+            tgt = ", ".join(str(n) for n, _ in row.targets) or "-"
+            coeff = ", ".join(str(c) for _, c in row.targets) or "0"
+            lines.append(f"| {trip} | {tgt} | {coeff} |")
+        _emit("\n".join(lines))
+        return
+    payload = [
+        {"triple": list(row.triple),
+         "targets": [{"index": n, "coeff": _fe_json(c)} for n, c in row.targets]}
+        for row in rows
+    ]
+    _emit(payload[0] if basis is None else {"basis": basis, "rows": payload})
 
 
 # ----------------------------------------------------------------------
@@ -78,51 +80,36 @@ def _print_table_md(rows) -> None:
 
 def _cmd_bases(args) -> int:
     basis = _basis(args.basis)
+    phases = pair_phase_matrix(basis) if args.basis == "nonion" else None
     if args.format == "json":
-        payload = {
-            "basis": args.basis,
-            "elements": [m.to_json() for m in basis.elements],
-        }
-        if args.basis == "nonion":
-            payload["pair_phases"] = [list(r) for r in pair_phase_matrix(basis)]
+        payload = {"basis": args.basis, "elements": [m.to_json() for m in basis.elements]}
+        if phases:
+            payload["pair_phases"] = [list(r) for r in phases]
             payload["grade"] = list(basis.grade)
-        print(json.dumps(payload, indent=2))
+        _emit(payload)
     else:
-        for i, m in enumerate(basis.elements):
-            print(f"element {i}: {m}")
-        if args.basis == "nonion":
-            print("pair phases omega(a,b) with q_a q_b = j^omega q_b q_a:")
-            for r in pair_phase_matrix(basis):
-                print("  " + " ".join(map(str, r)))
+        lines = [f"element {i}: {m}" for i, m in enumerate(basis.elements)]
+        if phases:
+            lines.append("pair phases omega(a,b) with q_a q_b = j^omega q_b q_a:")
+            lines.extend("  " + " ".join(map(str, r)) for r in phases)
+        _emit("\n".join(lines))
     return 0
 
 
 def _cmd_bracket(args) -> int:
-    basis = _basis(args.basis)
-    if not all(0 <= idx <= 8 for idx in (args.k, args.l, args.m)):
-        raise ValueError("indices must be 0..8")
-    row = structure_row(basis, (args.k, args.l, args.m))
-    if args.format == "json":
-        print(json.dumps(_row_json(row), indent=2))
-    else:
-        _print_table_md([row])
+    _emit_rows([structure_row(_basis(args.basis), (args.k, args.l, args.m))], args.format)
     return 0
 
 
 def _cmd_table(args) -> int:
-    rows = structure_table(_basis(args.basis))
-    if args.format == "json":
-        print(json.dumps({"basis": args.basis, "rows": [_row_json(r) for r in rows]}, indent=2))
-    else:
-        _print_table_md(rows)
+    _emit_rows(structure_table(_basis(args.basis)), args.format, args.basis)
     return 0
 
 
 def _cmd_diff_table(args) -> int:
     path = args.fixture or fixture_path(f"table_{args.basis}_s3.json")
-    rows = structure_table(_basis(args.basis))
-    diff = diff_table(rows, path)
-    print(json.dumps({"summary": diff.summary(), "rows": list(diff.rows)}, indent=2, default=str))
+    diff = diff_table(structure_table(_basis(args.basis)), path)
+    _emit({"summary": diff.summary(), "rows": list(diff.rows)})
     return 0 if diff.all_match else 1
 
 
@@ -131,35 +118,19 @@ def _cmd_norm(args) -> int:
     if len(parts) != 9:
         raise ValueError("--coords needs 9 comma-separated rationals")
     coords = [FieldElem.from_fraction(parse_rational(t)) for t in parts]
-    value = qhat_at(coords).det()
-    approx = value.approx_complex()
-    print(
-        json.dumps(
-            {"norm": value.to_json(), "text": str(value), "approx": [approx[0], approx[1]]},
-            indent=2,
-        )
-    )
+    _emit(_fe_json(qhat_at(coords).det(), key="norm"))
     return 0
 
 
 def _cmd_expand(args) -> int:
+    md = args.format == "md"
     if args.what == "det":
         p = det_poly()
-        if args.format == "json":
-            print(json.dumps({"poly": "det", "terms": p.to_json()}, indent=2))
-        else:
-            print(p)
+        _emit(str(p) if md else {"poly": "det", "terms": p.to_json()})
     else:
         comps = triple_product_components()
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {"poly": "triple", "components": [c.to_json() for c in comps]}, indent=2
-                )
-            )
-        else:
-            for i, c in enumerate(comps):
-                print(f"A{i} = {c}")
+        _emit("\n".join(f"A{i} = {c}" for i, c in enumerate(comps)) if md
+              else {"poly": "triple", "components": [c.to_json() for c in comps]})
     return 0
 
 
@@ -170,16 +141,8 @@ def _cmd_census(args) -> int:
         "surface": surface_poly_fixture,
     }[args.what]()
     c = term_census(p)
-    print(
-        json.dumps(
-            {
-                "poly": args.what,
-                "distinct_monomials": c.distinct_monomials,
-                "weighted_terms": c.weighted_terms,
-            },
-            indent=2,
-        )
-    )
+    _emit({"poly": args.what, "distinct_monomials": c.distinct_monomials,
+           "weighted_terms": c.weighted_terms})
     return 0
 
 
@@ -196,8 +159,7 @@ def _cmd_roots(args) -> int:
         vec = extract_alpha_root(idx) if match[1] == "alpha" else extract_beta_root(idx)[1]
         power = 1 if args.power is None else args.power
         out = z3_rotate(vec, power)
-        print(json.dumps({"vector": args.vector, "power": power,
-                          "result": [_fe_json(c) for c in out]}, indent=2))
+        _emit({"vector": args.vector, "power": power, "result": [_fe_json(c) for c in out]})
         return 0
     if args.vector is not None or args.power is not None:
         raise ValueError("--vector and --power need roots rotate")
@@ -215,30 +177,28 @@ def _cmd_roots(args) -> int:
                 "target": target,
                 "components": [_fe_json(c) for c in root],
             }
-    if args.format == "md":
-        for fam, rows in payload.items():
-            print(f"| {fam} | components |")
-            print("|---|---|")
-            for i, row in rows.items():
-                comps = row["components"] if fam == "beta" else row
-                text = ", ".join(c["text"] for c in comps)
-                print(f"| {fam}_{i} | ({text}) |")
-    else:
-        print(json.dumps(payload, indent=2))
+    if args.format == "json":
+        _emit(payload)
+        return 0
+    lines = []
+    for fam, rows in payload.items():
+        lines += [f"| {fam} | components |", "|---|---|"]
+        for i, row in rows.items():
+            comps = row["components"] if fam == "beta" else row
+            lines.append(f"| {fam}_{i} | ({', '.join(c['text'] for c in comps)}) |")
+    _emit("\n".join(lines))
     return 0
 
 
 def _cmd_su3(args) -> int:
     f = su3_structure_constants()
-    payload = {
-        "".join(map(str, k)): {"text": str(v), "exact": v.to_json()} for k, v in sorted(f.items())
-    }
-    print(json.dumps(payload, indent=2))
+    _emit({"".join(map(str, k)): {"text": str(v), "exact": v.to_json()}
+           for k, v in sorted(f.items())})
     return 0
 
 
 def _cmd_lambda(args) -> int:
-    print(json.dumps(lambda_claims(gellmann_decompose()), indent=2))
+    _emit(lambda_claims(gellmann_decompose()))
     return 0
 
 
@@ -256,13 +216,6 @@ def _parse_word(text: str, n: int) -> CliffElement:
             raise ValueError(f"generator q{k} out of range for n={n}")
         out = out * generator(n, k - 1, power)
     return out
-
-
-def _cliff_json(e: CliffElement) -> list[dict]:
-    return [
-        {"monomial": list(mono), "coeff": {"exact": c.to_json(), "text": str(c)}}
-        for mono, c in e.items()
-    ]
 
 
 def _cmd_clifford(args) -> int:
@@ -284,19 +237,21 @@ def _cmd_clifford(args) -> int:
         raise ValueError(f"generator count must be 1..{MAX_GENERATORS}, got {n}")
 
     if args.action == "dim":
-        print(json.dumps({"n": n, "dimension": dimension(n)}))
+        _emit({"n": n, "dimension": dimension(n)}, indent=None)
     elif args.action == "census":
-        print(json.dumps({"n": n, "census": degree_census(n)}))
+        _emit({"n": n, "census": degree_census(n)}, indent=None)
     elif args.action == "mul":
         a, b = (_parse_word(word, n) for word in args.rest)
-        print(json.dumps({"product": _cliff_json(a * b)}, indent=2))
+        _emit({"product": [
+            {"monomial": list(mono), "coeff": {"exact": c.to_json(), "text": str(c)}}
+            for mono, c in (a * b).items()
+        ]})
     else:
         rows = [
             {"k": k, "l": l, "kind1": str(v1), "kind2": str(v2), "kind3": str(v3)}
             for (k, l), (v1, v2, v3) in weighted_identities(n).items()
         ]
-        sym = str(s3_symmetric_sum(0, 0, 0, n))
-        print(json.dumps({"symmetric_sum_000": sym, "weighted": rows}, indent=2))
+        _emit({"symmetric_sum_000": str(s3_symmetric_sum(0, 0, 0, n)), "weighted": rows})
     return 0
 
 
@@ -304,15 +259,27 @@ def _cmd_verify(args) -> int:
     report = run_verify(args.scope, strict=args.strict)
     text = emit_report(report, args.format, args.out)
     if args.out is None:
-        print(text, end="")
+        _emit(text, end="")
     else:
-        print(f"report written to {args.out}")
+        _emit(f"report written to {args.out}")
     return 0 if report.passed() else 1
 
 
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+
+def _command(sub, name: str, func, help: str, basis: bool = False, fmt: bool = False):
+    """A subcommand that runs `func`, with `--basis` and then `--format` if asked;
+    options declared later follow these in its help."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if basis:
+        p.add_argument("--basis", choices=["nonion", "tu3"], default="nonion")
+    if fmt:
+        p.add_argument("--format", choices=["json", "md"], default="json")
+    return p
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -321,73 +288,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bases", help="show a basis")
+    p = _command(sub, "bases", _cmd_bases, "show a basis", basis=True, fmt=True)
     p.add_argument("action", choices=["show"])
-    p.add_argument("--basis", choices=["nonion", "tu3"], default="nonion")
-    p.add_argument("--format", choices=["json", "md"], default="json")
-    p.set_defaults(func=_cmd_bases)
 
-    p = sub.add_parser("bracket", help="bracket of three basis elements")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--basis", choices=["nonion", "tu3"], default="nonion")
-    p.add_argument("--format", choices=["json", "md"], default="json")
-    p.set_defaults(func=_cmd_bracket)
+    p = _command(sub, "bracket", _cmd_bracket, "bracket of three basis elements",
+                 basis=True, fmt=True)
+    for name in ("k", "l", "m"):
+        p.add_argument(name, type=int)
 
-    p = sub.add_parser("table", help="all 84 bracket rows")
-    p.add_argument("--basis", choices=["nonion", "tu3"], default="nonion")
-    p.add_argument("--format", choices=["json", "md"], default="json")
-    p.set_defaults(func=_cmd_table)
+    _command(sub, "table", _cmd_table, "all 84 bracket rows", basis=True, fmt=True)
 
-    p = sub.add_parser("diff-table", help="diff a recomputed table against a fixture")
-    p.add_argument("--basis", choices=["nonion", "tu3"], default="nonion")
+    p = _command(sub, "diff-table", _cmd_diff_table, "diff a recomputed table against a fixture",
+                 basis=True)
     p.add_argument("--fixture", default=None, help="fixture path (bundled table by default)")
-    p.set_defaults(func=_cmd_diff_table)
 
-    p = sub.add_parser("norm", help="cubic norm at exact coordinates")
+    p = _command(sub, "norm", _cmd_norm, "cubic norm at exact coordinates")
     p.add_argument("--coords", required=True, help="nine comma-separated rationals p/q")
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("expand", help="symbolic expansions")
+    p = _command(sub, "expand", _cmd_expand, "symbolic expansions", fmt=True)
     p.add_argument("what", choices=["det", "triple"])
-    p.add_argument("--format", choices=["json", "md"], default="json")
-    p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("census", help="monomial census of a cubic")
+    p = _command(sub, "census", _cmd_census, "monomial census of a cubic")
     p.add_argument("what", choices=["det", "triple", "surface"])
-    p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("roots", help="root vectors and rotations")
+    p = _command(sub, "roots", _cmd_roots, "root vectors and rotations")
     p.add_argument("action", nargs="?", choices=["rotate"], default=None)
     p.add_argument("--alpha", action="store_true")
     p.add_argument("--beta", action="store_true")
     p.add_argument("--vector", default=None, help="alpha1..alpha6 or beta1..beta6")
     p.add_argument("--power", type=int, default=None, help="rotate only (default 1)")
     p.add_argument("--format", choices=["json", "md"], default="json")
-    p.set_defaults(func=_cmd_roots)
 
-    p = sub.add_parser("su3", help="binary commutator cross-check")
+    p = _command(sub, "su3", _cmd_su3, "binary commutator cross-check")
     p.add_argument("action", choices=["check"])
-    p.set_defaults(func=_cmd_su3)
 
-    p = sub.add_parser("lambda", help="lambda-matrix decompositions")
+    p = _command(sub, "lambda", _cmd_lambda, "lambda-matrix decompositions")
     p.add_argument("action", choices=["diff"])
-    p.set_defaults(func=_cmd_lambda)
 
-    p = sub.add_parser("clifford", help="ternary Clifford algebra")
+    p = _command(sub, "clifford", _cmd_clifford, "ternary Clifford algebra")
     p.add_argument("action", choices=["dim", "census", "mul", "identities"])
     p.add_argument("rest", nargs="*", default=[],
                    help="dim/census: n; mul: two quoted words like 'q2 q1'")
     p.add_argument("--n", dest="n_opt", type=int, default=None)
-    p.set_defaults(func=_cmd_clifford)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = _command(sub, "verify", _cmd_verify, "run verification suites")
     p.add_argument("scope", nargs="?", choices=list(SCOPES), default="all")
     p.add_argument("--strict", action="store_true", help="escalate informational mismatches")
     p.add_argument("--format", choices=["json", "md"], default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

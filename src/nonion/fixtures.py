@@ -77,9 +77,10 @@ def _read_bytes(path: Union[str, Path], label: Union[str, Path]) -> bytes:
 def _read_json(path: Union[str, Path], label: Union[str, Path]) -> object:
     import json
 
-    text = _read_bytes(path, label).decode("utf-8")
     try:
-        return json.loads(text)
+        return json.loads(_read_bytes(path, label).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FixtureParseError(f"fixture {label} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureParseError(f"fixture {label} is not valid JSON: {exc}") from exc
 

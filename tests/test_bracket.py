@@ -165,6 +165,13 @@ def test_structure_row_in_any_argument_order(request, name, triple):
         assert row.targets == tuple((n, -c if odd else c) for n, c in base.targets)
 
 
+@pytest.mark.parametrize("name", ["nonions", "tu3"])
+@pytest.mark.parametrize("triple", [(-1, 2, 3), (0, 1, 9)])
+def test_structure_row_rejects_an_index_outside_the_basis(request, name, triple):
+    with pytest.raises(ValueError, match=r"^indices must be 0\.\.8$"):
+        structure_row(request.getfixturevalue(name), triple)
+
+
 def test_nonion_grading_compatibility(nonions):
     grade = nonions.grade
     for row in structure_table(nonions):

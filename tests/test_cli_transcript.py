@@ -77,11 +77,11 @@ def tmp_dir(tmp_path_factory):
     return str(path)
 
 
-def _id(entry: dict) -> str:
-    return " ".join(["nonion", *entry["argv"]])
+def _name(argv: list[str]) -> str:
+    return " ".join(["nonion", *argv])
 
 
-@pytest.mark.parametrize("entry", TRANSCRIPT["invocations"], ids=_id)
+@pytest.mark.parametrize("entry", TRANSCRIPT["invocations"], ids=lambda e: _name(e["argv"]))
 def test_cli_invocation_matches_transcript(entry, tmp_dir, monkeypatch):
     monkeypatch.setenv("COLUMNS", str(TRANSCRIPT["columns"]))
     got = replay(entry["argv"], tmp_dir)
@@ -99,7 +99,7 @@ SUBPROCESS_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", SUBPROCESS_ARGV, ids=lambda argv: " ".join(["nonion", *argv]))
+@pytest.mark.parametrize("argv", SUBPROCESS_ARGV, ids=_name)
 def test_module_entry_point_exit_code(argv, tmp_dir):
     (entry,) = [e for e in TRANSCRIPT["invocations"] if e["argv"] == argv]
     src = str(Path(__file__).resolve().parents[1] / "src")

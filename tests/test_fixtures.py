@@ -147,6 +147,26 @@ def test_table_fixture_read_errors_name_the_path(tmp_path, capsys):
                          f"fixture {broken} is not valid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"rows": "\xff"}', "is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+                              " in position 10: invalid start byte"),
+        (b'\xef\xbb\xbf{"rows": []}', "is not valid JSON: Unexpected UTF-8 BOM"
+                                     " (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ],
+    ids=["not-utf8", "bom"],
+)
+def test_table_fixture_encoding_errors(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    expected = f"fixture {bad} {message}"
+    with pytest.raises(FixtureParseError) as info:
+        load_table_fixture(bad)
+    assert str(info.value) == expected
+    assert_fixture_error(capsys, ["diff-table", "--fixture", str(bad)], expected + "\n")
+
+
 def test_diff_table_reports_missing_and_extra_rows(tmp_path, capsys):
     data = json.loads(fixture_path("table_tu3_s3.json").read_text(encoding="utf-8"))
     (replaced,) = [r for r in data["rows"] if r["triple"] == [0, 1, 2]]
