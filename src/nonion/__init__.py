@@ -19,7 +19,7 @@ from .bases import (
     pair_phase_matrix,
     tu3_basis,
 )
-from .poly import MPoly, NonionPoly
+from .poly import MPoly
 from .cubic import (
     TermCensus,
     UnknownVariantError,
@@ -48,7 +48,7 @@ __all__ = [
     "StructureRow", "TableDiff", "FixtureParseError",
     "FixtureRowCountError", "s3_bracket",
     "structure_table", "diff_table",
-    "MPoly", "NonionPoly", "TermCensus", "UnknownVariantError",
+    "MPoly", "TermCensus", "UnknownVariantError",
     "det_poly", "variant_poly", "triple_product_components", "term_census",
     "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
     "root_inner", "z3_rotate", "gellmann_decompose", "su3_structure_constants",

@@ -9,18 +9,23 @@ cubic, each built from one of the four parallel-line groupings of the
 nine coordinates.  The twisted triple product multiplies Q by its two
 phase-twisted copies in the unit-matrix algebra and collects the nine
 coordinate polynomials A0..A8.
+
+The coordinate grid, the four variants and A0..A8 are each built in one
+pass, as one sum of monomial terms over index tuples (`_exp`); only the
+determinant is expanded by cofactor products.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple, Sequence
 
 from .bases import TWIST_EXPONENTS, nonion_basis
-from .field import FieldElem, j_pow, rational
+from .field import ONE, FieldElem, j_pow, rational, sum_terms
 from .matrix import Mat3, _compose
-from .poly import MPoly, NonionPoly
+from .poly import NVARS, MPoly
 
 __all__ = [
     "TermCensus",
@@ -59,17 +64,21 @@ CYCLE_ALL_GROUPS = {0: 7, 7: 8, 8: 0, 1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4}
 CYCLE_FIX_DIAG = {0: 0, 7: 7, 8: 8, 1: 2, 2: 3, 3: 1, 4: 5, 5: 6, 6: 4}
 
 
+def _exp(*indices: int) -> tuple[int, ...]:
+    """The exponent tuple of the monomial x_i x_j ... over the given indices."""
+    exp = [0] * NVARS
+    for i in indices:
+        exp[i] += 1
+    return tuple(exp)
+
+
 @lru_cache(maxsize=1)
 def qhat_matrix_view() -> tuple[MPoly, ...]:
     """sum_a x_a*q_a as a flat 3x3 grid of linear forms, row-major."""
-    basis = nonion_basis()
-    grid = [MPoly.zero()] * 9
-    for a in range(9):
-        xa = MPoly.var(a)
-        for idx, entry in enumerate(basis.elements[a].entries):
-            if not entry.is_zero():
-                grid[idx] = grid[idx] + xa.scale(entry)
-    return tuple(grid)
+    elements = nonion_basis().elements
+    return tuple(
+        MPoly({_exp(a): q.entries[cell] for a, q in enumerate(elements)}) for cell in range(9)
+    )
 
 
 def qhat_at(coords: Sequence[FieldElem]) -> Mat3:
@@ -92,50 +101,44 @@ def det_poly() -> MPoly:
     )
 
 
-def _cube_group(a: int, b: int, c: int) -> MPoly:
-    # |z|^3 for z = x_a + x_b u + x_c u^2:  a^3 + b^3 + c^3 - 3abc.
-    xa, xb, xc = MPoly.var(a), MPoly.var(b), MPoly.var(c)
-    cubes = xa * xa * xa + xb * xb * xb + xc * xc * xc
-    return cubes - (xa * xb * xc).scale(rational(3))
-
-
 def variant_poly(variant: int) -> MPoly:
     """One of the four z-factorizations, expanded to an exact MPoly.
 
-    |z0|^3 + |z1|^3 + |z2|^3 minus the sum of the three conjugate
-    z0*z1*z2 products; the latter collapses to 3 * sum_m (z0 conv z1)_m
-    * (z2)_m with conv the cyclic convolution of the u-coefficients.
+    |z0|^3 + |z1|^3 + |z2|^3, each |z|^3 = a^3 + b^3 + c^3 - 3abc for
+    z = a + b*u + c*u^2, minus the sum of the three conjugate z0*z1*z2
+    products; the latter collapses to 3 * sum_m (z0 conv z1)_m * (z2)_m
+    with conv the cyclic convolution of the u-coefficients.
     """
     groups = VARIANT_GROUPS.get(variant)
     if groups is None:
         raise UnknownVariantError(f"variant must be 1..4, got {variant}")
     z0, z1, z2 = groups
-    total = MPoly.zero()
-    for g in groups:
-        total = total + _cube_group(*g)
-    cross = MPoly.zero()
-    for m in range(3):
-        conv = MPoly.zero()
-        for p in range(3):
-            r = (m - p) % 3
-            conv = conv + MPoly.var(z0[p]) * MPoly.var(z1[r])
-        cross = cross + conv * MPoly.var(z2[m])
-    return total - cross.scale(rational(3))
+    minus_three = rational(-3)
+    terms = [(_exp(i, i, i), ONE) for g in groups for i in g]
+    terms += [(_exp(*g), minus_three) for g in groups]
+    terms += [
+        (_exp(z0[p], z1[(m - p) % 3], z2[m]), minus_three) for m in range(3) for p in range(3)
+    ]
+    return MPoly(sum_terms(terms))
 
 
 @lru_cache(maxsize=1)
 def triple_product_components() -> tuple[MPoly, ...]:
     """A0..A8 of the product of Q with its two twisted copies.
 
-    The twisted copies scale component a by j^k and j^2k per the phase
-    twist table; multiplication runs left to right through the unit
-    product table.
+    The k-th twisted copy scales x_a by j^(k*t_a), t the phase twist
+    table.  Each triple (a, b, d) adds x_a x_b x_d j^(s1 + s2 + t_b + 2 t_d)
+    to component c, where q_a q_b = j^s1 q_ab and q_ab q_d = j^s2 q_c in
+    the unit product table.
     """
-    factors = [
-        NonionPoly([MPoly.var(a, j_pow(k * e)) for a, e in enumerate(TWIST_EXPONENTS)])
-        for k in range(3)
-    ]
-    return factors[0].multiply(factors[1]).multiply(factors[2]).components
+    table = nonion_basis().product_table
+    t = TWIST_EXPONENTS
+    terms: list[list] = [[] for _ in range(9)]
+    for a, b, d in product(range(9), repeat=3):
+        s1, ab = table[a][b]
+        s2, c = table[ab][d]
+        terms[c].append((_exp(a, b, d), j_pow(s1 + s2 + t[b] + 2 * t[d])))
+    return tuple(MPoly(sum_terms(component)) for component in terms)
 
 
 class TermCensus(NamedTuple):

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .bases import nonion_basis
 from .field import ONE, ZERO, FieldElem, add_pairs, mul_accumulate, numerator_pairs, sum_terms
 
-__all__ = ["NVARS", "MPoly", "NonionPoly"]
+__all__ = ["NVARS", "MPoly"]
 
 NVARS = 9
 _ZERO_EXP = (0,) * NVARS
@@ -138,11 +137,7 @@ class MPoly:
             return "0"
         parts = []
         for exp, c in self.items():
-            vars_ = "*".join(
-                f"x{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e
-            )
+            vars_ = _monomial_text(exp)
             cs = str(c)
             if vars_:
                 cs = f"({cs})*{vars_}" if (" " in cs or "/" in cs) else f"{cs}*{vars_}"
@@ -167,6 +162,11 @@ class MPoly:
                 raise ValueError(f"duplicate monomial {exp}")
             terms[exp] = c
         return cls(terms)
+
+
+def _monomial_text(exp: Sequence[int]) -> str:
+    """The variable part of a monomial, x0^2*x3; empty for the constant."""
+    return "*".join(f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
 
 
 def _horner_plan(terms: list[tuple[list[int], FieldElem]]) -> tuple:
@@ -232,30 +232,3 @@ def _run_plan(plan: tuple, xs: list[tuple[tuple, int]]) -> tuple:
     for pairs, d, scale in vals:
         add_pairs(out, _UNIT if pairs is None else pairs, scale * (den // d))
     return numerator_pairs(out), den, 1
-
-
-class NonionPoly:
-    """Element of the 9-dimensional algebra with MPoly coordinates."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence[MPoly]):
-        if len(components) != 9:
-            raise ValueError("NonionPoly needs 9 components")
-        object.__setattr__(self, "components", tuple(components))
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("NonionPoly is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NonionPoly) and self.components == other.components
-
-    def multiply(self, other: "NonionPoly") -> "NonionPoly":
-        """Bilinear product through the nonion table q_a*q_b = j^s*q_c."""
-        products = nonion_basis().products
-        comps = [MPoly.zero()] * 9
-        for a, pa in enumerate(self.components):
-            for b, pb in enumerate(other.components):
-                ((c, phase),) = products[a][b]
-                comps[c] = comps[c] + (pa * pb).scale(phase)
-        return NonionPoly(comps)

@@ -44,7 +44,7 @@ from .fixtures import (
     surface_poly_fixture,
 )
 from .matrix import Mat3
-from .poly import MPoly
+from .poly import MPoly, _monomial_text
 from .roots import (
     cartan_check,
     extract_alpha_root,
@@ -401,10 +401,6 @@ def _section_triple_product() -> Section:
     return Section("triple-product", checks)
 
 
-def _monomial_name(exp: tuple[int, ...]) -> str:
-    return "*".join(f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
-
-
 def _cycling_counterexample(a0: MPoly, cycle: dict[int, int]) -> str | None:
     """The first monomial of A0, in lex order (x0 > x1 > ...), whose image
     under the cycling carries another coefficient in A0; None when the
@@ -413,8 +409,8 @@ def _cycling_counterexample(a0: MPoly, cycle: dict[int, int]) -> str | None:
         (image,) = MPoly.monomial(mono).permute_vars(cycle).monomials()
         if a0.coeff(image) != a0.coeff(mono):
             return (
-                f"{_monomial_name(mono)} has coefficient {a0.coeff(mono)}"
-                f" but its image {_monomial_name(image)} has {a0.coeff(image)}"
+                f"{_monomial_text(mono)} has coefficient {a0.coeff(mono)}"
+                f" but its image {_monomial_text(image)} has {a0.coeff(image)}"
             )
     return None
 
@@ -606,7 +602,8 @@ def run_verify(scope: str = "all", strict: bool = False) -> VerificationReport:
 
 def render_markdown(report: VerificationReport) -> str:
     lines = ["# Verification report", ""]
-    lines.append(f"overall: {'PASS' if report.passed() else 'FAIL'}")
+    strict = " (strict)" if report.strict else ""
+    lines.append(f"overall: {'PASS' if report.passed() else 'FAIL'}{strict}")
     lines.append("")
     for s in report.sections:
         lines.append(f"## {s.name} - {s.status(report.strict)}")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonion.bases import nonion_basis
 from nonion.cubic import (
     CYCLE_ALL_GROUPS,
     CYCLE_FIX_DIAG,
@@ -53,19 +52,6 @@ def test_poly_hash_and_repr():
     assert hash(p) == hash(q) and len({p, q, MPoly.var(0)}) == 2
     assert repr(p) == "MPoly(2 terms)" and repr(MPoly.zero()) == "MPoly(0 terms)"
     assert str(MPoly.zero()) == "0"
-
-
-def test_nonion_poly_product_with_zero_components():
-    # x0 q1 times x1 q2 is x0 x1 j^s q_c; every other component pair is zero
-    zero = MPoly.zero()
-    a = poly.NonionPoly([zero, MPoly.var(0)] + [zero] * 7)
-    b = poly.NonionPoly([zero, zero, MPoly.var(1)] + [zero] * 6)
-    s, c = nonion_basis().product_table[1][2]
-    want = [zero] * 9
-    want[c] = (MPoly.var(0) * MPoly.var(1)).scale(j_pow(s))
-    assert a.multiply(b) == poly.NonionPoly(want)
-    assert a.multiply(poly.NonionPoly([zero] * 9)) == poly.NonionPoly([zero] * 9)
-    assert a != b and a != a.components
 
 
 def test_poly_permute_and_eval():
@@ -224,7 +210,6 @@ def test_malformed_polys_are_rejected():
         (lambda: MPoly({(1,) * 8: ONE}),
          "exponent tuple (1, 1, 1, 1, 1, 1, 1, 1) must have length 9"),
         (lambda: MPoly.from_json(twice), "duplicate monomial (0, 0, 0, 0, 0, 0, 0, 0, 0)"),
-        (lambda: poly.NonionPoly([MPoly()] * 8), "NonionPoly needs 9 components"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as exc:
@@ -476,6 +461,35 @@ def test_triple_product_against_matrix_oracle():
         coeffs = decompose_in_basis(product, basis.elements, basis.grams)
         for p in range(9):
             assert comps[p].evaluate(x) == coeffs[p]
+
+
+# A0..A8 as `str(MPoly)`, pinned; the matrix oracle above checks their values.
+TRIPLE_PRODUCT_PINNED = (
+    "1*x8^3 + 1*x7^3 + 1*x6^3 + 1*x5^3 + -3*x4*x5*x6 + 1*x4^3 + 1*x3^3 + 1*x2^3"
+    " + -3*x1*x2*x3 + 1*x1^3 + -3*x0*x7*x8 + -3*x0*x3*x6 + -3*x0*x2*x5 + -3*x0*x1*x4 + 1*x0^3",
+    "(-3 - 3j)*x3*x8^2 + 3j*x2*x3*x4 + 3j*x2^2*x6 + 3j*x1*x7*x8 + 3j*x1*x2*x5 + 3*x0*x2*x8",
+    "3j*x3^2*x4 + 3j*x2*x7*x8 + 3j*x2*x3*x6 + (-3 - 3j)*x1*x8^2 + 3j*x1*x3*x5 + 3*x0*x3*x8",
+    "3j*x3*x7*x8 + (-3 - 3j)*x2*x8^2 + 3j*x1*x3*x4 + 3j*x1*x2*x6 + 3j*x1^2*x5 + 3*x0*x1*x8",
+    "(-3 - 3j)*x3*x4*x6 + 3j*x3^2*x8 + (-3 - 3j)*x2*x6^2 + (-3 - 3j)*x1*x5*x6 + -3j*x1*x2*x8",
+    "(-3 - 3j)*x3*x4^2 + (-3 - 3j)*x2*x4*x6 + -3j*x2*x3*x8 + (-3 - 3j)*x1*x4*x5 + 3j*x1^2*x8",
+    "(-3 - 3j)*x3*x4*x5 + (-3 - 3j)*x2*x5*x6 + 3j*x2^2*x8 + (-3 - 3j)*x1*x5^2 + -3j*x1*x3*x8",
+    "(3 + 3j)*x3*x4*x8 + (3 + 3j)*x2*x6*x8 + (3 + 3j)*x1*x5*x8",
+    "(-3 - 3j)*x3*x6*x8 + (-3 - 3j)*x2*x5*x8 + (-3 - 3j)*x1*x4*x8"
+    " + 3*x0*x3*x4 + 3*x0*x2*x6 + 3*x0*x1*x5",
+)
+
+
+def test_cubic_builders_sum_terms_without_polynomial_products(monkeypatch):
+    # the determinant is built (and cached) by cofactor products first
+    det = det_poly()
+
+    def no_products(self, other):
+        raise AssertionError("MPoly.__mul__ called")
+
+    monkeypatch.setattr(MPoly, "__mul__", no_products)
+    triple_product_components.cache_clear()
+    assert tuple(map(str, triple_product_components())) == TRIPLE_PRODUCT_PINNED
+    assert all(variant_poly(v) == det for v in (1, 2, 3, 4))
 
 
 def test_a0_vs_det_report():

@@ -99,6 +99,14 @@ def test_strict_escalates_informational():
     assert strict.sections[0].status(strict.strict) == "Fail"
 
 
+def test_markdown_report_names_strict_mode():
+    relaxed = emit_report(run_verify("roots"), "md").splitlines()
+    strict = emit_report(run_verify("roots", strict=True), "md").splitlines()
+    assert relaxed[2] == "overall: PASS" and strict[2] == "overall: PASS (strict)"
+    assert emit_report(run_verify("su3", strict=True), "md").splitlines()[2] == "overall: FAIL (strict)"
+    assert all("strict" not in line for line in relaxed)
+
+
 def test_statuses_are_computed_not_hand_set():
     for scope in ("roots", "clifford"):
         report = run_verify(scope)
