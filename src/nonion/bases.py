@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 from .clifford import _normal_order, _suffix_sums, grade
 from .field import ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
-from .matrix import LABELS, Mat3, _nonion_units, decompose_in_basis
+from .matrix import LABELS, Mat3, _nonion_units, decompose_in_basis, hs_inner
 
 __all__ = [
     "NonionBasis",
@@ -96,16 +96,15 @@ class TU3Basis:
     def products(self) -> tuple:
         """products[a][b] = ((c, coeff), ...) with Q_a*Q_b = sum of coeff*Q_c.
 
+        The basis is orthonormal, so coeff is the pairing hs_inner(Q_c, Q_a*Q_b).
         Projected on first use, not in tu3_basis(), which stays cheap.
         """
-        e, g = self.elements, self.grams
-        return tuple(
-            tuple(
-                tuple((c, v) for c, v in enumerate(decompose_in_basis(a * b, e, g)) if v)
-                for b in e
-            )
-            for a in e
-        )
+        e = self.elements
+
+        def coeffs(p: Mat3) -> tuple:
+            return tuple((c, v) for c, q in enumerate(e) if (v := hs_inner(q, p)))
+
+        return tuple(tuple(coeffs(a * b) for b in e) for a in e)
 
 
 @lru_cache(maxsize=1)

@@ -235,8 +235,6 @@ class FieldElem:
         n2 = n1 * c
         d = n2._conj_sqrt2()
         n3 = n2 * d
-        if not n3.is_rational():  # pragma: no cover - norm is rational by construction
-            raise ArithmeticError("field norm failed to reduce to a rational")
         return b * c * d * rational(n3.den, n3.nums[0])
 
     # ------------------------------------------------------------------

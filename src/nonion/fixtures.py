@@ -123,9 +123,10 @@ def _table_rows(
             is_sorted = trip == tuple(sorted(trip))
             targets = {}
             for tgt in row["targets"]:
-                if not isinstance(tgt["index"], int):
-                    raise ValueError(f"target index {tgt['index']!r} is not an integer")
-                targets[tgt["index"]] = FieldElem.from_json(tgt["coeff"])
+                index = _integer(tgt["index"], "target index")
+                if not 0 <= index <= 8:
+                    raise ValueError(f"target index {index} is not in 0..8")
+                targets[index] = FieldElem.from_json(tgt["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureParseError(f"fixture {path} row is malformed: {exc}") from exc
         if not is_sorted or len(trip) != 3:
@@ -134,6 +135,13 @@ def _table_rows(
             raise FixtureParseError(f"fixture {path}: duplicate triple {trip}")
         by_triple[trip] = (row, targets)
     return data, by_triple
+
+
+def _integer(value: object, name: str) -> int:
+    """A JSON integer, not a boolean, else ValueError naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _parse_fixture(name: str, label: str, parse: Callable[[object], T]) -> T:
@@ -183,7 +191,7 @@ def roots_fixture(kind: str) -> list[dict]:
         lambda data: [
             {
                 **row,
-                "index": int(row["index"]),
+                "index": _integer(row["index"], "index"),
                 "components": tuple(FieldElem.from_json(c) for c in row["components"]),
             }
             for row in data["roots"]

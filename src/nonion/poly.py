@@ -157,6 +157,8 @@ class MPoly:
         terms: dict[tuple[int, ...], FieldElem] = {}
         for entry in data:
             exp = tuple(entry["exponents"])
+            if any(type(e) is not int or e < 0 for e in exp):
+                raise ValueError(f"exponents {list(exp)} must be non-negative integers")
             c = FieldElem.from_json(entry["coeff"])
             if exp in terms:
                 raise ValueError(f"duplicate monomial {exp}")

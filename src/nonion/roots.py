@@ -17,7 +17,7 @@ from functools import lru_cache
 from .bases import nonion_basis, tu3_basis
 from .bracket import s3_bracket, structure_row
 from .field import J, ONE, SQRT3, ZERO, FieldElem, rational
-from .matrix import Mat3, decompose_in_basis
+from .matrix import Mat3, decompose_in_basis, hs_inner
 
 __all__ = [
     "NotProportionalError",
@@ -170,9 +170,9 @@ def su3_structure_constants() -> dict[tuple[int, int, int], FieldElem]:
     """Antisymmetric f with [g_i, g_j] = i f_ijk g_k for g = lambda/2.
 
     Keys are sorted index triples i < j < k with f_ijk nonzero, read off
-    tr(g_k [g_i, g_j]) = (i/2) f_ijk; `su3_f` gives the other orders by
-    complete antisymmetry.  The factor i is divided out inside the field
-    via I_UNIT.
+    tr(g_k [g_i, g_j]) = (i/2) f_ijk, the pairing hs_inner(g_k, [g_i, g_j])
+    since g_k is Hermitian; `su3_f` gives the other orders by complete
+    antisymmetry.  The factor i is divided out inside the field via I_UNIT.
     """
     g = [lam.scale(rational(1, 2)) for lam in gellmann_matrices()]
     inv_i = I_UNIT.invert()
@@ -182,7 +182,7 @@ def su3_structure_constants() -> dict[tuple[int, int, int], FieldElem]:
         for b in range(a + 1, 8):
             comm = g[a] * g[b] - g[b] * g[a]
             for c in range(b + 1, 8):
-                f = two * (g[c] * comm).trace() * inv_i
+                f = two * hs_inner(g[c], comm) * inv_i
                 if not f.is_zero():
                     out[(a + 1, b + 1, c + 1)] = f
     return out

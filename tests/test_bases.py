@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nonion.bases import (
@@ -11,8 +13,8 @@ from nonion.bases import (
     tu3_basis,
 )
 from nonion.clifford import _column_action, grade
-from nonion.field import J, J2, ONE, ZERO, j_pow, rational
-from nonion.matrix import Mat3, hs_inner
+from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
+from nonion.matrix import Mat3, decompose_in_basis, hs_inner
 
 from conftest import random_mat3
 
@@ -95,6 +97,21 @@ def test_tu3_products_are_built_on_first_use():
     assert "products" not in vars(fresh)
     assert fresh.products == tu3_basis().products
     assert "products" in vars(fresh)
+
+
+def test_tu3_products_pair_without_dividing(monkeypatch):
+    # the basis is orthonormal, so each coefficient is one pairing with no
+    # division by its gram of one; the generic projection stays the reference
+    fresh = tu3_basis.__wrapped__()
+    calls = []
+    real = FieldElem.invert
+    monkeypatch.setattr(FieldElem, "invert", lambda self: (calls.append(1), real(self))[1])
+    products = fresh.products
+    assert calls == []
+    e, g = fresh.elements, fresh.grams
+    for a, b in product(range(9), repeat=2):
+        coeffs = decompose_in_basis(e[a] * e[b], e, g)
+        assert products[a][b] == tuple((c, v) for c, v in enumerate(coeffs) if v)
 
 
 # ---------------------------------------------------------------------------

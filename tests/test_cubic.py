@@ -211,6 +211,11 @@ def test_malformed_polys_are_rejected():
          "exponent tuple (1, 1, 1, 1, 1, 1, 1, 1) must have length 9"),
         (lambda: MPoly.from_json(twice), "duplicate monomial (0, 0, 0, 0, 0, 0, 0, 0, 0)"),
     ]
+    for exponents in ([-1, 4, 0, 0, 0, 0, 0, 0, 0], ["x"] * 9, [True] + [0] * 8):
+        cases.append((
+            lambda e=exponents: MPoly.from_json([{"exponents": e, "coeff": one}]),
+            f"exponents {exponents} must be non-negative integers",
+        ))
     for call, message in cases:
         with pytest.raises(ValueError) as exc:
             call()

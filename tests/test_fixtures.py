@@ -60,8 +60,11 @@ def test_fixture_checksums_on_unreadable_file(bundled, capsys):
     assert_fixture_error(capsys, ["verify"], "cannot read fixture table_nonion_s3.json: ")
 
 
-def test_malformed_surface_fixture(bundled, capsys):
-    (bundled / "surface_poly.json").write_text('{"terms": [{"coeff": []}]}', encoding="utf-8")
+@pytest.mark.parametrize(
+    "term", [{"coeff": []}, {"exponents": [-1, 4] + [0] * 7, "coeff": ["1/1"] + ["0/1"] * 7}]
+)
+def test_malformed_surface_fixture(bundled, capsys, term):
+    (bundled / "surface_poly.json").write_text(json.dumps({"terms": [term]}), encoding="utf-8")
     with pytest.raises(FixtureParseError, match="^surface fixture malformed: "):
         surface_poly_fixture()
     assert_fixture_error(capsys, ["census", "surface"], "surface fixture malformed: ")
@@ -74,7 +77,16 @@ def test_malformed_lambda_fixture(bundled, capsys):
     assert_fixture_error(capsys, ["lambda", "diff"], "lambda fixture malformed: ")
 
 
-@pytest.mark.parametrize("row", ['{"index": 1, "components": 5}', '{"components": []}'])
+@pytest.mark.parametrize(
+    "row",
+    [
+        '{"index": 1, "components": 5}',
+        '{"components": []}',
+        '{"index": "1", "components": []}',
+        '{"index": 1.9, "components": []}',
+        '{"index": true, "components": []}',
+    ],
+)
 def test_malformed_roots_fixture(bundled, capsys, row):
     (bundled / "roots_alpha.json").write_text(f'{{"roots": [{row}]}}', encoding="utf-8")
     with pytest.raises(FixtureParseError, match="^roots fixture malformed: "):
@@ -108,10 +120,13 @@ def _duplicate_triple(data):
     return data
 
 
-def _text_target_index(data):
-    row = next(r for r in data["rows"] if r["targets"])
-    row["targets"][0]["index"] = str(row["targets"][0]["index"])
-    return data
+def _target_index(value):
+    def corrupt(data):
+        row = next(r for r in data["rows"] if r["targets"])
+        row["targets"][0]["index"] = value
+        return data
+
+    return corrupt
 
 
 @pytest.mark.parametrize(
@@ -120,9 +135,15 @@ def _text_target_index(data):
         (_no_rows_key, "fixture {path} has no 'rows' key"),
         (_unsorted_triple, "fixture {path}: triple (1, 0, 2) is not sorted"),
         (_duplicate_triple, "fixture {path}: duplicate triple (0, 1, 2)"),
-        (_text_target_index, "fixture {path} row is malformed: target index '6' is not an integer"),
+        (_target_index("6"), "fixture {path} row is malformed: target index '6' is not an integer"),
+        (_target_index(True), "fixture {path} row is malformed: target index True is not an integer"),
+        (_target_index(99), "fixture {path} row is malformed: target index 99 is not in 0..8"),
+        (_target_index(-1), "fixture {path} row is malformed: target index -1 is not in 0..8"),
     ],
-    ids=["no-rows-key", "unsorted-triple", "duplicate-triple", "text-target-index"],
+    ids=[
+        "no-rows-key", "unsorted-triple", "duplicate-triple", "text-target-index",
+        "bool-target-index", "target-index-99", "target-index-minus-1",
+    ],
 )
 def test_malformed_table_fixture(tmp_path, capsys, corrupt, message):
     data = json.loads(fixture_path("table_nonion_s3.json").read_text(encoding="utf-8"))

@@ -262,6 +262,16 @@ def test_su3_structure_constants():
     assert su3_f(f, 1, 1, 2) == ZERO
 
 
+def test_su3_structure_constants_make_two_products_per_commutator(monkeypatch):
+    # tr(g_c [g_a, g_b]) is read as a pairing, not from a third product
+    gellmann_matrices()
+    calls = []
+    real = Mat3.__mul__
+    monkeypatch.setattr(Mat3, "__mul__", lambda a, b: (calls.append(1), real(a, b))[1])
+    su3_structure_constants()
+    assert len(calls) == 2 * 28
+
+
 def test_su3_complete_antisymmetry():
     """[g_a, g_b] = i sum_c f_abc g_c for all 28 pairs in both orders, with
     f_abc read through su3_f, and the trace formula gives each f_abc."""
