@@ -39,39 +39,33 @@ from .clifford import (
     weighted_identity_check,
 )
 
+# The report's and the CLI's layers, which set-up does not run, load on
+# first access (PEP 562): each name, and each module's own name, maps to
+# the module that defines it.
+_DEFERRED_NAMES = {
+    "bracket": ("StructureRow", "TableDiff", "diff_table", "s3_bracket", "structure_table"),
+    "roots": (
+        "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
+        "gellmann_decompose", "root_inner", "su3_structure_constants", "z3_rotate",
+    ),
+    "fixtures": ("FixtureParseError", "FixtureRowCountError", "surface_poly_fixture"),
+}
+_DEFERRED = {
+    name: module for module, names in _DEFERRED_NAMES.items() for name in (module, *names)
+}
+
 __all__ = [
     "__version__",
     "FieldElem", "J", "J2", "ONE", "SQRT2", "SQRT3", "SQRT6", "ZERO", "j_pow", "rational",
     "Mat3", "SingularGramError", "decompose_in_basis", "hs_inner",
     "NonionBasis", "TU3Basis", "nonion_basis", "tu3_basis",
     "cyclic_relabel", "pair_phase_matrix",
-    "StructureRow", "TableDiff", "FixtureParseError",
-    "FixtureRowCountError", "s3_bracket",
-    "structure_table", "diff_table",
     "MPoly", "TermCensus", "UnknownVariantError",
     "det_poly", "variant_poly", "triple_product_components", "term_census",
-    "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
-    "root_inner", "z3_rotate", "gellmann_decompose", "su3_structure_constants",
     "CliffElement", "LengthMismatchError", "normal_order_product", "s3_symmetric_sum",
     "weighted_identity_check", "dimension", "degree_census", "grade",
-    "surface_poly_fixture",
+    *(name for names in _DEFERRED_NAMES.values() for name in names),
 ]
-
-# The report's and the CLI's layers, which set-up does not run, load on
-# first access (PEP 562): each name, and each module's own name, maps to
-# the module that defines it.
-_DEFERRED = {
-    name: module
-    for module, names in {
-        "bracket": ("StructureRow", "TableDiff", "diff_table", "s3_bracket", "structure_table"),
-        "roots": (
-            "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
-            "gellmann_decompose", "root_inner", "su3_structure_constants", "z3_rotate",
-        ),
-        "fixtures": ("FixtureParseError", "FixtureRowCountError", "surface_poly_fixture"),
-    }.items()
-    for name in (module, *names)
-}
 
 
 def __getattr__(name: str):

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
 from .field import FieldElem, sum_terms
-from .fixtures import _table_rows
+from .fixtures import load_table_fixture
 from .matrix import Mat3
 
 if TYPE_CHECKING:
@@ -113,12 +113,12 @@ class TableDiff(NamedTuple):
 
 def diff_table(computed: Sequence[StructureRow], fixture_path: Union[str, Path]) -> TableDiff:
     """Exact per-row comparison; deterministic order, fixture untouched."""
-    by_triple = _table_rows(fixture_path)[1]
+    fixture = load_table_fixture(fixture_path)
     out = []
     for row in sorted(computed, key=lambda r: r.triple):
-        frow, expected = by_triple.pop(row.triple, (None, None))
+        expected, printed_as = fixture.pop(row.triple, (None, None))
         computed_targets = row.target_map()
-        if frow is None:
+        if expected is None:
             out.append({"triple": row.triple, "status": "MissingInFixture"})
         elif expected == computed_targets:
             out.append({"triple": row.triple, "status": "Match"})
@@ -129,10 +129,10 @@ def diff_table(computed: Sequence[StructureRow], fixture_path: Union[str, Path])
                     "status": "Mismatch",
                     "expected": {n: str(c) for n, c in sorted(expected.items())},
                     "computed": {n: str(c) for n, c in sorted(computed_targets.items())},
-                    "printed_as": frow.get("printed_as"),
+                    "printed_as": printed_as,
                 }
             )
-    out.extend({"triple": trip, "status": "ExtraInFixture"} for trip in sorted(by_triple))
+    out.extend({"triple": trip, "status": "ExtraInFixture"} for trip in sorted(fixture))
     statuses = [r["status"] for r in out]
     kinds = ("Match", "Mismatch", "MissingInFixture", "ExtraInFixture")
     return TableDiff(tuple(out), *(statuses.count(k) for k in kinds))

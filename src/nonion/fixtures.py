@@ -3,11 +3,13 @@
 Fixtures are versioned JSON files under ``nonion/data``; they hold the
 printed reference values verbatim (including suspected typos, with
 notes), and the report reads every expectation they hold from them.
-Nothing mutates them.  This module is the only code that opens them:
-``load_fixture`` reads a bundled fixture by name, ``load_table_fixture``
-reads and validates a structure-table fixture by path (bundled or given
-on the command line), and the ``*_fixture`` accessors parse the other
-fixtures into exact values.  ``json``, ``hashlib`` and
+Nothing mutates them.  This module is the only code that opens them or
+knows their keys: ``load_fixture`` reads a bundled fixture by name,
+``load_table_fixture`` reads and validates a structure-table fixture by
+path (bundled or given on the command line), and the other ``*_fixture``
+accessors parse a bundled fixture, through ``_parse_fixture``, into the
+exact values the report compares.  Every integer field passes one rule
+(``_integer``).  ``json``, ``hashlib`` and
 ``importlib.resources`` are imported on first fixture access, inside the
 functions that read fixtures, so ``import nonion`` does not load them.
 """
@@ -99,15 +101,11 @@ def fixture_checksums() -> dict[str, str]:
     }
 
 
-def load_table_fixture(path: Union[str, Path]) -> dict:
-    """A structure-table fixture, validated: 84 rows of sorted, distinct triples."""
-    return _table_rows(path)[0]
-
-
-def _table_rows(
+def load_table_fixture(
     path: Union[str, Path],
-) -> tuple[dict, dict[tuple[int, int, int], tuple[dict, dict[int, FieldElem]]]]:
-    """The validated table fixture, and each row by triple with its parsed targets."""
+) -> dict[tuple[int, int, int], tuple[dict[int, FieldElem], Union[str, None]]]:
+    """A structure-table fixture, validated: its 84 rows by sorted, distinct
+    triple, each as its exact targets by basis index and its printed form."""
     data = _read_json(path, path)
     if not isinstance(data, dict) or "rows" not in data:
         raise FixtureParseError(f"fixture {path} has no 'rows' key")
@@ -119,28 +117,32 @@ def _table_rows(
     by_triple = {}
     for row in rows:
         try:
-            trip = tuple(row["triple"])
-            is_sorted = trip == tuple(sorted(trip))
+            trip = tuple(_integer(k, "triple entry") for k in row["triple"])
             targets = {}
             for tgt in row["targets"]:
-                index = _integer(tgt["index"], "target index")
-                if not 0 <= index <= 8:
-                    raise ValueError(f"target index {index} is not in 0..8")
+                index = _integer(tgt["index"], "target index", range(9), targets)
                 targets[index] = FieldElem.from_json(tgt["coeff"])
+            printed_as = row.get("printed_as")
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureParseError(f"fixture {path} row is malformed: {exc}") from exc
-        if not is_sorted or len(trip) != 3:
+        if trip != tuple(sorted(trip)) or len(trip) != 3:
             raise FixtureParseError(f"fixture {path}: triple {trip} is not sorted")
         if trip in by_triple:
             raise FixtureParseError(f"fixture {path}: duplicate triple {trip}")
-        by_triple[trip] = (row, targets)
-    return data, by_triple
+        by_triple[trip] = (targets, printed_as)
+    return by_triple
 
 
-def _integer(value: object, name: str) -> int:
-    """A JSON integer, not a boolean, else ValueError naming the field."""
+def _integer(value: object, name: str, span: Union[range, None] = None, keys=()) -> int:
+    """The one rule for an integer field: a JSON integer, not a boolean, in
+    `span` where the field has a range, and not among `keys` where it is a
+    key; else ValueError naming the field."""
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an integer")
+    if span is not None and value not in span:
+        raise ValueError(f"{name} {value} is not in {span.start}..{span.stop - 1}")
+    if value in keys:
+        raise ValueError(f"duplicate {name} {value}")
     return value
 
 
@@ -159,41 +161,46 @@ def surface_poly_fixture() -> MPoly:
     return _parse_fixture("surface_poly.json", "surface", lambda d: MPoly.from_json(d["terms"]))
 
 
-def lambda_combos_fixture() -> list[dict]:
-    """Claimed unit-basis combinations for the lambda matrices."""
+def lambda_combos_fixture() -> dict[int, tuple[str, Union[str, None], list[FieldElem]]]:
+    """Claimed unit-basis combinations for the lambda matrices, by lambda
+    (1..8) in fixture order: the printed form, the note (None where the
+    fixture gives none) and the nine exact coefficients."""
+
+    def parse(data) -> dict:
+        combos = {}
+        for row in data["combos"]:
+            lam = _integer(row["lambda"], "lambda", range(1, 9), combos)
+            coeffs = [FieldElem.from_json(c) for c in row["coeffs"]]
+            if len(coeffs) != 9:
+                raise ValueError(f"lambda {lam} has {len(coeffs)} coefficients, expected 9")
+            combos[lam] = (row["printed_as"], row.get("note"), coeffs)
+        return combos
+
+    return _parse_fixture("lambda_combos.json", "lambda", parse)
+
+
+def clifford_census_fixture() -> list[int]:
+    """The printed degree census of the four-generator algebra."""
     return _parse_fixture(
-        "lambda_combos.json",
-        "lambda",
-        lambda data: [
-            {
-                "lambda": row["lambda"],
-                "printed_as": row["printed_as"],
-                "note": row.get("note"),
-                "coeffs": [FieldElem.from_json(c) for c in row["coeffs"]],
-            }
-            for row in data["combos"]
-        ],
+        "clifford_census.json",
+        "clifford census",
+        lambda data: [_integer(n, "census entry") for n in data["degree_census_4"]],
     )
 
 
-def clifford_census_fixture() -> dict:
-    data = load_fixture("clifford_census.json")
-    if not isinstance(data, dict) or not isinstance(data.get("degree_census_4"), list):
-        raise FixtureParseError("clifford census fixture has no 'degree_census_4' list")
-    return data
+def roots_fixture(kind: str) -> dict[int, tuple[Union[int, None], tuple[FieldElem, ...]]]:
+    """The printed roots by index (1..6), each as its pair-product target
+    basis index (None where the fixture gives none) and exact components."""
 
+    def parse(data) -> dict:
+        roots = {}
+        for row in data["roots"]:
+            index = _integer(row["index"], "index", range(1, 7), roots)
+            target = row.get("target")
+            roots[index] = (
+                None if target is None else _integer(target, "target", range(9)),
+                tuple(FieldElem.from_json(c) for c in row["components"]),
+            )
+        return roots
 
-def roots_fixture(kind: str) -> list[dict]:
-    """The printed roots, each with its integer index and exact components."""
-    return _parse_fixture(
-        f"roots_{kind}.json",
-        "roots",
-        lambda data: [
-            {
-                **row,
-                "index": _integer(row["index"], "index"),
-                "components": tuple(FieldElem.from_json(c) for c in row["components"]),
-            }
-            for row in data["roots"]
-        ],
-    )
+    return _parse_fixture(f"roots_{kind}.json", "roots", parse)

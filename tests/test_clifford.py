@@ -21,7 +21,7 @@ from nonion.clifford import (
     weighted_identity_check,
 )
 from nonion.field import J, J2, ONE, ZERO, FieldElem, j_pow, rational
-from nonion.fixtures import clifford_census_fixture
+from nonion.fixtures import clifford_census_fixture, load_fixture
 from nonion.matrix import Mat3
 
 import oracle
@@ -1022,9 +1022,8 @@ def test_grade_components_have_dimension_3_pow_n_minus_1(n):
 
 
 def test_census_fixture():
-    data = clifford_census_fixture()
-    assert data["degree_census_4"] == degree_census(4)
-    for n_text, dim in data["dimensions"].items():
+    assert clifford_census_fixture() == degree_census(4)
+    for n_text, dim in load_fixture("clifford_census.json")["dimensions"].items():
         assert dimension(int(n_text)) == dim
 
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from nonion import fixtures
 from nonion.cli import main
 from nonion.fixtures import (
     FIXTURE_NAMES,
@@ -43,6 +44,7 @@ def bundled(tmp_path, monkeypatch):
     for name in FIXTURE_NAMES:
         (tmp_path / name).write_bytes(fixture_path(name).read_bytes())
     monkeypatch.setattr("nonion.fixtures.fixture_path", lambda name: tmp_path / name)
+    monkeypatch.setattr("nonion.report.fixture_path", lambda name: tmp_path / name)
     return tmp_path
 
 
@@ -96,10 +98,105 @@ def test_malformed_roots_fixture(bundled, capsys, row):
 
 def test_census_fixture_without_the_four_generator_census(bundled, capsys):
     (bundled / "clifford_census.json").write_text('{"dimensions": {}}', encoding="utf-8")
-    message = "clifford census fixture has no 'degree_census_4' list"
+    message = "clifford census fixture malformed: 'degree_census_4'"
     with pytest.raises(FixtureParseError, match=f"^{message}$"):
         clifford_census_fixture()
     assert_fixture_error(capsys, ["verify", "clifford"], message + "\n")
+
+
+# ---------------------------------------------------------------------------
+# corruption sweep: every integer field of the bundled fixtures must be a JSON
+# integer (not a boolean), in its range and, where it is a key, unique
+# ---------------------------------------------------------------------------
+
+def _row(data, triple):
+    (row,) = [r for r in data["rows"] if r["triple"] == triple]
+    return row
+
+
+ZERO_COEFF = ["0/1"] * 8
+
+SWEEP = {
+    "lambda-9": (
+        "lambda_combos.json", lambda d: d["combos"][0].update({"lambda": 9}),
+        "su3", "lambda fixture malformed: lambda 9 is not in 1..8",
+    ),
+    "lambda-true": (
+        "lambda_combos.json", lambda d: d["combos"][0].update({"lambda": True}),
+        "su3", "lambda fixture malformed: lambda True is not an integer",
+    ),
+    "duplicate-lambda": (
+        "lambda_combos.json", lambda d: d["combos"][1].update({"lambda": 1}),
+        "su3", "lambda fixture malformed: duplicate lambda 1",
+    ),
+    "eight-lambda-coeffs": (
+        "lambda_combos.json", lambda d: d["combos"][0]["coeffs"].pop(),
+        "su3", "lambda fixture malformed: lambda 1 has 8 coefficients, expected 9",
+    ),
+    "beta-target-true": (
+        "roots_beta.json", lambda d: d["roots"][0].update({"target": True}),
+        "roots", "roots fixture malformed: target True is not an integer",
+    ),
+    "beta-target-text": (
+        "roots_beta.json", lambda d: d["roots"][0].update({"target": "6"}),
+        "roots", "roots fixture malformed: target '6' is not an integer",
+    ),
+    "beta-target-9": (
+        "roots_beta.json", lambda d: d["roots"][0].update({"target": 9}),
+        "roots", "roots fixture malformed: target 9 is not in 0..8",
+    ),
+    "alpha-index-7": (
+        "roots_alpha.json", lambda d: d["roots"][5].update({"index": 7}),
+        "roots", "roots fixture malformed: index 7 is not in 1..6",
+    ),
+    "duplicate-alpha-index": (
+        # the first of the two rows is -alpha_1; a last-row-wins reader keeps alpha_1
+        "roots_alpha.json", lambda d: d["roots"].insert(0, {**d["roots"][3], "index": 1}),
+        "roots", "roots fixture malformed: duplicate index 1",
+    ),
+    "census-true": (
+        "clifford_census.json", lambda d: d["degree_census_4"].__setitem__(0, True),
+        "clifford", "clifford census fixture malformed: census entry True is not an integer",
+    ),
+    "census-float": (
+        "clifford_census.json", lambda d: d["degree_census_4"].__setitem__(1, 4.0),
+        "clifford", "clifford census fixture malformed: census entry 4.0 is not an integer",
+    ),
+    "table-triple-entries": (
+        "table_nonion_s3.json", lambda d: _row(d, [1, 2, 3]).update({"triple": [True, 2, 3.0]}),
+        "nonion-table",
+        "fixture {path} row is malformed: triple entry True is not an integer",
+    ),
+    "duplicate-table-target-index": (
+        # {1,2,3} -> 3(j^2-j) q0, after a first q0 target of 0
+        "table_nonion_s3.json",
+        lambda d: _row(d, [1, 2, 3])["targets"].insert(0, {"index": 0, "coeff": ZERO_COEFF}),
+        "nonion-table", "fixture {path} row is malformed: duplicate target index 0",
+    ),
+}
+
+ACCESSORS = {
+    "lambda_combos.json": lambda_combos_fixture,
+    "roots_alpha.json": lambda: roots_fixture("alpha"),
+    "roots_beta.json": lambda: roots_fixture("beta"),
+    "clifford_census.json": clifford_census_fixture,
+    "table_nonion_s3.json": lambda: load_table_fixture(
+        fixtures.fixture_path("table_nonion_s3.json")
+    ),
+}
+
+
+@pytest.mark.parametrize("name, edit, scope, message", SWEEP.values(), ids=SWEEP.keys())
+def test_corrupted_integer_field(bundled, capsys, name, edit, scope, message):
+    path = bundled / name
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    expected = message.format(path=path)
+    with pytest.raises(FixtureParseError) as info:
+        ACCESSORS[name]()
+    assert str(info.value) == expected
+    assert_fixture_error(capsys, ["verify", scope], expected + "\n")
 
 
 # ---------------------------------------------------------------------------

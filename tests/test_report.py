@@ -16,7 +16,7 @@ from nonion.cubic import (
     det_poly,
     triple_product_components,
 )
-from nonion.field import j_pow, rational
+from nonion.field import SQRT3, j_pow, rational
 from nonion.fixtures import (
     FIXTURE_NAMES,
     FixtureParseError,
@@ -24,8 +24,16 @@ from nonion.fixtures import (
     fixture_path,
     load_fixture,
 )
+from nonion.matrix import Mat3
 from nonion.poly import MPoly
-from nonion.report import emit_report, run_verify
+from nonion.report import (
+    Check,
+    Section,
+    VerificationReport,
+    emit_report,
+    render_markdown,
+    run_verify,
+)
 
 
 def test_unknown_scope_rejected():
@@ -118,6 +126,25 @@ def test_statuses_are_computed_not_hand_set():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report(run_verify("roots"), "yaml")
+
+
+def test_emit_rejects_a_detail_that_is_not_json():
+    # an exact value reaches the report as text; one that slips through is an error
+    check = Check("exact value", "info", True, {"value": SQRT3})
+    report = VerificationReport([Section("s", [check])], False, {})
+    for render in (lambda r: emit_report(r, "json"), render_markdown):
+        with pytest.raises(TypeError, match="FieldElem is not JSON serializable"):
+            render(report)
+
+
+def test_warm_tu3_table_section_makes_no_matrix_product(monkeypatch):
+    # the Cartan check reads the {0,7,8} row of the table the section holds
+    run_verify("tu3-table")
+    calls = []
+    real = Mat3.__mul__
+    monkeypatch.setattr(Mat3, "__mul__", lambda a, b: (calls.append(1), real(a, b))[1])
+    run_verify("tu3-table")
+    assert len(calls) == 0
 
 
 def test_checksums_change_with_fixture(tmp_path, monkeypatch):

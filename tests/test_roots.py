@@ -77,9 +77,9 @@ def test_alpha_norms_and_orthogonality():
 
 
 def test_alpha_matches_fixture():
-    fixture = {row["index"]: row["components"] for row in roots_fixture("alpha")}
+    fixture = roots_fixture("alpha")
     for i in range(1, 7):
-        assert extract_alpha_root(i) == fixture[i]
+        assert fixture[i] == (None, extract_alpha_root(i))
 
 
 def test_extract_alpha_rejects_bad_index():
@@ -161,11 +161,9 @@ def test_beta_norms_and_inner_products():
 
 
 def test_beta_matches_fixture():
-    fixture = {row["index"]: row for row in roots_fixture("beta")}
+    fixture = roots_fixture("beta")
     for i in range(1, 7):
-        target, root = extract_beta_root(i)
-        assert target == fixture[i]["target"]
-        assert root == fixture[i]["components"]
+        assert fixture[i] == extract_beta_root(i)
 
 
 # ---------------------------------------------------------------------------
