@@ -9,20 +9,21 @@ knows their keys: ``load_fixture`` reads a bundled fixture by name,
 path (bundled or given on the command line), and the other ``*_fixture``
 accessors parse a bundled fixture, through ``_parse_fixture``, into the
 exact values the report compares.  Every integer field passes one rule
-(``_integer``).  ``json``, ``hashlib`` and
-``importlib.resources`` are imported on first fixture access, inside the
-functions that read fixtures, so ``import nonion`` does not load them.
+(``_integer``).  The package imports this module only when one of its
+names is first used, so ``import nonion`` loads neither this module nor
+the ``json``, ``hashlib`` and ``importlib.resources`` modules it imports.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, TypeVar, Union
+import hashlib
+import json
+from importlib import resources
+from pathlib import Path
+from typing import Callable, TypeVar, Union
 
 from .field import FieldElem
 from .poly import MPoly
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 T = TypeVar("T")
 
@@ -62,9 +63,6 @@ class FixtureRowCountError(FixtureParseError):
 def fixture_path(name: str) -> Path:
     if name not in FIXTURE_NAMES:
         raise FixtureParseError(f"unknown fixture {name!r}")
-    from importlib import resources
-    from pathlib import Path
-
     return Path(resources.files("nonion").joinpath("data", name))
 
 
@@ -77,8 +75,6 @@ def _read_bytes(path: Union[str, Path], label: Union[str, Path]) -> bytes:
 
 
 def _read_json(path: Union[str, Path], label: Union[str, Path]) -> object:
-    import json
-
     try:
         return json.loads(_read_bytes(path, label).decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -93,8 +89,6 @@ def load_fixture(name: str) -> dict:
 
 def fixture_checksums() -> dict[str, str]:
     """sha256 of every bundled fixture, for report provenance."""
-    import hashlib
-
     return {
         name: hashlib.sha256(_read_bytes(fixture_path(name), name)).hexdigest()
         for name in FIXTURE_NAMES
@@ -125,7 +119,7 @@ def load_table_fixture(
             printed_as = row.get("printed_as")
         except (KeyError, TypeError, ValueError) as exc:
             raise FixtureParseError(f"fixture {path} row is malformed: {exc}") from exc
-        if trip != tuple(sorted(trip)) or len(trip) != 3:
+        if len(trip) != 3 or not trip[0] < trip[1] < trip[2]:
             raise FixtureParseError(f"fixture {path}: triple {trip} is not sorted")
         if trip in by_triple:
             raise FixtureParseError(f"fixture {path}: duplicate triple {trip}")

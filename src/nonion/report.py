@@ -144,255 +144,128 @@ def _spot_checks(
     return checks
 
 
+def _antipodal(roots: dict[int, tuple]) -> bool:
+    """root_i = -root_{i+3} for i = 1, 2, 3."""
+    return all(roots[i] == tuple(-c for c in roots[i + 3]) for i in (1, 2, 3))
+
+
+# the distinct ordered pairs of {1,2,3}, for the off-diagonal Gram entries
+_PAIRS = [(i, k) for i in (1, 2, 3) for k in (1, 2, 3) if i != k]
+
+
 # ----------------------------------------------------------------------
 # section builders
 # ----------------------------------------------------------------------
 
 def _section_nonion_table() -> Section:
-    checks: list[Check] = []
     table = {r.triple: r for r in structure_table(nonion_basis())}
     diff = diff_table(list(table.values()), fixture_path("table_nonion_s3.json"))
+    mismatches = [list(r["triple"]) for r in diff.rows if r["status"] == "Mismatch"]
+    tilde = tilde_fixture_check()
     spots = [
         ("bracket {1,2,3} = 3(j^2-j) q0", (1, 2, 3)),
         ("bracket {1,2,5} = 2(j^2-j) q1", (1, 2, 5)),
         ("bracket {0,1,4} = 0", (0, 1, 4)),
     ]
-    checks.extend(_spot_checks(spots, table, diff))
-    checks.append(
-        Check(
-            "diff vs transcribed table (match rate)",
-            "info",
-            diff.all_match,
-            {
-                "summary": diff.summary(),
-                "mismatch_triples": [
-                    list(r["triple"]) for r in diff.rows if r["status"] == "Mismatch"
-                ],
-            },
-        )
-    )
-    tilde = tilde_fixture_check()
-    checks.append(
-        Check(
-            "composite conjugation vs claimed per-element phases",
-            "info",
-            all(r["matches"] for r in tilde),
-            tilde,
-        )
-    )
-    return Section("nonion-table", checks)
+    return Section("nonion-table", [
+        *_spot_checks(spots, table, diff),
+        Check("diff vs transcribed table (match rate)", "info", diff.all_match,
+              {"summary": diff.summary(), "mismatch_triples": mismatches}),
+        Check("composite conjugation vs claimed per-element phases", "info",
+              all(r["matches"] for r in tilde), tilde),
+    ])
 
 
 def _section_tu3_table() -> Section:
-    checks: list[Check] = []
     table = {r.triple: r for r in structure_table(tu3_basis())}
-
-    checks.append(Check("diagonal triple bracket vanishes", "assert", not table[0, 7, 8].targets))
-
     diff = diff_table(list(table.values()), fixture_path("table_tu3_s3.json"))
     spots = [
         ("bracket {1,2,3} = sqrt3 Q0", (1, 2, 3)),
         ("bracket {4,5,6} = -sqrt3 Q0", (4, 5, 6)),
         ("bracket {2,5,7} = (3/sqrt2) Q0 - Q7 - (2/sqrt3) Q8", (2, 5, 7)),
     ]
-    checks.extend(_spot_checks(spots, table, diff))
-    checks.append(
-        Check("diff vs transcribed table (match rate)", "info", diff.all_match, diff.summary())
-    )
-    return Section("tu3-table", checks)
+    return Section("tu3-table", [
+        Check("diagonal triple bracket vanishes", "assert", not table[0, 7, 8].targets),
+        *_spot_checks(spots, table, diff),
+        Check("diff vs transcribed table (match rate)", "info", diff.all_match, diff.summary()),
+    ])
 
 
 def _section_roots() -> Section:
-    checks: list[Check] = []
     alphas = {i: extract_alpha_root(i) for i in range(1, 7)}
     printed_alphas = {i: components for i, (_, components) in roots_fixture("alpha").items()}
-
-    checks.append(
-        Check(
-            "alpha_1 = (1/sqrt3, 0, -sqrt(2/3))",
-            "assert",
-            alphas[1] == printed_alphas.get(1),
-            [str(c) for c in alphas[1]],
-        )
-    )
-    checks.append(
-        Check(
-            "<alpha_i, alpha_i> = 1 for i = 1..6",
-            "assert",
-            all(root_inner(alphas[i], alphas[i]) == ONE for i in range(1, 7)),
-        )
-    )
-    checks.append(
-        Check(
-            "<alpha_i, alpha_j> = 0 for distinct i, j in {1,2,3}",
-            "assert",
-            all(
-                root_inner(alphas[i], alphas[k]).is_zero()
-                for i in (1, 2, 3)
-                for k in (1, 2, 3)
-                if i != k
-            ),
-        )
-    )
-    checks.append(
-        Check(
-            "alpha_i = -alpha_{i+3}",
-            "assert",
-            all(alphas[i] == tuple(-c for c in alphas[i + 3]) for i in (1, 2, 3)),
-        )
-    )
-    checks.append(
-        Check(
-            "<alpha_i, alpha_{i+3}> = -1 (the all-pairs orthogonality claim fails here)",
-            "info",
-            all(root_inner(alphas[i], alphas[i + 3]) == -ONE for i in (1, 2, 3)),
-        )
-    )
-
-    targets, betas = {}, {}
-    for i in range(1, 7):
-        targets[i], betas[i] = extract_beta_root(i)
+    beta_rows = {i: extract_beta_root(i) for i in range(1, 7)}
+    betas = {i: root for i, (_, root) in beta_rows.items()}
     printed_targets = {i: target for i, (target, _) in roots_fixture("beta").items()}
-    checks.append(Check("beta pair product targets", "assert", targets == printed_targets))
-    three = rational(3)
-    checks.append(
-        Check(
-            "<beta_i, beta_i> = 3; <beta_i, beta_j> = -1 (distinct i, j in {1,2,3})",
-            "assert",
-            all(root_inner(betas[i], betas[i]) == three for i in range(1, 7))
-            and all(
-                root_inner(betas[i], betas[k]) == -ONE
-                for i in (1, 2, 3)
-                for k in (1, 2, 3)
-                if i != k
-            ),
-        )
-    )
-    checks.append(
-        Check(
-            "beta_i = -beta_{i+3}",
-            "assert",
-            all(betas[i] == tuple(-c for c in betas[i + 3]) for i in (1, 2, 3)),
-        )
-    )
-
-    proj = {i: (ZERO, *alphas[i][1:]) for i in (1, 2, 3)}
-    two_thirds = rational(2, 3)
-    sums = tuple(proj[1][k] + proj[2][k] + proj[3][k] for k in range(3))
-    checks.append(
-        Check(
-            "projected roots: norms 2/3, zero sum, ratio 3/2",
-            "assert",
-            all(root_inner(proj[i], proj[i]) == two_thirds for i in (1, 2, 3))
-            and all(c.is_zero() for c in sums)
-            and all(
-                root_inner(alphas[i], alphas[i]) / root_inner(proj[i], proj[i])
-                == rational(3, 2)
-                for i in (1, 2, 3)
-            ),
-        )
-    )
-    checks.append(
-        Check(
-            "rotation has order 3 and cycles both root triples",
-            "assert",
-            all(z3_rotate(alphas[i], 3) == alphas[i] for i in range(1, 7))
-            and z3_rotate(alphas[1]) == alphas[2]
-            and z3_rotate(alphas[2]) == alphas[3]
-            and z3_rotate(alphas[3]) == alphas[1]
-            and z3_rotate(betas[1]) == betas[2]
-            and z3_rotate(betas[2]) == betas[3]
-            and z3_rotate(betas[3]) == betas[1],
-        )
-    )
-    checks.append(
-        Check(
-            "root components stay in the real subfield",
-            "assert",
-            all(c.has_zero_j_part() for v in list(alphas.values()) + list(betas.values()) for c in v),
-        )
-    )
-    return Section("roots", checks)
+    proj = [(ZERO, *alphas[i][1:]) for i in (1, 2, 3)]
+    return Section("roots", [
+        Check("alpha_1 = (1/sqrt3, 0, -sqrt(2/3))", "assert",
+              alphas[1] == printed_alphas.get(1), [str(c) for c in alphas[1]]),
+        Check("<alpha_i, alpha_i> = 1 for i = 1..6", "assert",
+              all(root_inner(a, a) == ONE for a in alphas.values())),
+        Check("<alpha_i, alpha_j> = 0 for distinct i, j in {1,2,3}", "assert",
+              all(root_inner(alphas[i], alphas[k]).is_zero() for i, k in _PAIRS)),
+        Check("alpha_i = -alpha_{i+3}", "assert", _antipodal(alphas)),
+        Check("<alpha_i, alpha_{i+3}> = -1 (the all-pairs orthogonality claim fails here)",
+              "info", all(root_inner(alphas[i], alphas[i + 3]) == -ONE for i in (1, 2, 3))),
+        Check("beta pair product targets", "assert",
+              {i: target for i, (target, _) in beta_rows.items()} == printed_targets),
+        Check("<beta_i, beta_i> = 3; <beta_i, beta_j> = -1 (distinct i, j in {1,2,3})", "assert",
+              all(root_inner(b, b) == rational(3) for b in betas.values())
+              and all(root_inner(betas[i], betas[k]) == -ONE for i, k in _PAIRS)),
+        Check("beta_i = -beta_{i+3}", "assert", _antipodal(betas)),
+        Check("projected roots: norms 2/3, zero sum, ratio 3/2", "assert",
+              all(root_inner(p, p) == rational(2, 3) for p in proj)
+              and all((proj[0][k] + proj[1][k] + proj[2][k]).is_zero() for k in range(3))
+              and all(root_inner(alphas[i], alphas[i]) / root_inner(p, p) == rational(3, 2)
+                      for i, p in zip((1, 2, 3), proj))),
+        Check("rotation has order 3 and cycles both root triples", "assert",
+              all(z3_rotate(a, 3) == a for a in alphas.values())
+              and all(z3_rotate(roots[i]) == roots[i % 3 + 1]
+                      for roots in (alphas, betas) for i in (1, 2, 3))),
+        Check("root components stay in the real subfield", "assert",
+              all(c.has_zero_j_part()
+                  for roots in (alphas, betas) for v in roots.values() for c in v)),
+    ])
 
 
 def _section_norm() -> Section:
-    checks: list[Check] = []
     det = det_poly()
-    for v in (1, 2, 3, 4):
-        checks.append(
-            Check(f"determinant equals factorization variant {v}", "assert", variant_poly(v) == det)
-        )
     census = term_census(det)
-    checks.append(
-        Check(
-            "census: 21 distinct monomials, 81 weighted terms",
-            "assert",
-            census.distinct_monomials == 21 and census.weighted_terms == 81,
-            {"distinct": census.distinct_monomials, "weighted": census.weighted_terms},
-        )
-    )
-    checks.append(
-        Check(
-            "surface fixture equals the determinant polynomial",
-            "info",
-            surface_poly_fixture() == det,
-        )
-    )
-    return Section("norm", checks)
+    return Section("norm", [
+        *(Check(f"determinant equals factorization variant {v}", "assert", variant_poly(v) == det)
+          for v in (1, 2, 3, 4)),
+        Check("census: 21 distinct monomials, 81 weighted terms", "assert",
+              census.distinct_monomials == 21 and census.weighted_terms == 81,
+              {"distinct": census.distinct_monomials, "weighted": census.weighted_terms}),
+        Check("surface fixture equals the determinant polynomial", "info",
+              surface_poly_fixture() == det),
+    ])
 
 
 def _section_triple_product() -> Section:
-    checks: list[Check] = []
     comps = triple_product_components()
     a0 = comps[0]
-
-    ok_axes = all(
-        MPoly({e: c for e, c in a0.terms.items() if sum(e) == e[a]})
-        == MPoly.monomial([3 if i == a else 0 for i in range(9)])
-        for a in range(9)
-    )
-    checks.append(Check("A0 restricted to each axis is the cube", "assert", ok_axes))
-
     counterexample = _cycling_counterexample(a0, CYCLE_ALL_GROUPS)
-    checks.append(
-        Check(
-            "A0 invariant under cycling all three coordinate triples",
-            "assert",
-            counterexample is None,
-            {"counterexample": counterexample},
-        )
-    )
-    checks.append(
-        Check(
-            "A0 invariant under cycling with the diagonal triple fixed",
-            "info",
-            a0.permute_vars(CYCLE_FIX_DIAG) == a0,
-        )
-    )
-
     grades = nonion_basis().grade
-    ok_grade = all(
-        sum(grades[i] * e for i, e in enumerate(exp)) % 3 == 0 for exp in a0.monomials()
-    )
-    checks.append(Check("every A0 monomial has grade-sum 0 mod 3", "assert", ok_grade))
-
-    vanishing = {p: comps[p].is_zero() for p in range(1, 9)}
-    checks.append(
-        Check(
-            "components A1..A8 vanish",
-            "info",
-            all(vanishing.values()),
-            {
-                "nonzero_components": sorted(p for p, z in vanishing.items() if not z),
-                "monomial_counts": {str(p): len(comps[p].monomials()) for p in range(1, 9)},
-            },
-        )
-    )
+    nonzero = [p for p in range(1, 9) if not comps[p].is_zero()]
     relation = a0_vs_det()
-    checks.append(
-        Check("A0 vs determinant relation", "info", relation["equal_up_to_constant"], relation)
-    )
-    return Section("triple-product", checks)
+    return Section("triple-product", [
+        Check("A0 restricted to each axis is the cube", "assert",
+              all(MPoly({e: c for e, c in a0.terms.items() if sum(e) == e[a]})
+                  == MPoly.monomial([3 if i == a else 0 for i in range(9)])
+                  for a in range(9))),
+        Check("A0 invariant under cycling all three coordinate triples", "assert",
+              counterexample is None, {"counterexample": counterexample}),
+        Check("A0 invariant under cycling with the diagonal triple fixed", "info",
+              a0.permute_vars(CYCLE_FIX_DIAG) == a0),
+        Check("every A0 monomial has grade-sum 0 mod 3", "assert",
+              all(sum(g * e for g, e in zip(grades, exp)) % 3 == 0 for exp in a0.monomials())),
+        Check("components A1..A8 vanish", "info", not nonzero,
+              {"nonzero_components": nonzero,
+               "monomial_counts": {str(p): len(comps[p].monomials()) for p in range(1, 9)}}),
+        Check("A0 vs determinant relation", "info", relation["equal_up_to_constant"], relation),
+    ])
 
 
 def _cycling_counterexample(a0: MPoly, cycle: dict[int, int]) -> str | None:
@@ -431,10 +304,8 @@ def lambda_claims(decomposed: list[dict]) -> list[dict]:
 
 
 def _section_su3() -> Section:
-    checks: list[Check] = []
     f = su3_structure_constants()
-    half = rational(1, 2)
-    s32 = SQRT3 / rational(2)
+    half, s32 = rational(1, 2), SQRT3 / rational(2)
     expected = {
         (1, 2, 3): ONE,
         (1, 4, 7): half,
@@ -446,64 +317,27 @@ def _section_su3() -> Section:
         (4, 5, 8): s32,
         (6, 7, 8): s32,
     }
-
-    ok = all(su3_f(f, *key) == val for key, val in expected.items())
-    checks.append(
-        Check(
-            "f123 = 1; f147 = f165 = f246 = f257 = f345 = f376 = 1/2; f458 = f678 = sqrt3/2",
-            "assert",
-            ok,
-            {"".join(map(str, k)): str(su3_f(f, *k)) for k in sorted(expected)},
-        )
-    )
-
     decomposed = gellmann_decompose()
-    round_trip = all(
-        qhat_at(row["coeffs"]) == lam for row, lam in zip(decomposed, gellmann_matrices())
-    )
-    checks.append(Check("all 8 lambda decompositions round-trip exactly", "assert", round_trip))
     claims = lambda_claims(decomposed)
-    rows = [
-        {
-            "lambda": r["lambda"],
-            "matches_claim": r["matches"],
-            "computed": r["computed"],
-            "claimed": r["claimed"],
-            "note": r["note"],
-        }
-        for r in claims
-    ]
-    checks.append(
-        Check(
-            "computed combinations vs claimed combinations",
-            "info",
-            all(r["matches"] for r in claims),
-            rows,
-        )
-    )
-    return Section("su3", checks)
+    return Section("su3", [
+        Check("f123 = 1; f147 = f165 = f246 = f257 = f345 = f376 = 1/2; f458 = f678 = sqrt3/2",
+              "assert", all(su3_f(f, *key) == val for key, val in expected.items()),
+              {"".join(map(str, k)): str(su3_f(f, *k)) for k in sorted(expected)}),
+        Check("all 8 lambda decompositions round-trip exactly", "assert",
+              all(qhat_at(row["coeffs"]) == lam
+                  for row, lam in zip(decomposed, gellmann_matrices()))),
+        Check("computed combinations vs claimed combinations", "info",
+              all(r["matches"] for r in claims),
+              [{"lambda": r["lambda"], "matches_claim": r["matches"], "computed": r["computed"],
+                "claimed": r["claimed"], "note": r["note"]} for r in claims]),
+    ])
 
 
 def _section_clifford() -> Section:
-    checks: list[Check] = []
-    cens = degree_census(4)
-    checks.append(
-        Check(
-            "degree census for four generators",
-            "assert",
-            cens == clifford_census_fixture(),
-            cens,
-        )
-    )
-
     n = 4
+    census = {m: degree_census(m) for m in range(1, 7)}
+    per_grade = {str(m): [sum(census[m][g::3]) for g in range(3)] for m in census}
     six_unit, zero = unit(n).scale(rational(6)), unit(n).scale(ZERO)
-    ok = all(
-        s3_symmetric_sum(k, l, m, n) == (six_unit if k == l == m else zero)
-        for k, l, m in product(range(n), repeat=3)
-    )
-    checks.append(Check("symmetric sum is 6*unit iff all indexes equal (n=4)", "assert", ok))
-
     ids = weighted_identities(n)
     kind3 = {
         (k, l): (generator(n, k, 2) * generator(n, l)).scale(rational(3) * j_pow(1))
@@ -516,37 +350,26 @@ def _section_clifford() -> Section:
         "kind3": str(v3),
         "expected_kind3": str(kind3[0, 1]),
     }
-    ok1 = all(v[0].is_zero() for v in ids.values())
-    ok2 = all(v[1].is_zero() for v in ids.values())
-    ok3 = all(v[2] == kind3[kl] for kl, v in ids.items())
-    checks.append(Check("weighted identity kind 1 vanishes", "assert", ok1))
-    checks.append(Check("weighted identity kind 2 vanishes", "assert", ok2, detail))
-    checks.append(Check("weighted identity kind 3 equals 3j q_k^2 q_l", "assert", ok3, detail))
-
     # q0 q_b = q_b for the nine q_b, which span M3, so this also proves q0 = I
     mismatch = _first_product_mismatch()
-    checks.append(
-        Check(
-            "q_a q_b = j^s q_c on all 81 pairs, (s, c) from the Clifford normal ordering",
-            "assert",
-            mismatch is None,
-            mismatch,
-        )
-    )
-
-    per_grade = {}
-    for m in range(1, 7):
-        census = degree_census(m)
-        per_grade[str(m)] = [sum(census[g::3]) for g in range(3)]
-    checks.append(
-        Check(
-            "grade-component dimensions are 3^(n-1) each",
-            "assert",
-            all(all(v == 3 ** (n - 1) for v in per_grade[str(n)]) for n in range(1, 7)),
-            per_grade,
-        )
-    )
-    return Section("clifford", checks)
+    return Section("clifford", [
+        Check("degree census for four generators", "assert",
+              census[n] == clifford_census_fixture(), census[n]),
+        Check("symmetric sum is 6*unit iff all indexes equal (n=4)", "assert",
+              all(s3_symmetric_sum(k, l, m, n) == (six_unit if k == l == m else zero)
+                  for k, l, m in product(range(n), repeat=3))),
+        Check("weighted identity kind 1 vanishes", "assert",
+              all(v[0].is_zero() for v in ids.values())),
+        Check("weighted identity kind 2 vanishes", "assert",
+              all(v[1].is_zero() for v in ids.values()), detail),
+        Check("weighted identity kind 3 equals 3j q_k^2 q_l", "assert",
+              all(v[2] == kind3[kl] for kl, v in ids.items()), detail),
+        Check("q_a q_b = j^s q_c on all 81 pairs, (s, c) from the Clifford normal ordering",
+              "assert", mismatch is None, mismatch),
+        Check("grade-component dimensions are 3^(n-1) each", "assert",
+              all(v == 3 ** (m - 1) for m in census for v in per_grade[str(m)]),
+              per_grade),
+    ])
 
 
 def _first_product_mismatch() -> dict | None:
@@ -576,7 +399,11 @@ _SECTION_BUILDERS = {
 def run_verify(scope: str = "all", strict: bool = False) -> VerificationReport:
     """Run the selected verification suites and assemble the report.
 
-    Fixture problems raise FixtureParseError before any section runs.
+    Every bundled fixture is read first, for its checksum, so a missing or
+    unreadable one raises FixtureParseError before any section runs; a
+    malformed value raises FixtureParseError from the section that parses
+    it, after the sections before it have run.  Either way no report is
+    returned.
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {', '.join(SCOPES)}")

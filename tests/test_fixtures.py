@@ -121,6 +121,11 @@ SWEEP = {
         "lambda_combos.json", lambda d: d["combos"][0].update({"lambda": 9}),
         "su3", "lambda fixture malformed: lambda 9 is not in 1..8",
     ),
+    "lambda-9-all": (
+        # a malformed value raises from its section, after the sections before it ran
+        "lambda_combos.json", lambda d: d["combos"][0].update({"lambda": 9}),
+        "all", "lambda fixture malformed: lambda 9 is not in 1..8",
+    ),
     "lambda-true": (
         "lambda_combos.json", lambda d: d["combos"][0].update({"lambda": True}),
         "su3", "lambda fixture malformed: lambda True is not an integer",
@@ -212,6 +217,16 @@ def _unsorted_triple(data):
     return data
 
 
+def _repeated_entry(data):
+    data["rows"][0]["triple"] = [1, 1, 2]
+    return data
+
+
+def _two_entries(data):
+    data["rows"][0]["triple"] = [0, 1]
+    return data
+
+
 def _duplicate_triple(data):
     data["rows"][1]["triple"] = data["rows"][0]["triple"]
     return data
@@ -231,6 +246,8 @@ def _target_index(value):
     [
         (_no_rows_key, "fixture {path} has no 'rows' key"),
         (_unsorted_triple, "fixture {path}: triple (1, 0, 2) is not sorted"),
+        (_repeated_entry, "fixture {path}: triple (1, 1, 2) is not sorted"),
+        (_two_entries, "fixture {path}: triple (0, 1) is not sorted"),
         (_duplicate_triple, "fixture {path}: duplicate triple (0, 1, 2)"),
         (_target_index("6"), "fixture {path} row is malformed: target index '6' is not an integer"),
         (_target_index(True), "fixture {path} row is malformed: target index True is not an integer"),
@@ -238,8 +255,8 @@ def _target_index(value):
         (_target_index(-1), "fixture {path} row is malformed: target index -1 is not in 0..8"),
     ],
     ids=[
-        "no-rows-key", "unsorted-triple", "duplicate-triple", "text-target-index",
-        "bool-target-index", "target-index-99", "target-index-minus-1",
+        "no-rows-key", "unsorted-triple", "repeated-entry", "two-entries", "duplicate-triple",
+        "text-target-index", "bool-target-index", "target-index-99", "target-index-minus-1",
     ],
 )
 def test_malformed_table_fixture(tmp_path, capsys, corrupt, message):

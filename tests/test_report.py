@@ -27,6 +27,7 @@ from nonion.fixtures import (
 from nonion.matrix import Mat3
 from nonion.poly import MPoly
 from nonion.report import (
+    SCOPES,
     Check,
     Section,
     VerificationReport,
@@ -34,6 +35,7 @@ from nonion.report import (
     render_markdown,
     run_verify,
 )
+from nonion.roots import extract_alpha_root, extract_beta_root, z3_rotate
 
 
 def test_unknown_scope_rejected():
@@ -116,7 +118,7 @@ def test_markdown_report_names_strict_mode():
 
 
 def test_statuses_are_computed_not_hand_set():
-    for scope in ("roots", "clifford"):
+    for scope in SCOPES[1:]:
         report = run_verify(scope)
         for section in report.sections:
             hard_ok = all(c.ok for c in section.checks if c.kind == "assert")
@@ -214,6 +216,47 @@ def test_expectations_are_read_from_the_fixtures(tmp_path, monkeypatch):
         "weighted identity kind 2 vanishes",
         "weighted identity kind 3 equals 3j q_k^2 q_l",
     }
+
+
+ANTIPODES_A = "alpha_i = -alpha_{i+3}"
+ANTIPODES_B = "beta_i = -beta_{i+3}"
+OPPOSITE_A = "<alpha_i, alpha_{i+3}> = -1 (the all-pairs orthogonality claim fails here)"
+GRAM_B = "<beta_i, beta_i> = 3; <beta_i, beta_j> = -1 (distinct i, j in {1,2,3})"
+ROTATION = "rotation has order 3 and cycles both root triples"
+
+
+def _times_j(root):
+    return tuple(c * j_pow(1) for c in root)
+
+
+@pytest.mark.parametrize(
+    "family, index, change, failing",
+    [
+        ("beta", 4, z3_rotate, {ANTIPODES_B}),
+        ("alpha", 4, z3_rotate, {ANTIPODES_A, OPPOSITE_A}),
+        ("beta", 2, z3_rotate, {GRAM_B, ANTIPODES_B, ROTATION}),
+        ("alpha", 2, z3_rotate, {
+            "<alpha_i, alpha_j> = 0 for distinct i, j in {1,2,3}", ANTIPODES_A, OPPOSITE_A,
+            "projected roots: norms 2/3, zero sum, ratio 3/2", ROTATION,
+        }),
+        ("beta", 4, _times_j, {GRAM_B, ANTIPODES_B, "root components stay in the real subfield"}),
+    ],
+    ids=["beta4-rotated", "alpha4-rotated", "beta2-rotated", "alpha2-rotated", "beta4-times-j"],
+)
+def test_each_roots_check_reads_its_own_family(monkeypatch, family, index, change, failing):
+    # one root changed fails exactly the checks that read it
+    def alpha(i):
+        root = extract_alpha_root(i)
+        return change(root) if i == index else root
+
+    def beta(i):
+        target, root = extract_beta_root(i)
+        return target, change(root) if i == index else root
+
+    fake = {"alpha": alpha, "beta": beta}[family]
+    monkeypatch.setattr(f"nonion.report.extract_{family}_root", fake)
+    (section,) = run_verify("roots").sections
+    assert {c.name for c in section.checks if not c.ok} == failing
 
 
 def test_spot_check_on_a_triple_the_fixture_lacks(tmp_path, monkeypatch):
