@@ -28,21 +28,15 @@ from .cubic import (
     triple_product_components,
     variant_poly,
 )
-from .clifford import (
-    CliffElement,
-    LengthMismatchError,
-    degree_census,
-    dimension,
-    grade,
-    normal_order_product,
-    s3_symmetric_sum,
-    weighted_identity_check,
-)
 
-# The report's and the CLI's layers, which set-up does not run, load on
-# first access (PEP 562): each name, and each module's own name, maps to
-# the module that defines it.
+# The layers that set-up does not run (the Clifford algebra, and the
+# report's and the CLI's layers) load on first access (PEP 562): each
+# name, and each module's own name, maps to the module that defines it.
 _DEFERRED_NAMES = {
+    "clifford": (
+        "CliffElement", "LengthMismatchError", "normal_order_product", "s3_symmetric_sum",
+        "weighted_identity_check", "dimension", "degree_census", "grade",
+    ),
     "bracket": ("StructureRow", "TableDiff", "diff_table", "s3_bracket", "structure_table"),
     "roots": (
         "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
@@ -62,8 +56,6 @@ __all__ = [
     "cyclic_relabel", "pair_phase_matrix",
     "MPoly", "TermCensus", "UnknownVariantError",
     "det_poly", "variant_poly", "triple_product_components", "term_census",
-    "CliffElement", "LengthMismatchError", "normal_order_product", "s3_symmetric_sum",
-    "weighted_identity_check", "dimension", "degree_census", "grade",
     *(name for names in _DEFERRED_NAMES.values() for name in names),
 ]
 

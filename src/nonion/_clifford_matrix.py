@@ -10,7 +10,7 @@ clock-and-shift representation of `nonion.clifford`, block by block
 each coefficient back as a trace tr(M^dagger P).  Monomial j^c X^a Z^b
 fills shift diagonal a with j^(c + b.v) in column v, so both
 conversions are finite Fourier transforms over the digits (Schwinger
-1960): the same radix-3 stages (`clifford._dft`), on integers packed
+1960): the same radix-3 stages (`_zj.dft`), on integers packed
 with one slot per diagonal, run over the clock digits (and the block,
 for odd n) forward and over the column digits back, on the coordinates
 of the radicals the operands use only.  Each row of the right image
@@ -30,8 +30,9 @@ from itertools import chain, compress, product, repeat
 from operator import floordiv, getitem, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
-from .clifford import Terms, _dft, _image, _shape
-from .field import _RAD, FieldElem
+from ._zj import RAD, dft, image, shape
+from .clifford import Terms
+from .field import FieldElem
 
 _ORDER = sys.byteorder
 
@@ -46,7 +47,7 @@ def _getter(items: Sequence[int]) -> itemgetter:
 def _clifford_plan(n: int) -> tuple:
     """The monomial and the c of each slot, and the block re-layouts.
 
-    With a and b of the `_image` j^c X^a Z^b indexed by their position in
+    With a and b of `_zj.image`, j^c X^a Z^b, indexed by their position in
     product(range(3), repeat=n // 2), odd n dropping the last digits
     (a = t, b = 0) of the image M' (x) X^t, monomial (t, b, a) has slot
     (t d + index of -b) d + index of a, t = 0 for even n.  The getters put
@@ -54,7 +55,7 @@ def _clifford_plan(n: int) -> tuple:
     of diagonal a, in row-major order, and a row-major block in the
     readback's order, slot v d + a for column v of diagonal a.
     """
-    blocks, d = _shape(n)
+    blocks, d = shape(n)
     m = n // 2
     digits = list(product(range(3), repeat=m))
     index = {v: i for i, v in enumerate(digits)}
@@ -62,7 +63,7 @@ def _clifford_plan(n: int) -> tuple:
     monos: list = [None] * 3**n
     phases = [0] * 3**n
     for mono in product(range(3), repeat=n):
-        a, b, c = _image(mono)
+        a, b, c = image(mono)
         slot = (mono[-1] % blocks * d + minus[index[b[:m]]]) * d + index[a[:m]]
         monos[slot], phases[slot] = mono, c
     # the row-major position of column v of diagonal a, row v - a
@@ -115,11 +116,11 @@ def _unpack(packed: Iterable[int], d: int, width: int) -> Sequence[int]:
         return memoryview(raw).cast("q")
     return [int.from_bytes(raw[k : k + size], _ORDER, signed=True) for k in range(0, len(raw), size)]
 
-def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
+def matrix_product(n: int, a: Terms, b: Terms) -> dict:
     """The product through the faithful clock-and-shift representation.
 
     Block k of the product is A^_k B^_k (`_to_vectors`, `_packed_product`)
-    on the radicals _RAD[r1][r2] of the operands' live radicals, and the
+    on the radicals RAD[r1][r2] of the operands' live radicals, and the
     inverse transform 3 C_t = sum_k j^(-kt) (A^_k B^_k) runs on the packed
     rows.  For odd n the padded product is sum_t C_t (x) X^t, and
     `_read_back` gives monomial M' (x) X^t its coefficient
@@ -136,10 +137,10 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     bit_length(36 blocks d)), and the slots take `_slot_width` of that
     exponent: 64 bits while it is at most 63.
     """
-    blocks, d = _shape(n)
+    blocks, d = shape(n)
     live_a, va, da = _to_vectors(n, a)
     live_b, vb, db = _to_vectors(n, b)
-    live = sorted({_RAD[r][s][1] // 2 for r in live_a for s in live_b})
+    live = sorted({RAD[r][s][1] // 2 for r in live_a for s in live_b})
     if not live:
         return {}
     bits = sum(max(max(max(v), -min(v)) for k in x for v in k).bit_length() for x in (va, vb))
@@ -147,7 +148,7 @@ def _matrix_product(n: int, a: Terms, b: Terms) -> dict:
     pick = _getter([i for r in live for i in (2 * r, 2 * r + 1)])
     prods = [_packed_product(x, y, d, width, live_a, live_b, pick) for x, y in zip(va, vb)]
     if blocks == 3:
-        prods = list(zip(*map(_dft, zip(*prods))))
+        prods = list(zip(*map(dft, zip(*prods))))
     images = [[_unpack(coord, d, width) for coord in zip(*prods[-t % 3])] for t in range(blocks)]
     den = da * db
     return {mono: FieldElem(nums, den, den == 1) for mono, nums in _read_back(n, live, images)}
@@ -173,7 +174,7 @@ def _to_vectors(n: int, terms: Terms) -> tuple[list[int], list[list[Sequence[int
     / d - 1)) with bits the bit length of max|x|: the slots take
     `_slot_width` of this.
     """
-    blocks, d = _shape(n)
+    blocks, d = shape(n)
     monos, phases, to_rows, _ = _clifford_plan(n)
     den = math.lcm(*[x.den for x in terms.values()])
     coords = list(zip(*[
@@ -209,13 +210,13 @@ def _packed_product(
     row i of their product.  Per pair of live radicals, four C-level dot
     products `sum(map(mul, ...))` of x1, y1 with x2, y2 add (x1 + y1 j)
     (x2 + y2 j) = (x1 x2 - y1 y2) + (x1 y2 + y1 x2 - y1 y2) j, times m, to
-    the row on coordinate c, (m, c) = _RAD[r1][r2].  Only the unpacking
-    needs each slot to fit, as bounded in `_matrix_product`.
+    the row on coordinate c, (m, c) = RAD[r1][r2].  Only the unpacking
+    needs each slot to fit, as bounded in `matrix_product`.
     """
     packed = _pack(chain.from_iterable(vb), d, width)
     right = [packed[s : s + d] for s in range(0, len(packed), d)]
     pairs = [
-        (*_RAD[r][s], 2 * p, 2 * q) for p, r in enumerate(live_a) for q, s in enumerate(live_b)
+        (*RAD[r][s], 2 * p, 2 * q) for p, r in enumerate(live_a) for q, s in enumerate(live_b)
     ]
     rows = []
     for i in range(0, d * d, d):
@@ -235,13 +236,13 @@ def _transform(values: Iterable[int], n: int, width: int, span: int) -> Sequence
     coordinate, in Z[j] pairs, returned in the same layout.
 
     Each d values pack into one integer of d slots of `width` bits, and
-    `_dft` runs, on all coordinates at once, on each base-3 digit below
+    `dft` runs, on all coordinates at once, on each base-3 digit below
     span of the integers' index in their run: the column digits for span
     d, and the block too for span blocks d.  Packing is linear and so are
     the stages (`fold_phases`), and the packed integers stay exact at any
     size, so only the values of the one unpack need to fit the slots.
     """
-    blocks, d = _shape(n)
+    blocks, d = shape(n)
     run = blocks * d
     packed = _pack(values, d, width)
     cols = list(zip(*[packed[s : s + run] for s in range(0, len(packed), run)]))
@@ -250,7 +251,7 @@ def _transform(values: Iterable[int], n: int, width: int, span: int) -> Sequence
         for base in range(len(cols)):
             if base // stride % 3 == 0:
                 part = slice(base, base + 3 * stride, stride)
-                cols[part] = _dft(cols[part])
+                cols[part] = dft(cols[part])
         stride *= 3
     return _unpack(chain.from_iterable(zip(*cols)), d, width)
 
@@ -273,7 +274,7 @@ def _read_back(n: int, live: Sequence[int], images: Sequence[Sequence]) -> list[
     max|cell|: the slots take `_slot_width` of that.
     """
     monos, phases, _, to_cols = _clifford_plan(n)
-    blocks, d = _shape(n)
+    blocks, d = shape(n)
     top = max(max(max(v), -min(v)) for block in images for v in block)
     width = _slot_width(top.bit_length() + (2 * d).bit_length())
     flat = _transform(chain.from_iterable(map(to_cols, chain(*zip(*images)))), n, width, d)

@@ -4,8 +4,8 @@
   that pairwise commute up to a power of j and cube to the identity.
   Each is a phase times a word q1^a q2^b in the two generators, q1 the
   cyclic shift and q2 = q1 diag(j^2, 1, j); `matrix.LABELS` names the
-  words and `matrix._nonion_units` builds the matrices, and the Clifford
-  normal ordering gives the product table.
+  words and `matrix.nonion_units` builds the matrices, and the Clifford
+  normal ordering (`_zj.normal_order`) gives the product table.
 * The real step/diagonal basis ("TU3"): six elementary step matrices
   Q1..Q6 plus the radical-normalised diagonals Q7, Q8 and
   Q0 = identity/sqrt3, orthonormal under the Hilbert-Schmidt pairing.
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .clifford import _normal_order, _suffix_sums, grade
+from ._zj import grade, normal_order, suffix_sums
 from .field import ONE, SQRT2, SQRT3, ZERO, FieldElem, j_pow, rational
-from .matrix import LABELS, Mat3, _nonion_units, decompose_in_basis, hs_inner
+from .matrix import LABELS, Mat3, decompose_in_basis, hs_inner, nonion_units
 
 __all__ = [
     "NonionBasis",
@@ -115,16 +115,16 @@ def nonion_basis() -> NonionBasis:
     # q_a q_b = j^(e - s_a - s_b) (word_a word_b) with word_a word_b = j^s q_c.
     table = []
     for _, wa, sa in words:
-        higher = _suffix_sums(wa)
+        higher = suffix_sums(wa)
         row = []
         for _, wb, sb in words:
-            mono, e = _normal_order(higher, wa, wb)
+            mono, e = normal_order(higher, wa, wb)
             s, c = LABELS[mono]
             row.append(((e + s - sa - sb) % 3, c))
         table.append(tuple(row))
 
     grades = tuple(grade(ab) for _, ab, _ in words)
-    return NonionBasis(_nonion_units()[0], grades, tuple(table), grams=(rational(3),) * 9)
+    return NonionBasis(nonion_units()[0], grades, tuple(table), grams=(rational(3),) * 9)
 
 
 @lru_cache(maxsize=1)

@@ -30,30 +30,15 @@ as generator words, take the first; dense ones the second.  The matrix
 kernel lives in `nonion._clifford_matrix`, imported at the first product
 the cost model sends there, so a program that makes only sparse
 products never compiles it.
-
-The radix-3 stage `_dft` serves both graded algebras: besides the dense
-conversions of `_clifford_matrix`, at n = 2, where the monomials are up
-to a phase the nonion units, it reads nonion coefficients back
-(`matrix.decompose_in_basis`) and builds nonion matrices
-(`cubic.qhat_at`).
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .field import (
-    ONE,
-    ZERO,
-    FieldElem,
-    common_numerators,
-    fold_phases,
-    j_pow,
-    mul_accumulate,
-    sum_terms,
-)
+from ._zj import fold_phases, grade, image, mul_accumulate, normal_order, shape, suffix_sums
+from .field import ONE, ZERO, FieldElem, common_numerators, j_pow, sum_terms
 
 __all__ = [
     "LengthMismatchError",
@@ -76,38 +61,13 @@ class LengthMismatchError(Exception):
     """Operands belong to algebras with different generator counts."""
 
 
-def _suffix_sums(a: tuple[int, ...]) -> list[int]:
-    """higher[k] = a[k+1] + ... + a[n-1]: the exponents of a above index k."""
-    higher = [0] * len(a)
-    total = 0
-    for k in range(len(a) - 1, 0, -1):
-        total += a[k]
-        higher[k - 1] = total
-    return higher
-
-
-def _normal_order(
-    higher: list[int], a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], int]:
-    """(monomial, j-exponent) of a*b, given the suffix sums of a.
-
-    A factor j^2 accrues for every elementary swap that carries one of
-    b's generators leftward past a higher-index generator of a;
-    exponents then reduce mod 3 via q_k^3 = 1.
-    """
-    return (
-        tuple([(x + y) % 3 for x, y in zip(a, b)]),
-        2 * sum(map(mul, b, higher)) % 3,
-    )
-
-
 def normal_order_product(
     a: tuple[int, ...], b: tuple[int, ...]
 ) -> tuple[FieldElem, tuple[int, ...]]:
     """Product of two normal-form monomials: (phase, monomial)."""
     if len(a) != len(b):
         raise LengthMismatchError(f"monomial lengths differ: {len(a)} vs {len(b)}")
-    mono, e = _normal_order(_suffix_sums(a), a, b)
+    mono, e = normal_order(suffix_sums(a), a, b)
     return j_pow(e), mono
 
 
@@ -121,9 +81,9 @@ def _pairwise_product(a: Terms, b: Terms) -> dict:
     right, db = common_numerators(b.values())
     acc: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for ma, xa in zip(a, left):
-        higher = _suffix_sums(ma)
+        higher = suffix_sums(ma)
         for mb, xb in zip(b, right):
-            key = _normal_order(higher, ma, mb)
+            key = normal_order(higher, ma, mb)
             cell = acc.get(key)
             if cell is None:
                 cell = acc[key] = [0] * 8
@@ -136,49 +96,20 @@ def _pairwise_product(a: Terms, b: Terms) -> dict:
     }
 
 
-def _image(mono: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(a, b, c) of the clock-and-shift matrix j^c X^a Z^b of the monomial
-    q^mono (odd lengths padded with 0): the digits of a and b, one per
-    tensor factor, and c mod 3.
-
-    The matrix acts on m = ceil(n/2) tensor factors, with X e_v = e_(v-1)
-    and Z e_v = j^v e_v on each, so column v holds j^(c + b.v) in row
-    v - a.  Generator q_(2i) is X on factor i and q_(2i+1) is
-    X diag(j^2, 1, j) = j^2 X Z there; both carry Z on every earlier
-    factor, so X^a Z^b collects the exponents in closed form.
-    """
-    if len(mono) % 2:
-        mono = (*mono, 0)
-    a, b, c, later = [], [], 0, 0
-    for i in range(len(mono) - 2, -1, -2):
-        e0, e1 = mono[i], mono[i + 1]
-        a.append((e0 + e1) % 3)
-        b.append((e1 + later) % 3)
-        later += e0 + e1
-        c += 2 * (e1 == 1)  # (j^2 X Z)^e = j^(2e - e(e-1)/2) X^e Z^e
-    return tuple(reversed(a)), tuple(reversed(b)), c % 3
-
-
 def _column_action(mono: tuple[int, ...]) -> list[tuple[int, int]]:
     """(row, j-exponent) of the one nonzero entry of each column of the
-    matrix of q^mono (`_image`): j^(c + b.v) in row v - a (digit by digit,
-    mod 3) of column v."""
-    a, b, c = _image(mono)
+    matrix of q^mono (`_zj.image`): j^(c + b.v) in row v - a (digit by
+    digit, mod 3) of column v."""
+    a, b, c = image(mono)
     cols = [(0, c)]
     for ai, bi in zip(a, b):
         cols = [(3 * r + (t - ai) % 3, (p + bi * t) % 3) for r, p in cols for t in range(3)]
     return cols
 
 
-def _shape(n: int) -> tuple[int, int]:
-    """(blocks, d): the image of the n-generator algebra is `blocks` d x d
-    blocks, d = 3^floor(n/2), one block for even n and three for odd n."""
-    return 3 if n % 2 else 1, 3 ** (n // 2)
-
-
 def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     """Cost model, in cell products: ta*tb term pairs against the block
-    products (`_shape`: one d x d block for even n, three for odd n) plus
+    products (`_zj.shape`: one d x d block for even n, three for odd n) plus
     the conversions.  A term pair (normal ordering, a dict lookup and a
     Z[j] product) costs about two cell products, and the conversions 8 per
     monomial of either operand and of the readback.
@@ -191,23 +122,8 @@ def _matrix_is_cheaper(n: int, ta: int, tb: int) -> bool:
     21 and 25 at n = 5, 28 and 37 at n = 6 and 49 and 64 at n = 7, where
     the model switches at 17, 31, 50, 118 and 200.
     """
-    blocks, d = _shape(n)
+    blocks, d = shape(n)
     return 2 * ta * tb > blocks * d**3 + 8 * (ta + tb + 3**n)
-
-
-def _dft(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """sum_t j^(kt) a_t for k = 0, 1, 2, on three equal runs of Z[j] pairs
-    of raw numerators, or of packed integers (8 for a field element).
-
-    So _dft(c)[-t % 3] is sum_k j^(-kt) c_k, three times the inverse."""
-    a0, a1, a2 = a
-    total = [x + y + z for x, y, z in zip(a0, a1, a2)]
-    return [total, fold_phases(a0, a1, a2), fold_phases(a0, a2, a1)]
-
-
-def _rotate(nums: Sequence[int], e: int) -> list[int]:
-    """j^e times 8 raw numerators."""
-    return fold_phases(*[nums if k == e % 3 else None for k in range(3)])
 
 
 class CliffElement:
@@ -255,6 +171,8 @@ class CliffElement:
             raise LengthMismatchError(f"generator counts differ: {self.n} vs {other.n}")
 
     def __add__(self, other: "CliffElement") -> "CliffElement":
+        if not isinstance(other, CliffElement):
+            return NotImplemented
         self._require_same_n(other)
         return CliffElement(self.n, sum_terms([*self.terms.items(), *other.terms.items()]))
 
@@ -273,9 +191,9 @@ class CliffElement:
             return NotImplemented
         self._require_same_n(other)
         if _matrix_is_cheaper(self.n, len(self.terms), len(other.terms)):
-            from ._clifford_matrix import _matrix_product
+            from ._clifford_matrix import matrix_product
 
-            return CliffElement._of(self.n, _matrix_product(self.n, self.terms, other.terms))
+            return CliffElement._of(self.n, matrix_product(self.n, self.terms, other.terms))
         return CliffElement._of(self.n, _pairwise_product(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
@@ -379,7 +297,3 @@ def degree_census(n: int) -> list[int]:
         coeffs = out
     return coeffs
 
-
-def grade(mono: Iterable[int]) -> int:
-    """Total degree mod 3 of a normal-form monomial."""
-    return sum(mono) % 3

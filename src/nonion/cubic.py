@@ -22,9 +22,10 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
 
+from ._zj import dft, rotate
 from .bases import TWIST_EXPONENTS, nonion_basis
 from .field import ONE, FieldElem, j_pow, rational, sum_terms
-from .matrix import Mat3, _compose
+from .matrix import Mat3, nonion_units
 from .poly import NVARS, MPoly
 
 __all__ = [
@@ -82,12 +83,22 @@ def qhat_matrix_view() -> tuple[MPoly, ...]:
 
 
 def qhat_at(coords: Sequence[FieldElem]) -> Mat3:
-    """Numeric coordinate matrix sum_a coords[a]*q_a: each shift diagonal
-    is one radix-3 stage on its three coefficients (`matrix._compose`),
-    one FieldElem per cell."""
+    """Numeric coordinate matrix sum_a coords[a]*q_a, one FieldElem per cell.
+
+    Per shift diagonal of the nonion units (`matrix.nonion_units`), cell
+    (v - a, v) is sum_k j^(k v) j^e c with c the coefficient of j^e X^a Z^k,
+    so the three coefficients, lifted to the lcm of their denominators and
+    rotated by their phases, take one radix-3 stage (`_zj.dft`)."""
     if len(coords) != 9:
         raise ValueError(f"qhat_at needs 9 values, got {len(coords)}")
-    return Mat3(_compose(coords))
+    cells: list = [None] * 9
+    for positions, units in nonion_units()[1]:
+        den = math.lcm(*[coords[i].den for i, _ in units])
+        lifted = [rotate([x * (den // coords[i].den) for x in coords[i].nums], e) for i, e in units]
+        # units come by -k, and dft(c)[-v] is sum_k j^(-kv) c_k
+        for k, nums in enumerate(dft(lifted)):
+            cells[positions[-k % 3]] = FieldElem(nums, den)
+    return Mat3(cells)
 
 
 @lru_cache(maxsize=1)

@@ -13,7 +13,7 @@ library needs: cube-root phases and the radical entries 1/sqrt2,
 The field is Q(j) over Q(sqrt2, sqrt3): coordinates 2r and 2r + 1 are
 the pair x + y*j on the radical r (1, sqrt2, sqrt3, sqrt6), and every
 product, including `FieldElem.__mul__`, is computed one Z[j] pair
-product at a time by the raw kernel `mul_accumulate` below.
+product at a time by the raw kernel `_zj.mul_accumulate`.
 
 Internally an element is stored as 8 integer numerators over a single
 shared positive denominator, reduced so gcd(n0..n7, den) = 1.  That
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Sequence
+
+from ._zj import add_pairs, mul_accumulate, numerator_pairs
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -46,16 +48,6 @@ __all__ = [
 
 BASIS_NAMES = ("1", "j", "√2", "j√2", "√3", "j√3", "√6", "j√6")
 
-# Radical multiplication: _RAD[r1][r2] = (integer factor m, coordinate
-# index 2r) for radical_r1 * radical_r2 = m * radical_r, with radical
-# indices 0:1, 1:sqrt2, 2:sqrt3, 3:sqrt6; coordinates 2r and 2r + 1 hold
-# the 1- and j-parts on radical r.
-_RAD = (
-    ((1, 0), (1, 2), (1, 4), (1, 6)),
-    ((1, 2), (2, 0), (1, 6), (2, 4)),
-    ((1, 4), (1, 6), (3, 0), (3, 2)),
-    ((1, 6), (2, 4), (3, 2), (6, 0)),
-)
 _gcd = math.gcd
 
 
@@ -311,26 +303,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# sparse sums and raw numerator kernels
-#
-# sum_terms adds coefficients key by key for the sparse element types.
-# A graded product (such as CliffElement.__mul__) sums many coefficient
-# products per output term; so do a matrix entry, a determinant, the
-# Hilbert-Schmidt pairing and a polynomial value.  The raw kernels keep
-# such a sum in integer numerators, so only its final value is built (and
-# gcd-normalised) as a FieldElem.
-#
-# The sparse factor form of the kernels is the tuple of nonzero Z[j]
-# pairs (radical, x, y) of the integer numerators (numerator_pairs), and
-# every field product is one Z[j] product per pair of pairs
-# (mul_accumulate): at most 16 for two dense elements, where the 8
-# coordinates would take 64.  The graded
-# products put all operands over one shared denominator
-# (common_numerators).  sum_of_products keeps each product over its own
-# factors' denominators and lifts the products once to the lcm of those;
-# with wide, unrelated operand denominators that is far smaller than one
-# denominator shared by all operands.  None of these helpers is part of
-# the public API.
+# sparse sums and the FieldElem boundary of the raw kernels (`_zj`)
 # ----------------------------------------------------------------------
 
 def sum_terms(pairs: Iterable[tuple[Hashable, FieldElem]]) -> dict:
@@ -341,30 +314,6 @@ def sum_terms(pairs: Iterable[tuple[Hashable, FieldElem]]) -> dict:
         cur = out.get(key)
         out[key] = c if cur is None else cur + c
     return out
-
-
-def numerator_pairs(nums: Sequence[int]) -> tuple:
-    """The nonzero Z[j] pairs ``(radical, x, y)`` of 8 raw numerators, with
-    x and y the numerators of radical and j*radical."""
-    n0, n1, n2, n3, n4, n5, n6, n7 = nums
-    if not (n2 or n3 or n4 or n5 or n6 or n7):
-        return ((0, n0, n1),) if n0 or n1 else ()
-    out = [(0, n0, n1)] if n0 or n1 else []
-    if n2 or n3:
-        out.append((1, n2, n3))
-    if n4 or n5:
-        out.append((2, n4, n5))
-    if n6 or n7:
-        out.append((3, n6, n7))
-    return tuple(out)
-
-
-def add_pairs(acc: list[int], pairs: Iterable[tuple[int, int, int]], s: int = 1) -> None:
-    """``acc += s * pairs`` on 8 raw numerators."""
-    for r, x, y in pairs:
-        i = 2 * r
-        acc[i] += x * s
-        acc[i + 1] += y * s
 
 
 def common_numerators(elems: Collection[FieldElem]) -> tuple[list[tuple], int]:
@@ -378,22 +327,6 @@ def common_numerators(elems: Collection[FieldElem]) -> tuple[list[tuple], int]:
         numerator_pairs(e.nums if e.den == den else [n * (den // e.den) for n in e.nums])
         for e in elems
     ], den
-
-
-def mul_accumulate(acc: list[int], a: Iterable[tuple], b: Sequence[tuple]) -> None:
-    """``acc += a * b`` on 8 raw numerators; a and b in pair form, as above.
-
-    Each pair of pairs is one Z[j] product,
-    (x1 + y1 j)(x2 + y2 j) = (x1 x2 - y1 y2) + (x1 y2 + y1 x2 - y1 y2) j,
-    on the product of the two radicals, scaled by its integer factor.
-    """
-    for r1, x1, y1 in a:
-        rad = _RAD[r1]
-        for r2, x2, y2 in b:
-            m, i = rad[r2]
-            yy = y1 * y2
-            acc[i] += m * (x1 * x2 - yy)
-            acc[i + 1] += m * (x1 * y2 + y1 * x2 - yy)
 
 
 def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
@@ -424,29 +357,6 @@ def sum_of_products(rows: Iterable[Sequence[tuple[tuple, int]]]) -> FieldElem:
     for acc, d in prods:
         add_pairs(out, acc, den // d)
     return FieldElem(out, den)
-
-
-def fold_phases(c0: list[int] | None, c1: list[int] | None, c2: list[int] | None) -> list[int]:
-    """``c0 + j c1 + j^2 c2`` on raw numerators, runs of Z[j] pairs of one
-    even length (8 for a field element); a missing class is None, and
-    with all three missing the sum is 8 zeros.
-
-    Multiplying by j rotates each radical's pair of coordinates:
-    j (x + y j) = -y + (x - y) j, and so j^2 (x + y j) = (y - x) - x j.
-    """
-    given = c0 if c0 is not None else c1 if c1 is not None else c2 if c2 is not None else range(8)
-    out = [0] * len(given) if c0 is None else list(c0)
-    if c1 is not None:
-        for r in range(0, len(out), 2):
-            x, y = c1[r], c1[r + 1]
-            out[r] -= y
-            out[r + 1] += x - y
-    if c2 is not None:
-        for r in range(0, len(out), 2):
-            x, y = c2[r], c2[r + 1]
-            out[r] += y - x
-            out[r + 1] -= x
-    return out
 
 
 ZERO = FieldElem.from_int(0)

@@ -21,14 +21,15 @@ import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .clifford import _dft, _image, _rotate
-from .field import ZERO, ONE, FieldElem, j_pow, numerator_pairs, sum_of_products
+from ._zj import dft, image, numerator_pairs, rotate
+from .field import ZERO, ONE, FieldElem, j_pow, sum_of_products
 
 __all__ = [
     "Mat3",
     "SingularGramError",
     "hs_inner",
     "decompose_in_basis",
+    "nonion_units",
 ]
 
 
@@ -76,9 +77,13 @@ class Mat3:
 
     # ------------------------------------------------------------------
     def __add__(self, other: "Mat3") -> "Mat3":
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3([a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Mat3") -> "Mat3":
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3([a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Mat3":
@@ -192,9 +197,9 @@ def decompose_in_basis(
     entries each, and SingularGramError on a zero gram entry.
 
     Each coefficient is tr(b^dagger m) divided by its gram value.  For the
-    nonion basis (`_nonion_units`, or an equal copy of it) the pairing
+    nonion basis (`nonion_units`, or an equal copy of it) the pairing
     with q_c = j^e X^a Z^k is j^-e F_a[-k], F_a the finite Fourier
-    transform `clifford._dft` of shift diagonal a of m lifted to the lcm
+    transform `_zj.dft` of shift diagonal a of m lifted to the lcm
     of its denominators: one radix-3 stage per diagonal.  Any other basis
     (TU3) pairs with `hs_inner`.
     """
@@ -203,37 +208,21 @@ def decompose_in_basis(
         raise ValueError(f"need 9 basis elements and 9 grams, got {len(basis)} and {len(gram)}")
     if any(g.is_zero() for g in gram):
         raise SingularGramError("basis has a zero-norm element")
-    elements, plan = _nonion_units()
+    elements, plan = nonion_units()
     if basis != elements:
         return tuple(hs_inner(b, m) / g for b, g in zip(basis, gram))
     den = math.lcm(*[x.den for x in m.entries])
     cells = [[n * (den // x.den) for n in x.nums] for x in m.entries]
     out: list = [None] * 9
     for positions, units in plan:
-        for (i, e), nums in zip(units, _dft([cells[p] for p in positions])):
-            out[i] = FieldElem(_rotate(nums, -e), den) / gram[i]
+        for (i, e), nums in zip(units, dft([cells[p] for p in positions])):
+            out[i] = FieldElem(rotate(nums, -e), den) / gram[i]
     return tuple(out)
-
-
-def _compose(coeffs: Sequence[FieldElem]) -> list[FieldElem]:
-    """The nine cells, row-major, of sum_i coeffs[i] q_i over the nonion
-    units (`_nonion_units`): per shift diagonal, cell (v - a, v) is
-    sum_k j^(k v) j^e c with c the coefficient of j^e X^a Z^k, so the
-    three coefficients, lifted to the lcm of their denominators and
-    rotated by their phases, take one `_dft`."""
-    cells: list = [None] * 9
-    for positions, units in _nonion_units()[1]:
-        den = math.lcm(*[coeffs[i].den for i, _ in units])
-        lifted = [_rotate([x * (den // coeffs[i].den) for x in coeffs[i].nums], e) for i, e in units]
-        # units come by -k, and _dft(c)[-v] is sum_k j^(-kv) c_k
-        for k, nums in enumerate(_dft(lifted)):
-            cells[positions[-k % 3]] = FieldElem(nums, den)
-    return cells
 
 
 # q1^a q2^b = j^s q_c, keyed (a, b) -> (s, c).  The nonions are the
 # ternary Clifford algebra on two generators (Sylvester's nonions; Morris
-# 1967), so clifford._normal_order and this table give every product.
+# 1967), so `_zj.normal_order` and this table give every product.
 LABELS = {
     (0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 5),
     (1, 0): (0, 1), (1, 1): (2, 6), (1, 2): (1, 8),
@@ -242,11 +231,11 @@ LABELS = {
 
 
 @lru_cache(maxsize=1)
-def _nonion_units() -> tuple[tuple[Mat3, ...], tuple]:
+def nonion_units() -> tuple[tuple[Mat3, ...], tuple]:
     """The nine nonion units q_c = j^-s q1^a q2^b (`LABELS`) and their
     projection plan, in closed form.
 
-    `clifford._image` gives q1^a q2^b = j^e' X^a' Z^k, so q_c = j^e X^a' Z^k
+    `_zj.image` gives q1^a q2^b = j^e' X^a' Z^k, so q_c = j^e X^a' Z^k
     with e = e' - s: column v holds j^(e + k v) in row v - a'.  The plan
     holds, per shift diagonal a', the row-major positions of its cells
     (v - a', v) and, per clock -k, the (c, e) of its unit.
@@ -254,7 +243,7 @@ def _nonion_units() -> tuple[tuple[Mat3, ...], tuple]:
     entries = [[ZERO] * 9 for _ in range(9)]
     units = {}
     for word, (s, c) in LABELS.items():
-        (a,), (k,), e = _image(word)
+        (a,), (k,), e = image(word)
         e = (e - s) % 3
         for v in range(3):
             entries[c][(v - a) % 3 * 3 + v] = j_pow(e + k * v)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .field import ONE, ZERO, FieldElem, add_pairs, mul_accumulate, numerator_pairs, sum_terms
+from ._zj import add_pairs, mul_accumulate, numerator_pairs
+from .field import ONE, ZERO, FieldElem, sum_terms
 
-__all__ = ["NVARS", "MPoly"]
+__all__ = ["NVARS", "MPoly", "monomial_text"]
 
 NVARS = 9
 _ZERO_EXP = (0,) * NVARS
@@ -29,6 +30,8 @@ class MPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
+                if any(type(e) is not int or e < 0 for e in exp):
+                    raise ValueError(f"exponents {list(exp)} must be non-negative integers")
                 if len(exp) != NVARS:
                     raise ValueError(f"exponent tuple {exp} must have length {NVARS}")
                 if not c.is_zero():
@@ -137,7 +140,7 @@ class MPoly:
             return "0"
         parts = []
         for exp, c in self.items():
-            vars_ = _monomial_text(exp)
+            vars_ = monomial_text(exp)
             cs = str(c)
             if vars_:
                 cs = f"({cs})*{vars_}" if (" " in cs or "/" in cs) else f"{cs}*{vars_}"
@@ -157,8 +160,6 @@ class MPoly:
         terms: dict[tuple[int, ...], FieldElem] = {}
         for entry in data:
             exp = tuple(entry["exponents"])
-            if any(type(e) is not int or e < 0 for e in exp):
-                raise ValueError(f"exponents {list(exp)} must be non-negative integers")
             c = FieldElem.from_json(entry["coeff"])
             if exp in terms:
                 raise ValueError(f"duplicate monomial {exp}")
@@ -166,7 +167,7 @@ class MPoly:
         return cls(terms)
 
 
-def _monomial_text(exp: Sequence[int]) -> str:
+def monomial_text(exp: Sequence[int]) -> str:
     """The variable part of a monomial, x0^2*x3; empty for the constant."""
     return "*".join(f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exp) if e)
 

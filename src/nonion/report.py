@@ -44,7 +44,7 @@ from .fixtures import (
     roots_fixture,
     surface_poly_fixture,
 )
-from .poly import MPoly, _monomial_text
+from .poly import MPoly, monomial_text
 from .roots import (
     extract_alpha_root,
     extract_beta_root,
@@ -276,8 +276,8 @@ def _cycling_counterexample(a0: MPoly, cycle: dict[int, int]) -> str | None:
         (image,) = MPoly.monomial(mono).permute_vars(cycle).monomials()
         if a0.coeff(image) != a0.coeff(mono):
             return (
-                f"{_monomial_text(mono)} has coefficient {a0.coeff(mono)}"
-                f" but its image {_monomial_text(image)} has {a0.coeff(image)}"
+                f"{monomial_text(mono)} has coefficient {a0.coeff(mono)}"
+                f" but its image {monomial_text(image)} has {a0.coeff(image)}"
             )
     return None
 

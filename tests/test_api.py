@@ -1,5 +1,6 @@
 import ast
 import importlib
+import operator
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,11 @@ import pytest
 
 from nonion.bases import nonion_basis, tu3_basis
 from nonion.bracket import StructureRow, TableDiff
+from nonion.clifford import unit
 from nonion.cubic import TermCensus
+from nonion.field import ONE
+from nonion.matrix import Mat3
+from nonion.poly import MPoly
 from nonion.report import Check, Section, VerificationReport
 
 # The layers of the library; each declares its public names in __all__.
@@ -33,11 +38,13 @@ def test_public_names_resolve_once(name):
 
 # Modules that `import nonion` and its set-up must not load: the record
 # and fixture machinery, `fractions` (with `decimal`), the layers only the
-# report and the CLI run, and the dense Clifford kernel (with `array`).
+# report and the CLI run, and the Clifford algebra with its dense kernel
+# (and `array`).
 HEAVY_MODULES = (
     "dataclasses", "inspect", "hashlib", "json", "importlib.resources", "tempfile",
     "fractions", "decimal", "array",
-    "nonion.bracket", "nonion.roots", "nonion.fixtures", "nonion._clifford_matrix",
+    "nonion.bracket", "nonion.roots", "nonion.fixtures", "nonion.clifford",
+    "nonion._clifford_matrix",
 )
 
 LEAN_CHILD = """
@@ -165,11 +172,12 @@ DEFERRED_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import nonion
-deferred = ("nonion.bracket", "nonion.roots", "nonion.fixtures")
+deferred = ("nonion.bracket", "nonion.roots", "nonion.fixtures", "nonion.clifford")
 print(sorted(m for m in deferred if m in sys.modules))
 print(sorted(set(nonion.__all__) - set(dir(nonion))))
 print(nonion.roots.z3_rotate.__module__, nonion.bracket.__name__)
 print(nonion.structure_table is nonion.bracket.structure_table)
+print(nonion.CliffElement is nonion.clifford.CliffElement, nonion.grade is nonion.clifford.grade)
 names = {}
 exec("from nonion import *", names)
 print([n for n in nonion.__all__ if names.get(n, names) is not getattr(nonion, n)])
@@ -187,8 +195,9 @@ def test_deferred_names_behave_like_eager_ones():
         "[]",
         "nonion.roots nonion.bracket",
         "True",
+        "True True",
         "[]",
-        "['nonion.bracket', 'nonion.fixtures', 'nonion.roots']",
+        "['nonion.bracket', 'nonion.clifford', 'nonion.fixtures', 'nonion.roots']",
         "AttributeError module 'nonion' has no attribute 'no_such_name'",
     ]
 
@@ -230,3 +239,21 @@ def test_bases_are_immutable_and_project_once(build, name):
     for attr in ("elements", "grams", "products", "name", "extra"):
         with pytest.raises(AttributeError):
             setattr(basis, attr, None)
+
+
+# ---------------------------------------------------------------------------
+# value classes: an operand of another type is NotImplemented, so Python
+# raises TypeError
+# ---------------------------------------------------------------------------
+
+VALUES = [ONE, Mat3.identity(), MPoly.const(ONE), unit(2)]
+OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@pytest.mark.parametrize("op", OPERATORS, ids=[op.__name__ for op in OPERATORS])
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_binary_operators_reject_an_int_operand(value, op):
+    with pytest.raises(TypeError):
+        op(value, 1)
+    with pytest.raises(TypeError):
+        op(1, value)

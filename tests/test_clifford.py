@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonion import _clifford_matrix, clifford
+from nonion import _clifford_matrix, _zj, clifford
 from nonion.bases import nonion_basis, pair_phase_matrix
 from nonion.clifford import (
     CliffElement,
@@ -171,7 +171,7 @@ def _operands(draw):
 
 
 def _matrix(a: CliffElement, b: CliffElement) -> CliffElement:
-    return CliffElement(a.n, _clifford_matrix._matrix_product(a.n, a.terms, b.terms))
+    return CliffElement(a.n, _clifford_matrix.matrix_product(a.n, a.terms, b.terms))
 
 
 @settings(max_examples=30, deadline=None)
@@ -253,7 +253,7 @@ def test_generator_words_stay_on_the_pairwise_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("a generator word reached the matrix path")
 
-    monkeypatch.setattr(_clifford_matrix, "_matrix_product", refuse)
+    monkeypatch.setattr(_clifford_matrix, "matrix_product", refuse)
     assert generator(12, 11) * generator(12, 0) == (
         generator(12, 0) * generator(12, 11)
     ).scale(J2)
@@ -459,7 +459,7 @@ def test_read_back_divides_exactly_to_canonical_coefficients(n, kind, monkeypatc
     )
     for x, y in ((a, b), (b, a)):
         traces.clear()
-        out = _clifford_matrix._matrix_product(n, x, y)
+        out = _clifford_matrix.matrix_product(n, x, y)
         # the transforms of x and y, then the readback's
         assert len(traces) == 3
         assert all(v % (_blocks(n) * 3 ** (n // 2)) == 0 for v in traces[-1])
@@ -480,7 +480,7 @@ def test_no_zero_coefficient_reaches_the_terms():
     q = generator(4, 3)
     left, right = _pairwise(dense, unit(4) + q + q * q), _pairwise(unit(4) - q, dense)
     assert clifford._matrix_is_cheaper(4, len(left.terms), len(right.terms))
-    assert _clifford_matrix._matrix_product(4, left.terms, right.terms) == {}
+    assert _clifford_matrix.matrix_product(4, left.terms, right.terms) == {}
     assert (left * right).terms == {}
 
 
@@ -558,7 +558,7 @@ def test_forward_image_of_each_monomial_is_its_column_action(n):
                 (3 * (row // 3) + (u - t) % 3, e) for row, e in action[::3] for u in range(3)
             ]
             action = [(row // 3, e) for row, e in action[::3]]
-        groups.setdefault((clifford._image(mono)[1], t), []).append((mono, action))
+        groups.setdefault((_zj.image(mono)[1], t), []).append((mono, action))
     assert len(groups) == blocks * d and all(len(g) == d for g in groups.values())
     for (_, t), group in groups.items():
         for coeff, radicals in ((x, [0, 1, 2, 3]), (FieldElem([0] * 7 + [-5], 7), [3])):
@@ -640,7 +640,7 @@ def test_read_back_slot_bound_edge(bits, width, monkeypatch):
         widths.clear()
         # the readback's one unpack is the last
         expected = clifford._pairwise_product(left, right)
-        assert _clifford_matrix._matrix_product(n, left, right) == expected
+        assert _clifford_matrix.matrix_product(n, left, right) == expected
         assert widths[-1] == width
 
 
@@ -828,8 +828,8 @@ def test_live_radicals_match_pairwise(n, monkeypatch):
     assert values and all(c.nums[2:] == (0,) * 6 for c in values)
     # a zero operand has no live radical, and neither has the product
     assert _clifford_matrix._to_vectors(n, {})[0] == []
-    assert _clifford_matrix._matrix_product(n, {}, right_terms) == {}
-    assert _clifford_matrix._matrix_product(n, left, {}) == {}
+    assert _clifford_matrix.matrix_product(n, {}, right_terms) == {}
+    assert _clifford_matrix.matrix_product(n, left, {}) == {}
 
 
 def test_kernel_results_skip_revalidation(monkeypatch):

@@ -216,6 +216,12 @@ def test_malformed_polys_are_rejected():
             lambda e=exponents: MPoly.from_json([{"exponents": e, "coeff": one}]),
             f"exponents {exponents} must be non-negative integers",
         ))
+    # the constructor holds the rule for every MPoly, so `evaluate` never
+    # plans a negative or fractional exponent
+    for exp in ((-1,) + (0,) * 8, (1.5,) + (0,) * 8, (True,) + (0,) * 8, ("1",) + (0,) * 8):
+        message = f"exponents {list(exp)} must be non-negative integers"
+        cases.append((lambda e=exp: MPoly({e: ONE}), message))
+        cases.append((lambda e=exp: MPoly({e: ONE}).evaluate([ONE] * 9), message))
     for call, message in cases:
         with pytest.raises(ValueError) as exc:
             call()

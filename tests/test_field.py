@@ -16,14 +16,12 @@ from nonion.field import (
     ZERO,
     FieldElem,
     common_numerators,
-    fold_phases,
     j_pow,
-    mul_accumulate,
-    numerator_pairs,
     parse_rational,
     rational,
     sum_of_products,
 )
+from nonion._zj import fold_phases, mul_accumulate, numerator_pairs
 
 from conftest import needs_sympy, random_field_elem, sympy_zero, to_sympy
 

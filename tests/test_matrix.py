@@ -217,7 +217,7 @@ def test_mul_and_det_against_zj_oracle(a, b):
 
 # ---------------------------------------------------------------------------
 # the clock-and-shift readback: nonion decompositions and dense Clifford
-# products share the radix-3 stage clifford._dft
+# products share the radix-3 stage _zj.dft
 # ---------------------------------------------------------------------------
 
 def hs_decompose(m: Mat3, basis, grams) -> tuple:
@@ -333,7 +333,7 @@ def test_dense_clifford_matrix_product_matches_pairwise_kernel(n, monkeypatch):
     monkeypatch.setattr(
         _clifford_matrix, "_packed_product", lambda *args: (widths.append(args[3]), real(*args))[1]
     )
-    assert _clifford_matrix._matrix_product(n, a, b) == {
+    assert _clifford_matrix.matrix_product(n, a, b) == {
         m: c for m, c in clifford._pairwise_product(a, b).items() if c
     }
     assert len(widths) == (3 if n % 2 else 1) and min(widths) > 64  # one per block
