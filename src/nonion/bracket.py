@@ -10,15 +10,13 @@ reference table without ever mutating or "correcting" it.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from pathlib import Path
+from typing import NamedTuple, Sequence, Union
 
 from .bases import NonionBasis, TU3Basis
 from .field import FieldElem, sum_terms
 from .fixtures import load_table_fixture
 from .matrix import Mat3
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 __all__ = [
     "StructureRow",

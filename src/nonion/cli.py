@@ -2,16 +2,17 @@
 
 Each handler calls the library and hands its result to `_emit`, the one
 output path (text as it is, anything else as JSON).  All numeric input
-is exact-rational text "p/q"; every verification path stays in exact
-arithmetic, with float approximations shown only as annotations.  Exit
-codes: 0 success / all match, 1 verification or diff failure, 2 usage or
-fixture error.
+is exact-rational text in the grammar of `field.parse_rational`; every
+verification path stays exact, and `_fe_json` alone computes the float
+approximations shown as annotations.  Exit codes: 0 success / all match,
+1 verification or diff failure, 2 usage or fixture error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -52,7 +53,13 @@ def _emit(value, indent: int | None = 2, end: str = "\n") -> None:
 
 
 def _fe_json(c: FieldElem, key: str = "exact") -> dict:
-    return {key: c.to_json(), "text": str(c), "approx": list(c.approx_complex())}
+    """Exact coordinates, text and, for display only, the float (re, im) with
+    j = -1/2 + i*sqrt3/2: the one place in the package that makes a float."""
+    n = c.nums
+    rad = (1.0, math.sqrt(2), math.sqrt(3), math.sqrt(6))
+    real = sum((n[2 * r] - n[2 * r + 1] / 2) * rad[r] for r in range(4))
+    imag = math.sqrt(3) / 2 * sum(n[2 * r + 1] * rad[r] for r in range(4))
+    return {key: c.to_json(), "text": str(c), "approx": [real / c.den, imag / c.den]}
 
 
 def _emit_rows(rows: list[StructureRow], fmt: str, basis: str | None = None) -> None:
@@ -117,8 +124,7 @@ def _cmd_norm(args) -> int:
     parts = args.coords.split(",")
     if len(parts) != 9:
         raise ValueError("--coords needs 9 comma-separated rationals")
-    coords = [FieldElem.from_fraction(parse_rational(t)) for t in parts]
-    _emit(_fe_json(qhat_at(coords).det(), key="norm"))
+    _emit(_fe_json(qhat_at([parse_rational(t) for t in parts]).det(), key="norm"))
     return 0
 
 

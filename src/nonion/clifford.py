@@ -180,6 +180,8 @@ class CliffElement:
         return CliffElement(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "CliffElement") -> "CliffElement":
+        if not isinstance(other, CliffElement):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c: FieldElem) -> "CliffElement":

@@ -18,19 +18,17 @@ product at a time by the raw kernel `_zj.mul_accumulate`.
 Internally an element is stored as 8 integer numerators over a single
 shared positive denominator, reduced so gcd(n0..n7, den) = 1.  That
 form is canonical (it is uniquely determined by the 8 rational
-coordinates), so structural equality is field equality; the `coeffs`
-property exposes the coordinates as lowest-terms `Fraction`s.
+coordinates), so structural equality is field equality.  Exact-rational
+text is read straight into these integers (`parse_rational`), and `str`
+and `to_json` print each coordinate in lowest terms from them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Collection, Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from ._zj import add_pairs, mul_accumulate, numerator_pairs
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "FieldElem",
@@ -86,39 +84,35 @@ class FieldElem:
         return cls((n, 0, 0, 0, 0, 0, 0, 0), 1, _reduced=True)
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "FieldElem":
-        return cls((f.numerator, 0, 0, 0, 0, 0, 0, 0), f.denominator, _reduced=True)
-
-    @classmethod
-    def from_coeffs(cls, coords: Iterable[Fraction | int | str]) -> "FieldElem":
-        """Build from 8 rational coordinates in the fixed basis order."""
-        from fractions import Fraction
-
-        fr = [Fraction(c) for c in coords]
-        if len(fr) != 8:
-            raise ValueError(f"expected 8 coordinates, got {len(fr)}")
-        den = math.lcm(*(f.denominator for f in fr))
-        return cls([f.numerator * (den // f.denominator) for f in fr], den)
+    def from_coeffs(cls, coords: Iterable[int | str]) -> "FieldElem":
+        """Build from 8 rational coordinates in the fixed basis order: ints,
+        or text in the grammar of `parse_rational`."""
+        return cls._from_ratios([(c, 1) if type(c) is int else _ratio(c) for c in coords])
 
     @classmethod
     def from_json(cls, data) -> "FieldElem":
         if not isinstance(data, (list, tuple)) or len(data) != 8:
             raise ValueError("FieldElem JSON must be a list of 8 'p/q' strings")
-        return cls.from_coeffs([parse_rational(s) for s in data])
+        return cls._from_ratios([_ratio(s) for s in data])
+
+    @classmethod
+    def _from_ratios(cls, ratios: list[tuple[int, int]]) -> "FieldElem":
+        if len(ratios) != 8:
+            raise ValueError(f"expected 8 coordinates, got {len(ratios)}")
+        den = math.lcm(*[q for _, q in ratios])
+        return cls([p * (den // q) for p, q in ratios], den)
 
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The 8 rational coordinates, each in lowest terms."""
-        from fractions import Fraction
-
-        return tuple(Fraction(n, self.den) for n in self.nums)
+    def _lowest_terms(self) -> list[tuple[int, int]]:
+        """Each coordinate as (p, q) in lowest terms, q > 0; zero is (0, 1)."""
+        d = self.den
+        return [(n // g, d // g) for n in self.nums for g in (_gcd(n, d),)]
 
     def to_json(self) -> list[str]:
         """Encode as 8 'p/q' strings ('0/1' for zero coordinates)."""
-        return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
+        return [f"{p}/{q}" for p, q in self._lowest_terms()]
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -230,17 +224,6 @@ class FieldElem:
         return b * c * d * rational(n3.den, n3.nums[0])
 
     # ------------------------------------------------------------------
-    # numeric embedding (display only; never used in verification logic)
-    # ------------------------------------------------------------------
-    def approx_complex(self) -> tuple[float, float]:
-        """Approximate as a complex number with j = -1/2 + i*sqrt3/2."""
-        n = self.nums
-        rad = (1.0, math.sqrt(2), math.sqrt(3), math.sqrt(6))
-        re = sum((n[2 * r] - n[2 * r + 1] / 2) * rad[r] for r in range(4))
-        im = math.sqrt(3) / 2 * sum(n[2 * r + 1] * rad[r] for r in range(4))
-        return (re / self.den, im / self.den)
-
-    # ------------------------------------------------------------------
     # comparisons / hashing / display
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -260,20 +243,15 @@ class FieldElem:
         if self.is_zero():
             return "0"
         parts = []
-        for c, name in zip(self.coeffs, BASIS_NAMES):
-            if not c:
+        for (p, q), name in zip(self._lowest_terms(), BASIS_NAMES):
+            if not p:
                 continue
-            mag = abs(c)
-            if name == "1":
-                term = str(mag)
-            elif mag == 1:
-                term = name
-            else:
-                term = f"{mag}{name}"
+            mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+            term = mag if name == "1" else name if mag == "1" else mag + name
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if p > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+                parts.append(f"+ {term}" if p > 0 else f"- {term}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -290,16 +268,27 @@ def rational(p: int, q: int = 1) -> FieldElem:
     return FieldElem((p // g, 0, 0, 0, 0, 0, 0, 0), q // g, _reduced=True)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse exact rational text 'p/q' (or a bare integer 'p')."""
-    if not isinstance(text, str):
-        raise ValueError(f"not an exact rational: {text!r}")
-    from fractions import Fraction
+def parse_rational(text: str) -> FieldElem:
+    """Exact rational text as a rational field element.
 
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
+    The one coefficient grammar: optional surrounding whitespace, an
+    optional "-", ASCII digits, then optionally "/" and ASCII digits with
+    a nonzero value.  Anything else ("0.5", "1e3", "1_000", "+2/4", "1/0",
+    non-ASCII digits, a JSON number) raises ValueError.
+    """
+    return rational(*_ratio(text))
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """The integers (p, q) of text in `parse_rational`'s grammar, q > 0."""
+    if isinstance(text, str):
+        num, slash, den = text.strip().partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+            not slash or den.isascii() and den.isdigit() and den.strip("0")
+        ):
+            return int(num), int(den) if slash else 1
+    raise ValueError(f"not an exact rational: {text!r}")
 
 
 # ----------------------------------------------------------------------

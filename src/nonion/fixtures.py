@@ -9,9 +9,11 @@ knows their keys: ``load_fixture`` reads a bundled fixture by name,
 path (bundled or given on the command line), and the other ``*_fixture``
 accessors parse a bundled fixture, through ``_parse_fixture``, into the
 exact values the report compares.  Every integer field passes one rule
-(``_integer``).  The package imports this module only when one of its
-names is first used, so ``import nonion`` loads neither this module nor
-the ``json``, ``hashlib`` and ``importlib.resources`` modules it imports.
+(``_integer``), and every coefficient is eight strings in the one grammar
+of ``field.parse_rational``, read by ``FieldElem.from_json``.  The
+package imports this module only when one of its names is first used, so
+``import nonion`` loads neither this module nor the ``json``, ``hashlib``
+and ``importlib.resources`` modules it imports.
 """
 
 from __future__ import annotations

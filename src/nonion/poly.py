@@ -83,6 +83,8 @@ class MPoly:
         return MPoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
+        if not isinstance(other, MPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":

@@ -67,7 +67,7 @@ def to_sympy(x: FieldElem):
     j = (-1 + sympy.sqrt(-3)) / 2
     basis = (1, j, sympy.sqrt(2), j * sympy.sqrt(2), sympy.sqrt(3), j * sympy.sqrt(3),
              sympy.sqrt(6), j * sympy.sqrt(6))
-    return sum(sympy.Rational(c.numerator, c.denominator) * b for c, b in zip(x.coeffs, basis))
+    return sum(sympy.Rational(n, x.den) * b for n, b in zip(x.nums, basis))
 
 
 def sympy_zero(expr) -> bool:

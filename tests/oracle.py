@@ -61,10 +61,10 @@ def zj(x: int) -> ZJ:
 
 def from_library_scalar(x) -> ZJ:
     """A library scalar whose rational coordinates are integers on (1, j)."""
-    coords = list(x.coeffs)
-    if any(coords[2:]) or any(c.denominator != 1 for c in coords[:2]):
+    # in lowest terms, den is the lcm of the coordinates' denominators
+    if any(x.nums[2:]) or x.den != 1:
         raise ValueError(f"{x} is not in Z[j]")
-    return (int(coords[0]), int(coords[1]))
+    return (x.nums[0], x.nums[1])
 
 
 # ----------------------------------------------------------------------

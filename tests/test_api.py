@@ -125,27 +125,29 @@ values = [rational(-3, 4).invert(), x.invert(), qhat_at(coords).det()]
 for basis in (nonion.nonion_basis(), nonion.tu3_basis()):
     values += decompose_in_basis(m, basis.elements, basis.grams)
 print([(v.nums, v.den) for v in values])
-print("fractions" in sys.modules)
 y = FieldElem((3, -2, 0, 6, 0, 0, -1, 1), 6)
 print(str(y))
-print([str(c) for c in y.coeffs])
+print(y.to_json())
 print(FieldElem.from_json(["1/2", "-3/4", "0", "5", "0/1", "2/6", "-7/3", "1"]).nums)
 print(parse_rational(" -6/8 "))
+from nonion.report import emit_report, run_verify
+report = run_verify("all")
+print(report.passed(), [emit_report(report, fmt)[:1] for fmt in ("json", "md")])
+print([m for m in ("fractions", "decimal") if m in sys.modules])
 """
 
 
 def test_field_arithmetic_runs_without_fractions():
-    """Inversion, projection and determinants never load `fractions`, and
-    give the values the Fraction route gave; the rational views load it
-    on first use."""
-    from fractions import Fraction
-
-    from nonion import FieldElem, Mat3, ONE, det_poly, nonion_basis, tu3_basis
+    """Inversion, projection and determinants give the values the Fraction
+    route gave, and neither they, the text views and parsers, nor a full
+    verify and its report in both formats ever load `fractions` or
+    `decimal`."""
+    from nonion import FieldElem, Mat3, ONE, det_poly, nonion_basis, rational, tu3_basis
 
     lines = _run_lean(FIELD_CHILD)
     values = [FieldElem(nums, den) for nums, den in ast.literal_eval(lines[0])]
     rational_inverse, inverse, det = values[:3]
-    assert rational_inverse == FieldElem.from_fraction(Fraction(-4, 3))
+    assert rational_inverse == rational(-4, 3)
     x = FieldElem((3, -1, 2, 0, -1, 4, 1, -2), 5)
     assert x * inverse == ONE
     assert inverse == FieldElem(
@@ -160,11 +162,12 @@ def test_field_arithmetic_runs_without_fractions():
             rebuilt = rebuilt + e.scale(c)
         assert rebuilt == m
     assert lines[1:] == [
-        "False",
         "1/2 - 1/3j + j√2 - 1/6√6 + 1/6j√6",
-        "['1/2', '-1/3', '0', '1', '0', '0', '-1/6', '1/6']",
+        "['1/2', '-1/3', '0/1', '1/1', '0/1', '0/1', '-1/6', '1/6']",
         "(6, -9, 0, 60, 0, 4, -28, 12)",
         "-3/4",
+        "False ['{', '#']",
+        "[]",
     ]
 
 
@@ -243,7 +246,7 @@ def test_bases_are_immutable_and_project_once(build, name):
 
 # ---------------------------------------------------------------------------
 # value classes: an operand of another type is NotImplemented, so Python
-# raises TypeError
+# raises TypeError naming the operator that was used
 # ---------------------------------------------------------------------------
 
 VALUES = [ONE, Mat3.identity(), MPoly.const(ONE), unit(2)]
@@ -257,3 +260,7 @@ def test_binary_operators_reject_an_int_operand(value, op):
         op(value, 1)
     with pytest.raises(TypeError):
         op(1, value)
+    if op is operator.sub:
+        for other in (1, "a"):
+            with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: "):
+                value - other

@@ -161,6 +161,12 @@ def test_norm_wrong_arity(capsys):
     assert code == 2 and err == "error: --coords needs 9 comma-separated rationals\n"
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", "+2/4", "\u0663"])
+def test_norm_rejects_text_outside_the_grammar(capsys, text):
+    code, out, err = run(capsys, "norm", "--coords", f"{text}, 0, 0, 0, 0, 0, 0, 0, 0")
+    assert code == 2 and out == "" and err == f"error: not an exact rational: {text!r}\n"
+
+
 def test_expand_det_json(capsys):
     code, out, _ = run(capsys, "expand", "det")
     assert code == 0

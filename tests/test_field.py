@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from nonion.field import (
     sum_of_products,
 )
 from nonion._zj import fold_phases, mul_accumulate, numerator_pairs
+from nonion.cli import _fe_json
 
 from conftest import needs_sympy, random_field_elem, sympy_zero, to_sympy
 
@@ -31,9 +33,9 @@ from conftest import needs_sympy, random_field_elem, sympy_zero, to_sympy
 
 def test_canonical_representation_lowest_terms():
     x = FieldElem.from_coeffs(["2/4", "0", "-6/8", "0", "0", "0", "0", "0"])
-    assert x.coeffs[0] == Fraction(1, 2)
-    assert x.coeffs[2] == Fraction(-3, 4)
-    assert all(c.denominator > 0 for c in x.coeffs)
+    assert x.to_json()[0] == "1/2"
+    assert x.to_json()[2] == "-3/4"
+    assert x.den == 4 and x.nums == (2, 0, -3, 0, 0, 0, 0, 0)
 
 
 def test_equality_is_coordinatewise():
@@ -55,7 +57,8 @@ def test_add_negate_gives_exact_zero():
 )
 def test_rational_equals_the_reduced_fraction(p, q):
     x = rational(p, q)
-    assert x == FieldElem.from_fraction(Fraction(p, q))
+    f = Fraction(p, q)
+    assert x.nums == (f.numerator, 0, 0, 0, 0, 0, 0, 0) and x.den == f.denominator
     assert x.den > 0 and math.gcd(x.nums[0], x.den) == 1
 
 
@@ -96,14 +99,33 @@ def test_from_json_rejects_bad_shapes():
 
 
 def test_parse_rational():
-    assert parse_rational("-3/6") == Fraction(-1, 2)
-    assert parse_rational("12") == Fraction(12)
+    assert parse_rational("-3/6") == rational(-1, 2)
+    assert parse_rational("12") == rational(12)
+    assert parse_rational(" 3 ") == rational(3)
+    assert parse_rational("-0/5") == ZERO and parse_rational("-0/5").den == 1
+    assert parse_rational("007/014") == rational(1, 2)
     with pytest.raises(ValueError):
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational(3)  # a JSON number in place of a "p/q" string
+
+
+# the first five parsed as `fractions.Fraction` text; the rest misplace a sign,
+# a slash or a digit, or give a zero denominator
+REJECTED = ["0.5", "1e3", "1_000", "+2/4", "\u0663", "1/-2", "1/+2", "- 1", "1 /2", "1/2/3",
+            "-", "/2", "1/", "1/00", "--1", ""]
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_parse_rational_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError, match=f"^not an exact rational: {re.escape(repr(text))}$"):
+        parse_rational(text)
+    with pytest.raises(ValueError, match="^not an exact rational: "):
+        FieldElem.from_json([text] + ["0/1"] * 7)
+    with pytest.raises(ValueError, match="^not an exact rational: "):
+        FieldElem.from_coeffs([0] * 7 + [text])
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +156,7 @@ def test_invert_examples():
     assert SQRT2.invert() == SQRT2 * rational(1, 2)
     assert (ONE + J).invert() == -J  # 1 + j = -j^2
     assert J.invert() == J2
+    assert (ONE + J) ** -2 == J2 and SQRT2 ** -3 == SQRT2 * rational(1, 4)
     with pytest.raises(ZeroDivisionError):
         ZERO.invert()
 
@@ -162,16 +185,17 @@ def test_j_pow_periodicity():
 
 
 def test_approx_complex():
-    re, im = J.approx_complex()
-    assert abs(re + 0.5) < 1e-12 and abs(im - math.sqrt(3) / 2) < 1e-12
-    re, im = SQRT2.approx_complex()
-    assert abs(re - math.sqrt(2)) < 1e-12 and im == 0.0
-    assert ZERO.approx_complex() == (0.0, 0.0)
+    real, imag = _fe_json(J)["approx"]
+    assert abs(real + 0.5) < 1e-12 and abs(imag - math.sqrt(3) / 2) < 1e-12
+    real, imag = _fe_json(SQRT2)["approx"]
+    assert abs(real - math.sqrt(2)) < 1e-12 and imag == 0.0
+    assert _fe_json(ZERO)["approx"] == [0.0, 0.0]
 
 
 def test_str_is_readable():
     assert str(ZERO) == "0"
     assert str(J) == "j"
+    assert repr(rational(-1, 2) + J) == "FieldElem(-1/2 + j)"
     assert "1/2" in str(rational(1, 2) + SQRT3)
 
 

@@ -185,9 +185,11 @@ ACCESSORS = {
     "roots_alpha.json": lambda: roots_fixture("alpha"),
     "roots_beta.json": lambda: roots_fixture("beta"),
     "clifford_census.json": clifford_census_fixture,
-    "table_nonion_s3.json": lambda: load_table_fixture(
-        fixtures.fixture_path("table_nonion_s3.json")
-    ),
+    "surface_poly.json": surface_poly_fixture,
+    **{
+        name: lambda name=name: load_table_fixture(fixtures.fixture_path(name))
+        for name in ("table_nonion_s3.json", "table_tu3_s3.json")
+    },
 }
 
 
@@ -202,6 +204,51 @@ def test_corrupted_integer_field(bundled, capsys, name, edit, scope, message):
         ACCESSORS[name]()
     assert str(info.value) == expected
     assert_fixture_error(capsys, ["verify", scope], expected + "\n")
+
+
+# ---------------------------------------------------------------------------
+# coefficient sweep: every coefficient of a bundled fixture is exact rational
+# text in the grammar of `parse_rational`, so a form that `fractions` would
+# read is a one-line error
+# ---------------------------------------------------------------------------
+
+OUTSIDE_GRAMMAR = ["0.5", "1e3", "1_000", "+2/4", "\u0663"]
+
+
+def _first_target(data):
+    return next(r for r in data["rows"] if r["targets"])["targets"][0]["coeff"]
+
+
+COEFFICIENTS = {
+    # fixture: (its first coefficient's 8 strings, message prefix, a CLI command that reads it)
+    "table_nonion_s3.json": (_first_target, "fixture {path} row is malformed",
+                             ["diff-table", "--fixture", "{path}"]),
+    "table_tu3_s3.json": (_first_target, "fixture {path} row is malformed",
+                          ["diff-table", "--basis", "tu3", "--fixture", "{path}"]),
+    "roots_alpha.json": (lambda d: d["roots"][0]["components"][0], "roots fixture malformed",
+                         ["verify", "roots"]),
+    "roots_beta.json": (lambda d: d["roots"][0]["components"][0], "roots fixture malformed",
+                        ["verify", "roots"]),
+    "surface_poly.json": (lambda d: d["terms"][0]["coeff"], "surface fixture malformed",
+                          ["census", "surface"]),
+    "lambda_combos.json": (lambda d: d["combos"][0]["coeffs"][0], "lambda fixture malformed",
+                           ["lambda", "diff"]),
+}
+
+
+@pytest.mark.parametrize("name", COEFFICIENTS)
+def test_coefficient_outside_the_grammar(bundled, capsys, name):
+    coefficient, prefix, argv = COEFFICIENTS[name]
+    path = bundled / name
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for text in OUTSIDE_GRAMMAR:
+        coefficient(data)[0] = text
+        path.write_text(json.dumps(data), encoding="utf-8")
+        expected = f"{prefix.format(path=path)}: not an exact rational: {text!r}"
+        with pytest.raises(FixtureParseError) as info:
+            ACCESSORS[name]()
+        assert str(info.value) == expected
+    assert_fixture_error(capsys, [arg.format(path=path) for arg in argv], expected + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,8 @@ def test_construction_needs_nine_entries_and_repr():
 
 def test_json_round_trip(nonions):
     m = nonions.elements[5]
-    assert Mat3.from_json(m.to_json()) == m
+    back = Mat3.from_json(m.to_json())
+    assert back == m and hash(back) == hash(m)
     with pytest.raises(ValueError):
         Mat3.from_json([[["1/1"] * 8] * 3] * 2)
 
