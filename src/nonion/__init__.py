@@ -39,7 +39,7 @@ _DEFERRED_NAMES = {
     ),
     "bracket": ("StructureRow", "TableDiff", "diff_table", "s3_bracket", "structure_table"),
     "roots": (
-        "NotProportionalError", "cartan_check", "extract_alpha_root", "extract_beta_root",
+        "NotProportionalError", "extract_alpha_root", "extract_beta_root",
         "gellmann_decompose", "root_inner", "su3_structure_constants", "z3_rotate",
     ),
     "fixtures": ("FixtureParseError", "FixtureRowCountError", "surface_poly_fixture"),

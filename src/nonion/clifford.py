@@ -137,8 +137,8 @@ class CliffElement:
             for mono, c in terms.items():
                 if len(mono) != n:
                     raise LengthMismatchError(f"monomial {mono} is not length {n}")
-                if any(not 0 <= e <= 2 for e in mono):
-                    raise ValueError(f"exponents must be in 0..2: {mono}")
+                if any(type(e) is not int or not 0 <= e <= 2 for e in mono):
+                    raise ValueError(f"exponents must be integers in 0..2: {mono}")
                 if not c.is_zero():
                     clean[tuple(mono)] = c
         object.__setattr__(self, "n", n)
@@ -153,7 +153,7 @@ class CliffElement:
         object.__setattr__(self, "terms", terms)
         return self
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("CliffElement is immutable")
 
     # ------------------------------------------------------------------

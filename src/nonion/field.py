@@ -44,7 +44,7 @@ __all__ = [
     "parse_rational",
 ]
 
-BASIS_NAMES = ("1", "j", "√2", "j√2", "√3", "j√3", "√6", "j√6")
+_BASIS_NAMES = ("1", "j", "√2", "j√2", "√3", "j√3", "√6", "j√6")
 
 _gcd = math.gcd
 
@@ -73,7 +73,7 @@ class FieldElem:
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
 
     # ------------------------------------------------------------------
@@ -84,21 +84,10 @@ class FieldElem:
         return cls((n, 0, 0, 0, 0, 0, 0, 0), 1, _reduced=True)
 
     @classmethod
-    def from_coeffs(cls, coords: Iterable[int | str]) -> "FieldElem":
-        """Build from 8 rational coordinates in the fixed basis order: ints,
-        or text in the grammar of `parse_rational`."""
-        return cls._from_ratios([(c, 1) if type(c) is int else _ratio(c) for c in coords])
-
-    @classmethod
     def from_json(cls, data) -> "FieldElem":
         if not isinstance(data, (list, tuple)) or len(data) != 8:
             raise ValueError("FieldElem JSON must be a list of 8 'p/q' strings")
-        return cls._from_ratios([_ratio(s) for s in data])
-
-    @classmethod
-    def _from_ratios(cls, ratios: list[tuple[int, int]]) -> "FieldElem":
-        if len(ratios) != 8:
-            raise ValueError(f"expected 8 coordinates, got {len(ratios)}")
+        ratios = [_ratio(s) for s in data]
         den = math.lcm(*[q for _, q in ratios])
         return cls([p * (den // q) for p, q in ratios], den)
 
@@ -243,7 +232,7 @@ class FieldElem:
         if self.is_zero():
             return "0"
         parts = []
-        for (p, q), name in zip(self._lowest_terms(), BASIS_NAMES):
+        for (p, q), name in zip(self._lowest_terms(), _BASIS_NAMES):
             if not p:
                 continue
             mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"

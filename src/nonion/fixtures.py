@@ -27,7 +27,7 @@ from typing import Callable, TypeVar, Union
 from .field import FieldElem
 from .poly import MPoly
 
-T = TypeVar("T")
+_T = TypeVar("_T")
 
 __all__ = [
     "FixtureParseError",
@@ -142,7 +142,7 @@ def _integer(value: object, name: str, span: Union[range, None] = None, keys=())
     return value
 
 
-def _parse_fixture(name: str, label: str, parse: Callable[[object], T]) -> T:
+def _parse_fixture(name: str, label: str, parse: Callable[[object], _T]) -> _T:
     """Load a bundled fixture, then parse it; a missing key or a value of the
     wrong type or form is reported as `{label} fixture malformed`."""
     data = load_fixture(name)

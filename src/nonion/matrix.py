@@ -47,7 +47,7 @@ class Mat3:
             raise ValueError("Mat3 needs 9 entries")
         object.__setattr__(self, "entries", tuple(entries))
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("Mat3 is immutable")
 
     # ------------------------------------------------------------------
@@ -58,10 +58,6 @@ class Mat3:
     @classmethod
     def zero(cls) -> "Mat3":
         return _ZERO3
-
-    @classmethod
-    def identity(cls) -> "Mat3":
-        return _ID3
 
     @classmethod
     def diag(cls, a: FieldElem, b: FieldElem, c: FieldElem) -> "Mat3":
@@ -165,12 +161,6 @@ class Mat3:
 
     def to_json(self) -> list[list[list[str]]]:
         return [[self[i, j].to_json() for j in range(3)] for i in range(3)]
-
-    @classmethod
-    def from_json(cls, data) -> "Mat3":
-        if not isinstance(data, (list, tuple)) or len(data) != 3:
-            raise ValueError("Mat3 JSON must be a 3x3 nested array")
-        return cls([FieldElem.from_json(c) for row in data for c in row])
 
 
 _ZERO3 = Mat3([ZERO] * 9)

@@ -17,7 +17,6 @@ from .field import ONE, ZERO, FieldElem, sum_terms
 __all__ = ["NVARS", "MPoly", "monomial_text"]
 
 NVARS = 9
-_ZERO_EXP = (0,) * NVARS
 _UNIT = ((0, 1, 0),)  # the pair form of 1
 
 
@@ -38,24 +37,10 @@ class MPoly:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
     # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, c: FieldElem) -> "MPoly":
-        return cls({_ZERO_EXP: c})
-
-    @classmethod
-    def var(cls, i: int, coeff: FieldElem = ONE) -> "MPoly":
-        exp = [0] * NVARS
-        exp[i] = 1
-        return cls({tuple(exp): coeff})
-
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: FieldElem = ONE) -> "MPoly":
         return cls({tuple(exps): coeff})

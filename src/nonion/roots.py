@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bases import nonion_basis, tu3_basis
-from .bracket import s3_bracket, structure_row
+from .bracket import structure_row
 from .field import J, ONE, SQRT3, ZERO, FieldElem, rational
 from .matrix import Mat3, decompose_in_basis, hs_inner
 
@@ -23,10 +23,8 @@ __all__ = [
     "NotProportionalError",
     "I_UNIT",
     "RootVector",
-    "cartan_check",
     "extract_alpha_root",
     "extract_beta_root",
-    "projected_alpha_root",
     "root_inner",
     "z3_rotation",
     "z3_rotate",
@@ -48,13 +46,6 @@ BETA_PAIRS = ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4))
 
 class NotProportionalError(Exception):
     """A bracket expected to be a multiple of one operator is not."""
-
-
-def cartan_check(basis=None) -> bool:
-    """True iff the bracket of the three diagonal operators vanishes."""
-    basis = basis or tu3_basis()
-    e = basis.elements
-    return s3_bracket(e[0], e[7], e[8]).is_zero()
 
 
 def _row_multiple_of(triple: tuple[int, int, int], target: int) -> FieldElem:
@@ -89,12 +80,6 @@ def extract_beta_root(pair_index: int) -> tuple[int, RootVector]:
     products = tu3_basis().products
     ((target, _),) = products[k][l] or products[l][k]
     return target, tuple(_row_multiple_of((h, k, l), target) for h in (0, 7, 8))
-
-
-def projected_alpha_root(i: int) -> RootVector:
-    """The alpha root with its first component zeroed."""
-    a = extract_alpha_root(i)
-    return (ZERO, a[1], a[2])
 
 
 def root_inner(a: RootVector, b: RootVector) -> FieldElem:

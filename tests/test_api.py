@@ -249,8 +249,15 @@ def test_bases_are_immutable_and_project_once(build, name):
 # raises TypeError naming the operator that was used
 # ---------------------------------------------------------------------------
 
-VALUES = [ONE, Mat3.identity(), MPoly.const(ONE), unit(2)]
+VALUES = [ONE, Mat3.scalar(ONE), MPoly.monomial((0,) * 9), unit(2)]
 OPERATORS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def test_value_classes_are_immutable():
+    for value in VALUES:
+        cls = type(value)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(value, cls.__slots__[0], None)
 
 
 @pytest.mark.parametrize("op", OPERATORS, ids=[op.__name__ for op in OPERATORS])

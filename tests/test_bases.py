@@ -23,7 +23,7 @@ from conftest import random_mat3
 # ---------------------------------------------------------------------------
 
 def test_q0_is_identity(nonions):
-    assert nonions.elements[0] == Mat3.identity()
+    assert nonions.elements[0] == Mat3.scalar(ONE)
 
 
 def test_q7_q8_diagonals(nonions):
@@ -32,12 +32,12 @@ def test_q7_q8_diagonals(nonions):
 
 
 def test_q1_cubes_to_identity(nonions):
-    assert nonions.elements[1] ** 3 == Mat3.identity()
+    assert nonions.elements[1] ** 3 == Mat3.scalar(ONE)
 
 
 def test_cube_law_and_unit_determinant(nonions):
     for e in nonions.elements:
-        assert e ** 3 == Mat3.identity()
+        assert e ** 3 == Mat3.scalar(ONE)
         assert e.det() == ONE
 
 
@@ -147,7 +147,7 @@ def test_diagonals_orthonormal(tu3):
 # ---------------------------------------------------------------------------
 
 def test_cyclic_relabel_identity_and_diag():
-    assert cyclic_relabel(Mat3.identity()) == Mat3.identity()
+    assert cyclic_relabel(Mat3.scalar(ONE)) == Mat3.scalar(ONE)
     a, b, c = rational(1), rational(2), rational(3)
     assert cyclic_relabel(Mat3.diag(a, b, c)) == Mat3.diag(c, a, b)
 

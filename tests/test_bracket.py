@@ -25,7 +25,7 @@ from conftest import random_mat3
 def test_bracket_123_gives_diagonal_multiple(nonions):
     q = nonions.elements
     coeff = rational(3) * (J2 - J)
-    assert s3_bracket(q[1], q[2], q[3]) == Mat3.identity().scale(coeff)
+    assert s3_bracket(q[1], q[2], q[3]) == Mat3.scalar(coeff)
 
 
 def test_bracket_140_vanishes(nonions):

@@ -975,7 +975,7 @@ def test_bad_monomials_generators_and_counts_are_rejected():
         (lambda: CliffElement(3, {(0, 1): ONE}), LengthMismatchError,
          "monomial (0, 1) is not length 3"),
         (lambda: CliffElement(3, {(0, 3, 0): ONE}), ValueError,
-         "exponents must be in 0..2: (0, 3, 0)"),
+         "exponents must be integers in 0..2: (0, 3, 0)"),
         (lambda: generator(3, 3), IndexError, "generator index 3 out of range for n=3"),
         (lambda: s3_symmetric_sum(0, 1, 4, 3), IndexError, "index 4 out of range for n=3"),
         (lambda: degree_census(0), ValueError, "generator count must be >= 1"),
@@ -984,6 +984,21 @@ def test_bad_monomials_generators_and_counts_are_rejected():
         with pytest.raises(error) as exc:
             call()
         assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, mono", [
+    (lambda: CliffElement(1, {(1.5,): ONE}), (1.5,)),
+    (lambda: CliffElement(2, {(1.0, True): ONE}), (1.0, True)),
+    (lambda: CliffElement(2, {(0, True): ONE}), (0, True)),
+    (lambda: CliffElement(1, {("1",): ONE}), ("1",)),
+    (lambda: generator(2, 0, 1.5), (1.5, 0)),
+], ids=["float", "float-and-bool", "bool", "str", "generator-power"])
+def test_exponents_must_be_integers(call, mono):
+    # the rule of the MPoly constructor: an int that is not a bool
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"exponents must be integers in 0..2: {mono}"
 
 
 def test_census_small_n():

@@ -33,44 +33,49 @@ def mono(**kw):
     return tuple(e)
 
 
+def variable(i, coeff=ONE):
+    """The polynomial coeff * x_i."""
+    return MPoly.monomial(mono(**{f"x{i}": 1}), coeff)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
 
 def test_poly_mul_examples():
-    x0 = MPoly.var(0)
+    x0 = variable(0)
     assert x0 * x0 == MPoly.monomial(mono(x0=2))
-    x1, x2 = MPoly.var(1), MPoly.var(2)
+    x1, x2 = variable(1), variable(2)
     assert (x1 + x2) * (x1 - x2) == MPoly.monomial(mono(x1=2)) - MPoly.monomial(mono(x2=2))
-    assert ((x0 + x1.scale(J)) * MPoly.zero()).is_zero()
-    assert (x0 + x1).scale(ZERO) == MPoly.zero()
+    assert ((x0 + x1.scale(J)) * MPoly()).is_zero()
+    assert (x0 + x1).scale(ZERO) == MPoly()
 
 
 def test_poly_hash_and_repr():
-    p = MPoly.var(0) + MPoly.var(4).scale(rational(2))
-    q = MPoly.var(4).scale(rational(2)) + MPoly.var(0)
-    assert hash(p) == hash(q) and len({p, q, MPoly.var(0)}) == 2
-    assert repr(p) == "MPoly(2 terms)" and repr(MPoly.zero()) == "MPoly(0 terms)"
-    assert str(MPoly.zero()) == "0"
+    p = variable(0) + variable(4).scale(rational(2))
+    q = variable(4).scale(rational(2)) + variable(0)
+    assert hash(p) == hash(q) and len({p, q, variable(0)}) == 2
+    assert repr(p) == "MPoly(2 terms)" and repr(MPoly()) == "MPoly(0 terms)"
+    assert str(MPoly()) == "0"
 
 
 def test_poly_permute_and_eval():
-    p = MPoly.var(0) * MPoly.var(1) + MPoly.var(4).scale(rational(2))
+    p = variable(0) * variable(1) + variable(4).scale(rational(2))
     q = p.permute_vars({0: 1, 1: 0})
-    assert q == MPoly.var(1) * MPoly.var(0) + MPoly.var(4).scale(rational(2))
+    assert q == variable(1) * variable(0) + variable(4).scale(rational(2))
     vals = [rational(k + 1) for k in range(9)]
     assert p.evaluate(vals) == rational(1) * rational(2) + rational(2) * rational(5)
 
 
 def test_evaluate_needs_nine_values():
     with pytest.raises(ValueError, match="needs 9 values, got 1"):
-        MPoly.var(8).evaluate([rational(5)])
+        variable(8).evaluate([rational(5)])
     with pytest.raises(ValueError, match="got 3"):
         det_poly().evaluate([rational(2)] * 3)
     with pytest.raises(ValueError, match="got 10"):
         det_poly().evaluate([ONE] * 10)
     with pytest.raises(ValueError, match="got 0"):
-        MPoly.zero().evaluate([])
+        MPoly().evaluate([])
 
 
 def test_qhat_at_needs_nine_coordinates():
@@ -141,27 +146,27 @@ def test_evaluate_matches_chained_arithmetic(p, x, y):
 
 def test_evaluate_plan_spot_cases():
     x = [ONE + J, rational(-2, 3), J2 * rational(5, 7)] + [rational(k, 4) for k in range(6)]
-    zero = MPoly.zero().evaluate(x)
+    zero = MPoly().evaluate(x)
     assert zero == ZERO and zero.nums == (0,) * 8 and zero.den == 1
-    assert MPoly.const(J * rational(3, 9)).evaluate(x) == J * rational(1, 3)
-    assert MPoly.const(rational(-4, 6)).evaluate(x) == rational(-2, 3)
+    assert MPoly.monomial(mono(), J * rational(3, 9)).evaluate(x) == J * rational(1, 3)
+    assert MPoly.monomial(mono(), rational(-4, 6)).evaluate(x) == rational(-2, 3)
     # x0^2 x1 with a rational and x2^3 with a field coefficient, plus a constant
     p = (
         MPoly.monomial(mono(x0=2, x1=1), rational(-3, 4))
         + MPoly.monomial(mono(x2=3), J * rational(2, 5))
-        + MPoly.const(J2)
+        + MPoly.monomial(mono(), J2)
     )
     expected = rational(-3, 4) * x[0] * x[0] * x[1] + J * rational(2, 5) * x[2] ** 3 + J2
     assert p.evaluate(x) == expected == chained_evaluate(p, x)
     # the group x0 (x1 - x2) sums to zero inside the plan at x1 = x2
-    q = MPoly.var(0) * (MPoly.var(1) - MPoly.var(2)) + MPoly.const(rational(5))
+    q = variable(0) * (variable(1) - variable(2)) + MPoly.monomial(mono(), rational(5))
     assert q.evaluate([J, ONE + J, ONE + J] + [ONE] * 6) == rational(5)
     # a zero value drops its whole group
     assert q.evaluate([ZERO, ONE, J] + [ONE] * 6) == rational(5)
 
 
 def test_evaluate_arity_error_before_and_after_the_plan():
-    p = MPoly.var(3) * MPoly.var(4) + MPoly.const(J)
+    p = variable(3) * variable(4) + MPoly.monomial(mono(), J)
     with pytest.raises(ValueError, match="evaluate needs 9 values, got 8"):
         p.evaluate([ONE] * 8)
     assert p.evaluate([rational(2)] * 9) == rational(4) + J
@@ -243,18 +248,18 @@ QHAT_EXPECTED = (
 def test_qhat_entries():
     g = qhat_matrix_view()
     for idx, terms in enumerate(QHAT_EXPECTED):
-        expected = MPoly.zero()
+        expected = MPoly()
         for var, jexp in terms:
-            expected = expected + MPoly.var(var, j_pow(jexp))
+            expected = expected + variable(var, j_pow(jexp))
         assert g[idx] == expected, divmod(idx, 3)
-    assert g[8] == MPoly.var(0) + MPoly.var(7) + MPoly.var(8)  # bottom-right
-    assert g[1] == MPoly.var(1) + MPoly.var(2) + MPoly.var(3)  # top-middle
-    assert g[0] == MPoly.var(0) + MPoly.var(7, J) + MPoly.var(8, J2)
+    assert g[8] == variable(0) + variable(7) + variable(8)  # bottom-right
+    assert g[1] == variable(1) + variable(2) + variable(3)  # top-middle
+    assert g[0] == variable(0) + variable(7, J) + variable(8, J2)
 
 
 def test_qhat_at_unit_coordinate_is_identity():
     coords = [ONE] + [ZERO] * 8
-    assert qhat_at(coords) == Mat3.identity()
+    assert qhat_at(coords) == Mat3.scalar(ONE)
 
 
 # ---------------------------------------------------------------------------

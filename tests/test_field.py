@@ -32,7 +32,7 @@ from conftest import needs_sympy, random_field_elem, sympy_zero, to_sympy
 # ---------------------------------------------------------------------------
 
 def test_canonical_representation_lowest_terms():
-    x = FieldElem.from_coeffs(["2/4", "0", "-6/8", "0", "0", "0", "0", "0"])
+    x = FieldElem.from_json(["2/4", "0", "-6/8", "0", "0", "0", "0", "0"])
     assert x.to_json()[0] == "1/2"
     assert x.to_json()[2] == "-3/4"
     assert x.den == 4 and x.nums == (2, 0, -3, 0, 0, 0, 0, 0)
@@ -40,12 +40,12 @@ def test_canonical_representation_lowest_terms():
 
 def test_equality_is_coordinatewise():
     a = rational(1, 3) + SQRT2
-    b = FieldElem.from_coeffs(["1/3", "0", "1", "0", "0", "0", "0", "0"])
+    b = FieldElem.from_json(["1/3", "0", "1", "0", "0", "0", "0", "0"])
     assert a == b and hash(a) == hash(b)
 
 
 def test_add_negate_gives_exact_zero():
-    x = FieldElem.from_coeffs(["7/3", "-1/2", "4", "0", "9/7", "0", "0", "-5/6"])
+    x = FieldElem.from_json(["7/3", "-1/2", "4", "0", "9/7", "0", "0", "-5/6"])
     z = x + (-x)
     assert z == ZERO and z.nums == (0,) * 8 and z.den == 1
 
@@ -75,12 +75,7 @@ def test_constructor_denominator_sign_and_zero():
         FieldElem((1, 0, 0, 0, 0, 0, 0, 0), 0)
     x = FieldElem((3, 0, -4, 0, 0, 0, 0, 6), -8)
     assert x.den == 8 and x.nums == (-3, 0, 4, 0, 0, 0, 0, -6)
-    assert x == FieldElem.from_coeffs(["-3/8", 0, "1/2", 0, 0, 0, 0, "-3/4"])
-
-
-def test_from_coeffs_rejects_a_wrong_count():
-    with pytest.raises(ValueError, match="expected 8 coordinates, got 7"):
-        FieldElem.from_coeffs([1] * 7)
+    assert x == FieldElem.from_json(["-3/8", "0", "1/2", "0", "0", "0", "0", "-3/4"])
 
 
 def test_json_round_trip_and_zero_encoding():
@@ -92,7 +87,7 @@ def test_json_round_trip_and_zero_encoding():
 
 
 def test_from_json_rejects_bad_shapes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^FieldElem JSON must be a list of 8 'p/q' strings$"):
         FieldElem.from_json(["1/1"] * 7)
     with pytest.raises(ValueError):
         FieldElem.from_json(["1/1"] * 7 + ["nope"])
@@ -124,8 +119,6 @@ def test_parse_rational_rejects_text_outside_the_grammar(text):
         parse_rational(text)
     with pytest.raises(ValueError, match="^not an exact rational: "):
         FieldElem.from_json([text] + ["0/1"] * 7)
-    with pytest.raises(ValueError, match="^not an exact rational: "):
-        FieldElem.from_coeffs([0] * 7 + [text])
 
 
 # ---------------------------------------------------------------------------

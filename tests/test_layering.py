@@ -11,10 +11,23 @@ with `ast`.
 - Floats are for display only: a float or complex literal, a `float()` or
   `complex()` call, or a `math` function other than the integer ones
   appears only inside `cli._fe_json`.
+- Public names: each top-level name without a leading underscore in a
+  public module (all but `_zj`, `_clifford_matrix` and `_version`) is in
+  its module's `__all__` or on `NOT_EXPORTED`.
+- Library callers: each public function, class and public method of a
+  public module that nothing in `src/nonion` calls is on `UNCALLED`.  A
+  reference counts when it lies outside the name's own body and outside
+  every other uncalled name, so a helper that only dead code calls is
+  dead too.  References are matched by name alone, so a method shares
+  the callers of every function and method of the same name
+  (`Mat3.conjugate_j` those of `FieldElem.conjugate_j`).
+
+Both lists fail the test when an entry goes stale.
 """
 
 import ast
 import shutil
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -26,11 +39,21 @@ SETUP_LAYERS = ("_zj", "field", "matrix", "bases", "poly", "cubic")
 LATER_LAYERS = {"clifford", "_clifford_matrix", "bracket", "roots", "fixtures", "report", "cli"}
 
 
+@lru_cache(maxsize=None)
+def _parse(text: str) -> ast.Module:
+    return ast.parse(text)
+
+
+def _tree(path: Path) -> ast.Module:
+    """The syntax tree of a source file, shared by every rule (read only)."""
+    return _parse(path.read_text(encoding="utf-8"))
+
+
 def _package_imports(path: Path):
     """(line, module, names) of each import from the package, at any
     depth: `from .m import a` gives ("m", ["a"]), `from . import m` gives
     ("", ["m"]) and `import nonion.m` gives ("m", [])."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if not node.level:
@@ -70,7 +93,7 @@ FLOAT_HOME = ("cli", "_fe_json")
 def exactness_violations(src: Path) -> list[str]:
     out = []
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _tree(path)
         display = {
             id(inner)
             for node in tree.body
@@ -109,6 +132,115 @@ def exactness_violations(src: Path) -> list[str]:
     return out
 
 
+def _public(path: Path) -> bool:
+    """A module whose name has no leading underscore, or `__init__`."""
+    return path.stem == "__init__" or not path.stem.startswith("_")
+
+
+# Public names outside their module's __all__, each with why it stays public.
+NOT_EXPORTED = {
+    "field.sum_terms": "kernel of the sparse sums in bracket, cubic, poly and clifford",
+    "field.common_numerators": "kernel of the pairwise Clifford product",
+    "field.sum_of_products": "kernel of the Mat3 product, determinant and pairing",
+    "matrix.LABELS": "the nonion label table, which bases reads",
+    "bases.TWIST_EXPONENTS": "the phase-twist table, which cubic reads",
+    "bases.CLAIMED_TILDE_EXPONENTS": "the printed tilde phases, which the tests read",
+    "bracket.Basis": "the basis type of structure_row and structure_table",
+    "clifford.MAX_GENERATORS": "the generator bound, which cli checks",
+    "clifford.Terms": "the terms type, which _clifford_matrix imports",
+    "report.REPORT_SCHEMA": "the schema tag of every report",
+    "report.render_markdown": "the Markdown view of emit_report, which the tests read",
+}
+
+
+def public_name_violations(src: Path) -> list[str]:
+    unexported = {}
+    for path in filter(_public, sorted(src.glob("*.py"))):
+        tree = _tree(path)
+        exported = {
+            c.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for c in ast.walk(node.value)
+            if isinstance(c, ast.Constant)
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if not name.startswith("_") and name not in exported:
+                    unexported[f"{path.stem}.{name}"] = f"{path.name}:{node.lineno}"
+    return [
+        f"{where}: {key.partition('.')[2]} is not in __all__"
+        for key, where in unexported.items()
+        if key not in NOT_EXPORTED
+    ] + [f"{key} is on NOT_EXPORTED but is not a public name outside __all__"
+         for key in NOT_EXPORTED if key not in unexported]
+
+
+# Public callables that nothing in src/nonion calls, each with why it stays.
+TRACED = "perfbench/tracing.py METHODS wraps it through cls.__dict__"
+UNCALLED = {
+    "matrix.Mat3.transpose": TRACED,
+    "matrix.Mat3.dagger": TRACED,
+    "matrix.Mat3.trace": TRACED,
+    "matrix.Mat3.commutes_with": TRACED,
+    "poly.MPoly.evaluate": "the norm_field workload of perfbench calls it",
+    "clifford.normal_order_product": "the paper's monomial product; perfbench counts its calls",
+    "bracket.s3_bracket": "the bracket on matrices: the tests' reference for structure_row",
+}
+
+
+def library_caller_violations(src: Path) -> list[str]:
+    defs = []  # (key, where, name) of each public function, class and method
+    refs: dict[str, list[frozenset]] = {}  # name -> the defs around each reference
+
+    def visit(node, path, prefix, around):
+        for child in ast.iter_child_nodes(node):
+            inner, child_prefix = around, None
+            if (
+                prefix is not None
+                and isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                and not child.name.startswith("_")
+            ):
+                key = f"{path.stem}.{prefix}{child.name}"
+                defs.append((key, f"{path.name}:{child.lineno}", child.name))
+                inner = around | {len(defs) - 1}
+                if isinstance(child, ast.ClassDef) and not prefix:
+                    child_prefix = f"{child.name}."
+            elif isinstance(child, (ast.Name, ast.Attribute)):
+                refs.setdefault(getattr(child, "id", None) or child.attr, []).append(around)
+            visit(child, path, child_prefix, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(_tree(path), path, "" if _public(path) else None, frozenset())
+    called: set[int] = set()
+    grew = True
+    while grew:
+        grew = False
+        for i, (_, _, name) in enumerate(defs):
+            if i not in called and any(i not in a and a <= called for a in refs.get(name, ())):
+                called.add(i)
+                grew = True
+    uncalled = {key: where for i, (key, where, _) in enumerate(defs) if i not in called}
+    return [
+        f"{where}: {key.partition('.')[2]} has no caller in src/nonion"
+        for key, where in uncalled.items()
+        if key not in UNCALLED
+    ] + [f"{key} is on UNCALLED but has a caller or no definition"
+         for key in UNCALLED if key not in uncalled]
+
+
+RULES = (layering_violations, exactness_violations, public_name_violations,
+         library_caller_violations)
+
+
 def test_package_keeps_its_layering():
     assert layering_violations(SRC) == []
 
@@ -117,30 +249,45 @@ def test_floats_only_in_the_cli_display():
     assert exactness_violations(SRC) == []
 
 
+def test_public_names_are_exported_or_listed():
+    assert public_name_violations(SRC) == []
+
+
+def test_public_callables_have_a_library_caller_or_are_listed():
+    assert library_caller_violations(SRC) == []
+
+
 VIOLATIONS = [
     pytest.param("_zj.py", "from .field import FieldElem\n", "_zj imports from nonion", id="zj-relative"),
     pytest.param("_zj.py", "import nonion.field\n", "_zj imports from nonion", id="zj-absolute"),
     pytest.param("matrix.py", "from .field import _gcd\n", "imports the private name _gcd",
                  id="private-module-level"),
-    pytest.param("report.py", "def f():\n    from .poly import _horner_plan\n",
+    pytest.param("report.py", "def _f():\n    from .poly import _horner_plan\n",
                  "imports the private name _horner_plan", id="private-in-function"),
     pytest.param("cubic.py", "from . import _DEFERRED\n", "imports the private name _DEFERRED",
                  id="private-from-package"),
     pytest.param("bases.py", "from .clifford import CliffElement\n",
                  "set-up layer imports ['clifford']", id="layer-module-level"),
-    pytest.param("matrix.py", "def f():\n    from . import report\n",
+    pytest.param("matrix.py", "def _f():\n    from . import report\n",
                  "set-up layer imports ['report']", id="layer-in-function"),
     pytest.param("field.py", "from nonion._clifford_matrix import matrix_product\n",
                  "set-up layer imports ['_clifford_matrix']", id="layer-absolute"),
-    pytest.param("matrix.py", "x = 0.5\n", "literal 0.5 outside cli._fe_json", id="float-literal"),
-    pytest.param("report.py", "def f():\n    from fractions import Fraction\n",
+    pytest.param("matrix.py", "_x = 0.5\n", "literal 0.5 outside cli._fe_json", id="float-literal"),
+    pytest.param("report.py", "def _f():\n    from fractions import Fraction\n",
                  "imports fractions", id="fractions-in-function"),
     pytest.param("field.py", "math.sqrt(2)\n", "math.sqrt outside cli._fe_json", id="math-sqrt"),
-    pytest.param("poly.py", "y = complex(1, 2)\n", "complex() outside cli._fe_json",
+    pytest.param("poly.py", "_y = complex(1, 2)\n", "complex() outside cli._fe_json",
                  id="complex-call"),
     pytest.param("cli.py", "from math import pi, gcd\n", "math.pi outside cli._fe_json",
                  id="math-import-in-cli"),
     pytest.param("cubic.py", "import decimal\n", "imports decimal", id="decimal-import"),
+    pytest.param("matrix.py", "SCALE = 2\n", "SCALE is not in __all__", id="public-assignment"),
+    pytest.param("poly.py", "def _use():\n    return helper()\ndef helper(): return 1\n",
+                 "helper is not in __all__", id="public-def"),
+    pytest.param("roots.py", "__all__ = [*__all__, 'helper']\ndef helper(): return 1\n",
+                 "helper has no caller in src/nonion", id="uncalled-function"),
+    pytest.param("matrix.py", "__all__ = [*__all__, 'helper']\ndef helper(m): return m.trace()\n",
+                 "helper has no caller in src/nonion", id="uncalled-caller-of-uncalled"),
 ]
 
 
@@ -152,5 +299,5 @@ def test_each_rule_catches_a_violation(tmp_path, file, text, message):
     source = path.read_text(encoding="utf-8") + text
     path.write_text(source, encoding="utf-8")
     # the violation is the last line of the text
-    violations = layering_violations(src) + exactness_violations(src)
+    violations = [v for rule in RULES for v in rule(src)]
     assert violations == [f"{file}:{source.count(chr(10))}: {message}"]
